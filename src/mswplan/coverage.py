@@ -111,10 +111,8 @@ def _stop_distances(
             ) from exc
     dists = {}
     for c in candidates:
-        res = _single_source(net, c, "distance")
-        dists[c] = {
-            d.id: res.cost.get(snapped[d.id], math.inf) for d in demands
-        }
+        meters = _single_source(net, c, "distance").cost
+        dists[c] = {d.id: meters.get(snapped[d.id], math.inf) for d in demands}
     return dists
 
 
@@ -278,7 +276,7 @@ def write_stops(stops: list[StopPoint], path: str) -> None:
             )
 
 
-def load_stops(path: str, default_service_s: float = 1800.0) -> list[StopPoint]:
+def load_stops(path: str) -> list[StopPoint]:
     try:
         with open(path, newline="") as fh:
             raw = list(csv.reader(fh))
@@ -297,7 +295,7 @@ def load_stops(path: str, default_service_s: float = 1800.0) -> list[StopPoint]:
                     id=int(row[0]),
                     node=int(row[1]),
                     assigned_demand_kg=float(row[2]),
-                    service_time_s=float(row[3]) if row[3] else default_service_s,
+                    service_time_s=float(row[3]),
                     covered_demand_ids=covered,
                 )
             )

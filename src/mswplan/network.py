@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
@@ -121,46 +120,29 @@ class RoadNetwork:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dense origin x destination costs plus along-path companions.
+    """Dense origin x destination drive time and length along optimal paths.
 
-    ``cost`` holds the optimal value in the chosen metric (seconds or
-    meters). ``length_m`` and ``time_s`` hold meters/seconds accumulated
-    along that same optimal path, so the non-objective quantity of a
-    route is exact rather than re-derived from an average speed.
-    Unreachable pairs carry :data:`UNREACHABLE` in all three.
+    ``time_s`` and ``length_m`` hold seconds and meters accumulated along
+    the path that is optimal in ``metric``, so the non-objective quantity
+    of a route is exact rather than re-derived from an average speed.
+    ``cost`` is the table of the chosen metric itself, not a copy.
+    Unreachable pairs carry :data:`UNREACHABLE` in both tables.
     """
 
     origins: tuple[int, ...]
     destinations: tuple[int, ...]
     metric: str
-    cost: tuple[tuple[float, ...], ...]
     length_m: tuple[tuple[float, ...], ...]
     time_s: tuple[tuple[float, ...], ...]
 
-    def _index(self, ids: tuple[int, ...], node_id: int, kind: str) -> int:
-        try:
-            return ids.index(node_id)
-        except ValueError:
-            raise UnknownNode(f"node {node_id} not among matrix {kind}") from None
-
-    def at(self, origin: int, destination: int) -> float:
-        return self.cost[self._index(self.origins, origin, "origins")][
-            self._index(self.destinations, destination, "destinations")
-        ]
-
-    def length_at(self, origin: int, destination: int) -> float:
-        return self.length_m[self._index(self.origins, origin, "origins")][
-            self._index(self.destinations, destination, "destinations")
-        ]
-
-    def time_at(self, origin: int, destination: int) -> float:
-        return self.time_s[self._index(self.origins, origin, "origins")][
-            self._index(self.destinations, destination, "destinations")
-        ]
+    @property
+    def cost(self) -> tuple[tuple[float, ...], ...]:
+        """Optimal values in the metric: ``time_s`` or ``length_m``."""
+        return self.time_s if self.metric == "time" else self.length_m
 
 
 class _SearchResult:
-    """Single-source search output: per-node cost and along-path companions.
+    """Single-source search output: per-node drive time and length.
 
     Path reconstruction is mode-specific: plain Dijkstra stores one
     parent edge per node, the turn-penalty search stores one parent per
@@ -168,18 +150,23 @@ class _SearchResult:
     edges on different optimal paths).
     """
 
-    __slots__ = ("source", "cost", "length_m", "time_s",
+    __slots__ = ("source", "metric", "length_m", "time_s",
                  "_net", "_parent_edge", "_node_best", "_parent_state")
 
-    def __init__(self, net: RoadNetwork, source: int):
+    def __init__(self, net: RoadNetwork, source: int, metric: str):
         self.source = source
-        self.cost: dict[int, float] = {source: 0.0}
+        self.metric = metric
         self.length_m: dict[int, float] = {source: 0.0}
         self.time_s: dict[int, float] = {source: 0.0}
         self._net = net
         self._parent_edge: dict[int, int] = {}
         self._node_best: dict[int, int] | None = None
         self._parent_state: list[int | None] | None = None
+
+    @property
+    def cost(self) -> dict[int, float]:
+        """Per-node optimal value in the search metric."""
+        return self.time_s if self.metric == "time" else self.length_m
 
     def path_to(self, target: int) -> list[int]:
         if target == self.source:
@@ -206,8 +193,9 @@ class _SearchResult:
 
 def _search_nodes(net: RoadNetwork, source: int, metric: str) -> _SearchResult:
     """Plain node-keyed Dijkstra; ties pop the smaller node id."""
-    res = _SearchResult(net, source)
+    res = _SearchResult(net, source, metric)
     by_time = metric == "time"
+    cost = res.cost  # the metric's own table, written by the relaxation below
     done: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
@@ -222,8 +210,7 @@ def _search_nodes(net: RoadNetwork, source: int, metric: str) -> _SearchResult:
             if v in done:
                 continue
             nc = cost_u + (e.travel_time_s if by_time else e.length_m)
-            if v not in res.cost or nc < res.cost[v]:
-                res.cost[v] = nc
+            if v not in cost or nc < cost[v]:
                 res.length_m[v] = res.length_m[u] + e.length_m
                 # physical drive time along the chosen path, turns included
                 pen = 0.0 if in_edge is None else net.turn_penalty(in_edge, ei)
@@ -241,7 +228,7 @@ def _search_edge_states(net: RoadNetwork, source: int) -> _SearchResult:
     indices; the per-node answer is the first state settled at that node
     (minimum cost, then smaller node id, then smaller edge index).
     """
-    res = _SearchResult(net, source)
+    res = _SearchResult(net, source, "time")
     n_edges = len(net.edges)
     cost_e = [math.inf] * n_edges
     len_e = [0.0] * n_edges
@@ -261,7 +248,6 @@ def _search_edge_states(net: RoadNetwork, source: int) -> _SearchResult:
         done_e[ei] = True
         if node_u not in node_best and node_u != source:
             node_best[node_u] = ei
-            res.cost[node_u] = cost_u
             res.time_s[node_u] = cost_u
             res.length_m[node_u] = len_e[ei]
         for fi in net.out_edges(node_u):
@@ -311,37 +297,29 @@ def cost_matrix(
     origins: list[int],
     destinations: list[int],
     metric: str = "time",
-    workers: int = 1,
 ) -> CostMatrix:
-    """Many-to-many costs via one single-source run per origin.
+    """Many-to-many drive times and lengths via one search per origin.
 
-    Unreachable pairs get the UNREACHABLE marker rather than raising, so
-    partially connected networks still produce a usable matrix. Results
-    are independent of ``workers``; parallelism only fans out origins.
+    Paths are optimal in ``metric``. Unreachable pairs get the
+    UNREACHABLE marker rather than raising, so partially connected
+    networks still produce a usable matrix.
     """
     for nid in list(origins) + list(destinations):
         if not net.has_node(nid):
             raise UnknownNode(f"node {nid} not in network")
 
-    def one_row(origin: int) -> tuple[tuple[float, ...], ...]:
+    def one_row(origin: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         res = _single_source(net, origin, metric)
-        cost_row = tuple(res.cost.get(d, UNREACHABLE) for d in destinations)
-        len_row = tuple(res.length_m.get(d, UNREACHABLE) for d in destinations)
-        time_row = tuple(res.time_s.get(d, UNREACHABLE) for d in destinations)
-        return cost_row, len_row, time_row
+        return (tuple(res.length_m.get(d, UNREACHABLE) for d in destinations),
+                tuple(res.time_s.get(d, UNREACHABLE) for d in destinations))
 
-    if workers > 1 and len(origins) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_row, origins))
-    else:
-        rows = [one_row(o) for o in origins]
+    rows = [one_row(o) for o in origins]
     return CostMatrix(
         origins=tuple(origins),
         destinations=tuple(destinations),
         metric=metric,
-        cost=tuple(r[0] for r in rows),
-        length_m=tuple(r[1] for r in rows),
-        time_s=tuple(r[2] for r in rows),
+        length_m=tuple(r[0] for r in rows),
+        time_s=tuple(r[1] for r in rows),
     )
 
 

@@ -1,10 +1,11 @@
 """End-to-end scenario runs: ingest, cover, route, assess, emit.
 
 Configuration is a flat ``key=value`` text file with dotted section
-keys (``fleet.capacity_kg=4000``). Relative paths are resolved against
-the config file's directory. The "existing" scenario is supplied as a
-summary block rather than re-solved: the incumbent system is observed,
-not optimized.
+keys (``fleet.capacity_kg=4000``); a key it does not read, or a key
+given twice, is a configuration error. Relative paths are resolved
+against the config file's directory. The "existing" scenario is
+supplied as a summary block rather than re-solved: the incumbent
+system is observed, not optimized.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ def parse_kv_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (t.strip() for t in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 
@@ -117,8 +120,24 @@ class ScenarioConfig:
     proposed_override: impact.ScenarioSummary | None = None
 
 
+#: Every key ``load_scenario_config`` reads; any other key is an error.
+SCENARIO_KEYS = frozenset(
+    ["network.nodes", "network.edges", "network.turns", "buildings",
+     "depot.x_m", "depot.y_m", "depot.max_snap_m", "objective", "seed",
+     "generation_rate_kg_unit_day", "scenario_name", "factors", "truck_class",
+     "coverage.radius_m", "coverage.distance_mode", "coverage.max_stop_load_kg",
+     "coverage.candidate_nodes", "coverage.service_time_s",
+     "fleet.capacity_kg", "fleet.unload_s", "fleet.shift_s"]
+    + [f"{block}.{f.name}" for block in ("existing", "proposed")
+       for f in fields(impact.ScenarioSummary)]
+)
+
+
 def load_scenario_config(path: str) -> ScenarioConfig:
     kv = parse_kv_file(path)
+    unknown = sorted(set(kv) - SCENARIO_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(key: str, required: bool = True) -> str | None:
@@ -151,11 +170,8 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         )
         fleet = vrp.FleetSpec(
             capacity_kg=_get_float(kv, "fleet.capacity_kg", 4000.0),
-            speed_kmh=_get_float(kv, "fleet.speed_kmh", 40.0),
-            stop_service_s=_get_float(kv, "fleet.stop_service_s", 1800.0),
             unload_s=_get_float(kv, "fleet.unload_s", 900.0),
             shift_s=_get_float(kv, "fleet.shift_s", 28800.0),
-            crew_size=_get_int(kv, "fleet.crew_size", 3),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -39,20 +39,20 @@ OBJECTIVES = ("time", "distance")
 
 @dataclass(frozen=True)
 class FleetSpec:
+    """Truck capacity, depot unload time and working shift.
+
+    Per-stop service time is a property of each stop, set by
+    ``CoverageConfig.service_time_s``.
+    """
+
     capacity_kg: float = 4000.0
-    speed_kmh: float = 40.0  # fallback when a network has no edge speeds
-    stop_service_s: float = 1800.0
     unload_s: float = 900.0
     shift_s: float = 28800.0
-    crew_size: int = 3
 
     def __post_init__(self):
-        for name in ("capacity_kg", "speed_kmh", "stop_service_s",
-                     "unload_s", "shift_s"):
+        for name in ("capacity_kg", "unload_s", "shift_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.crew_size < 1:
-            raise ValueError("crew_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,10 @@ class _Ctx:
                 f"matrix metric {matrix.metric!r} does not match objective "
                 f"{objective!r}"
             )
-        self.matrix = matrix
+        # bound once: drive_cost is the local-search hot loop
+        self._cost = matrix.cost
+        self._time = matrix.time_s
+        self._len = matrix.length_m
         self.fleet = fleet
         self.objective = objective
         self.depot = depot.node
@@ -150,13 +153,13 @@ class _Ctx:
                 raise UnknownNode(f"node {nid} missing from the cost matrix")
 
     def c(self, a: int, b: int) -> float:
-        return self.matrix.cost[self._row[a]][self._col[b]]
+        return self._cost[self._row[a]][self._col[b]]
 
     def t(self, a: int, b: int) -> float:
-        return self.matrix.time_s[self._row[a]][self._col[b]]
+        return self._time[self._row[a]][self._col[b]]
 
     def l(self, a: int, b: int) -> float:
-        return self.matrix.length_m[self._row[a]][self._col[b]]
+        return self._len[self._row[a]][self._col[b]]
 
     def _legs(self, seq: list[int]) -> list[tuple[int, int]]:
         nodes = [self.depot] + [self.node_of[s] for s in seq] + [self.depot]
@@ -388,15 +391,12 @@ def improve_local(
     matrix: CostMatrix,
     fleet: FleetSpec,
     objective: str = "time",
-    seed: int = 0,
     max_moves: int = 10_000,
 ) -> RoutePlan:
     """Descend with 2-opt/Or-opt until no move improves (or budget ends).
 
-    Deterministic: moves are scanned in trip/position order, so the seed
-    argument (kept for interface stability) never alters the result.
+    Deterministic: moves are scanned in trip/position order.
     """
-    del seed
     ctx = _Ctx(matrix, list(plan.stops.values()), Depot(plan.depot_node),
                fleet, objective)
     seqs = [list(t.stop_ids) for t in plan.all_trips()]

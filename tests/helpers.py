@@ -75,12 +75,10 @@ def matrix_from_points(points: dict[int, tuple[float, float]],
 
     lengths = [[dist(a, b) for b in ids] for a in ids]
     times = [[d * 3.6 / speed_kmh for d in row] for row in lengths]
-    cost = times if metric == "time" else lengths
     return CostMatrix(
         origins=tuple(ids),
         destinations=tuple(ids),
         metric=metric,
-        cost=tuple(tuple(r) for r in cost),
         length_m=tuple(tuple(r) for r in lengths),
         time_s=tuple(tuple(r) for r in times),
     )

@@ -44,6 +44,19 @@ def test_plan_missing_input_file_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_plan_unknown_config_key_exits_2(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(
+        f"network.nodes={demo_path('four_stops', 'nodes.csv')}\n"
+        f"network.edges={demo_path('four_stops', 'edges.csv')}\n"
+        f"buildings={demo_path('four_stops', 'buildings.csv')}\n"
+        "depot.x_m=0\ndepot.y_m=-2000\nfleet.crew_size=3\n"
+    )
+    result = CliRunner().invoke(main, ["plan", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "fleet.crew_size" in result.output
+
+
 def test_plan_far_depot_exits_4(tmp_path):
     cfg = tmp_path / "far.cfg"
     cfg.write_text(

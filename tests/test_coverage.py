@@ -15,7 +15,7 @@ from mswplan.coverage import (
     write_buildings,
     write_stops,
 )
-from mswplan.errors import NegativeUnits, UncoverableDemand
+from mswplan.errors import DataError, NegativeUnits, UncoverableDemand
 from mswplan.network import Edge, Node, RoadNetwork
 from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
 
@@ -247,3 +247,12 @@ def test_building_and_stop_tables_round_trip(tmp_path):
         (s.id, s.node, s.covered_demand_ids) for s in stops
     ]
     assert back[0].assigned_demand_kg == stops[0].assigned_demand_kg
+
+
+def test_stop_row_with_blank_service_time_rejected(tmp_path):
+    path = tmp_path / "stops.csv"
+    path.write_text("stop_id,node_id,assigned_kg,service_time_s,covered_ids\n"
+                    "0,1,10.0,1800.0,1\n"
+                    "1,2,10.0,,2\n")
+    with pytest.raises(DataError, match=r"bad stop row \['1', '2', '10\.0', '', '2'\]"):
+        load_stops(str(path))

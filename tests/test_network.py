@@ -96,6 +96,12 @@ def test_unreachable_pair_is_marked_not_zero():
     assert math.isinf(m.cost[0][0])
 
 
+def test_matrix_cost_is_the_metric_table():
+    for metric, table in (("time", "time_s"), ("distance", "length_m")):
+        m = cost_matrix(triangle(), [1, 2, 3], [1, 2, 3], metric)
+        assert m.cost is getattr(m, table)
+
+
 def test_matrix_entries_match_individual_path_calls():
     rng = random.Random(4821)
     for _ in range(25):
@@ -110,15 +116,6 @@ def test_matrix_entries_match_individual_path_calls():
                 else:
                     _, c = shortest_path(net, o, d, "distance")
                     assert c == m.cost[i][j]
-
-
-def test_matrix_workers_do_not_change_results():
-    rng = random.Random(99)
-    net = random_graph(rng, max_nodes=8)
-    ids = net.node_ids
-    assert cost_matrix(net, ids, ids, "time", workers=1) == cost_matrix(
-        net, ids, ids, "time", workers=4
-    )
 
 
 def test_search_matches_enumeration_on_random_graphs():

@@ -7,6 +7,7 @@ import pytest
 from mswplan.errors import ConfigError, NoNodeWithinRange, StageError
 from mswplan.impact import ScenarioSummary
 from mswplan.pipeline import (
+    SCENARIO_KEYS,
     load_scenario_config,
     load_summary,
     run_pipeline,
@@ -101,6 +102,49 @@ def test_missing_config_keys_and_files_rejected(tmp_path):
     q.write_text("this is not a key value line\n")
     with pytest.raises(ConfigError):
         load_scenario_config(str(q))
+
+
+def four_stops_config(tmp_path, extra: str = "") -> str:
+    """The four_stops demo inputs under a config ending in ``extra``."""
+    p = tmp_path / "scenario.cfg"
+    p.write_text(
+        f"network.nodes={demo_path('four_stops', 'nodes.csv')}\n"
+        f"network.edges={demo_path('four_stops', 'edges.csv')}\n"
+        f"buildings={demo_path('four_stops', 'buildings.csv')}\n"
+        "depot.x_m=0\ndepot.y_m=-2000\n" + extra
+    )
+    return str(p)
+
+
+def test_duplicate_config_key_rejected(tmp_path):
+    path = four_stops_config(tmp_path, "coverage.radius_m=300\ncoverage.radius_m=400\n")
+    with pytest.raises(ConfigError, match=r"scenario\.cfg:7: duplicate key "
+                                          r"'coverage\.radius_m'"):
+        load_scenario_config(path)
+
+
+def test_unknown_config_keys_rejected(tmp_path):
+    load_scenario_config(four_stops_config(tmp_path))
+    path = four_stops_config(tmp_path, "coverage.radius=200\nexisting.nmae=x\n")
+    with pytest.raises(ConfigError, match="coverage.radius, existing.nmae"):
+        load_scenario_config(path)
+
+
+@pytest.mark.parametrize("key", ["fleet.speed_kmh", "fleet.crew_size",
+                                 "fleet.stop_service_s"])
+def test_removed_fleet_keys_rejected(tmp_path, key):
+    with pytest.raises(ConfigError, match=key):
+        load_scenario_config(four_stops_config(tmp_path, f"{key}=600\n"))
+
+
+def test_readme_config_block_lists_the_keys_the_loader_reads():
+    with open(os.path.join(DEMO, "..", "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = {line.split("=", 1)[0] for line in block.splitlines() if line}
+    assert documented <= SCENARIO_KEYS
+    blocks = {k for k in SCENARIO_KEYS if k.startswith(("existing.", "proposed."))}
+    assert SCENARIO_KEYS - blocks <= documented
 
 
 def test_baseline_blocks_reproduce_reference_percentages(tmp_path):

@@ -44,8 +44,14 @@ def explicit_matrix(costs: dict[tuple[int, int], float],
         length.append(tuple(lrow))
     return CostMatrix(
         origins=tuple(ids), destinations=tuple(ids), metric="time",
-        cost=tuple(time), length_m=tuple(length), time_s=tuple(time),
+        length_m=tuple(length), time_s=tuple(time),
     )
+
+
+def leg_sum(matrix: CostMatrix, table, legs) -> float:
+    """Sum of one matrix table over (origin, destination) node-id legs."""
+    row, col = matrix.origins.index, matrix.destinations.index
+    return sum(table[row(a)][col(b)] for a, b in legs)
 
 
 def best_single_tour_cost(matrix: CostMatrix, stops, depot: Depot) -> float:
@@ -54,7 +60,7 @@ def best_single_tour_cost(matrix: CostMatrix, stops, depot: Depot) -> float:
     for perm in permutations([s.id for s in stops]):
         node = {s.id: s.node for s in stops}
         seq = [depot.node] + [node[s] for s in perm] + [depot.node]
-        cost = sum(matrix.at(a, b) for a, b in zip(seq[:-1], seq[1:]))
+        cost = leg_sum(matrix, matrix.cost, zip(seq[:-1], seq[1:]))
         best = min(best, cost)
     return best
 
@@ -136,10 +142,10 @@ def manual_plan(matrix: CostMatrix, stops, seqs, fleet: FleetSpec,
             Trip(
                 stop_ids=list(seq),
                 load_kg=sum(demand[s] for s in seq),
-                drive_time_s=sum(matrix.time_at(a, b) for a, b in pairs),
+                drive_time_s=leg_sum(matrix, matrix.time_s, pairs),
                 service_time_s=sum(service[s] for s in seq),
                 unload_s=fleet.unload_s,
-                distance_m=sum(matrix.length_at(a, b) for a, b in pairs),
+                distance_m=leg_sum(matrix, matrix.length_m, pairs),
             )
         )
     return RoutePlan(
@@ -159,7 +165,7 @@ def test_local_search_uncrosses_a_tour():
     crossed = manual_plan(m, stops, [[2, 1, 4, 3]], fleet)
     best = best_single_tour_cost(m, stops, DEPOT)
     assert crossed.cost > best + 1e-9
-    improved = improve_local(crossed, m, fleet, "time", seed=0)
+    improved = improve_local(crossed, m, fleet, "time")
     assert improved.cost < crossed.cost - 1e-9
     assert improved.cost == pytest.approx(best)
 
@@ -171,7 +177,7 @@ def test_local_search_is_a_fixed_point_on_optimal_plans():
              make_stop(2, 2, 100.0, service_s=60)]
     fleet = FleetSpec()
     plan = manual_plan(m, stops, [[1, 2]], fleet)
-    improved = improve_local(plan, m, fleet, "time", seed=0)
+    improved = improve_local(plan, m, fleet, "time")
     assert improved.cost == pytest.approx(plan.cost)
     assert [t.stop_ids for t in improved.all_trips()] == [[1, 2]]
 
@@ -184,7 +190,7 @@ def test_relocation_respects_capacity():
              make_stop(2, 2, 3000.0, service_s=60)]
     fleet = FleetSpec(capacity_kg=4000)
     plan = manual_plan(m, stops, [[1], [2]], fleet)
-    improved = improve_local(plan, m, fleet, "time", seed=0)
+    improved = improve_local(plan, m, fleet, "time")
     assert sorted(tuple(t.stop_ids) for t in improved.all_trips()) == [(1,), (2,)]
     assert improved.cost == pytest.approx(plan.cost)
 
@@ -337,7 +343,6 @@ def test_unreachable_stop_detected():
     inf = math.inf
     m = CostMatrix(
         origins=(0, 1), destinations=(0, 1), metric="time",
-        cost=((0.0, inf), (inf, 0.0)),
         length_m=((0.0, inf), (inf, 0.0)),
         time_s=((0.0, inf), (inf, 0.0)),
     )
@@ -385,14 +390,14 @@ def test_local_search_never_increases_cost():
         cut = rng.randint(1, len(ids))
         seqs = [seq for seq in (ids[:cut], ids[cut:]) if seq]
         plan = manual_plan(m, stops, seqs, fleet)
-        improved = improve_local(plan, m, fleet, "time", seed=0)
+        improved = improve_local(plan, m, fleet, "time")
         assert improved.cost <= plan.cost + 1e-9
 
 
 def test_metrics_totals_are_sums_of_per_truck_values():
     rng = random.Random(23)
     m, stops = random_instance(rng, 8)
-    fleet = FleetSpec(shift_s=7200.0, stop_service_s=600.0)
+    fleet = FleetSpec(shift_s=7200.0)
     stops = [make_stop(s.id, s.node, s.assigned_demand_kg, service_s=600.0)
              for s in stops]
     plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
