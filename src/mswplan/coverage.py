@@ -125,6 +125,8 @@ def place_stops(
     the largest uncovered waste mass (ties: smaller node id) and assigns
     those demands nearest-first while the load cap allows; leftovers stay
     uncovered and may trigger another stop, possibly at the same node.
+    When every coverable demand left has zero mass, so no candidate
+    gains, the smallest-id candidate covering one of them opens.
     """
     candidates = sorted(cfg.candidate_nodes) if cfg.candidate_nodes else net.node_ids
     if not candidates:
@@ -145,6 +147,12 @@ def place_stops(
             gain = sum(by_id[i].waste_kg_day for i in within[c] if i in uncovered)
             if gain > best_gain:
                 best_gain, best_node = gain, c
+        if best_node is None:
+            # only zero-mass demands are coverable: gains cannot rank them
+            best_node = next(
+                (c for c in candidates if any(i in uncovered for i in within[c])),
+                None,
+            )
         if best_node is None:
             stranded = sorted(uncovered)
             raise UncoverableDemand(
@@ -242,13 +250,20 @@ def load_buildings(path: str) -> list[tuple[int, float, float, int]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not raw or raw[0] != BUILDING_HEADER:
         raise DataError(f"{path}: expected header {','.join(BUILDING_HEADER)}")
+    seen: set[int] = set()
     for row in raw[1:]:
         if not row:
             continue
         try:
-            rows.append((int(row[0]), float(row[1]), float(row[2]), int(row[3])))
+            bid, x, y, units = int(row[0]), float(row[1]), float(row[2]), int(row[3])
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: bad building row {row}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"{path}: building {bid} has non-finite coordinates")
+        if bid in seen:
+            raise DataError(f"{path}: building id {bid} appears more than once")
+        seen.add(bid)
+        rows.append((bid, x, y, units))
     return rows
 
 

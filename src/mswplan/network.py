@@ -70,8 +70,11 @@ class RoadNetwork:
         for i, e in enumerate(self._edges):
             if e.from_id not in self._nodes or e.to_id not in self._nodes:
                 raise ValueError(f"edge {i} references unknown node")
-            if e.length_m <= 0 or e.speed_kmh <= 0:
-                raise ValueError(f"edge {i} needs positive length and speed")
+            if not (0 < e.length_m < math.inf and 0 < e.speed_kmh < math.inf):
+                raise ValueError(
+                    f"edge {i} needs a finite positive length and speed, got "
+                    f"{e.length_m} m at {e.speed_kmh} km/h"
+                )
             out[e.from_id].append(i)
         self._out = {nid: tuple(idx) for nid, idx in out.items()}
         self._turns: dict[tuple[int, int], float] = dict(turn_penalty_s or {})
@@ -80,8 +83,11 @@ class RoadNetwork:
                 raise ValueError(f"turn penalty references unknown edge ({a},{b})")
             if self._edges[a].to_id != self._edges[b].from_id:
                 raise ValueError(f"turn penalty ({a},{b}) joins non-adjacent edges")
-            if pen < 0:
-                raise ValueError(f"turn penalty ({a},{b}) is negative")
+            if not 0 <= pen < math.inf:
+                raise ValueError(
+                    f"turn penalty ({a},{b}) must be finite and non-negative, "
+                    f"got {pen}"
+                )
 
     @property
     def node_ids(self) -> list[int]:

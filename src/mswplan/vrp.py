@@ -12,6 +12,16 @@ The objective is total drive cost (seconds or meters) over all trips.
 Per-stop service time is constant for a fixed stop set and depot unload
 time only rewards merging trips, which shorter drive cost already does,
 so neither term can change the argmin.
+
+The local search prices moves by delta evaluation ("move evaluation by
+concatenation", Vidal 2022, arXiv:2012.10384): once per scan each trip
+gets its matrix indices, leg costs and reverse-direction prefix sums, and
+a 2-opt or Or-opt candidate then costs a few lookups instead of a
+full-trip sum. The deltas only filter, with a slack that bounds their
+rounding; each candidate that passes is decided by the full-trip
+comparison and feasibility checks, so the search accepts exactly the
+moves, in the same scan order, that pricing every candidate in full
+would (see ``_improve_seqs``).
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -33,6 +44,9 @@ from .errors import (
 from .network import CostMatrix
 
 _EPS = 1e-9
+#: Rounding slack of delta evaluation per summed leg, relative to the
+#: cost of the trips a move touches (see ``_improve_seqs``).
+_ROUND = 4 * sys.float_info.epsilon
 
 OBJECTIVES = ("time", "distance")
 
@@ -137,7 +151,7 @@ class _Ctx:
                 f"matrix metric {matrix.metric!r} does not match objective "
                 f"{objective!r}"
             )
-        # bound once: drive_cost is the local-search hot loop
+        # bound once: drive costs are summed in the local-search hot loop
         self._cost = matrix.cost
         self._time = matrix.time_s
         self._len = matrix.length_m
@@ -151,28 +165,39 @@ class _Ctx:
         for nid in [self.depot] + sorted(set(self.node_of.values())):
             if nid not in self._row or nid not in self._col:
                 raise UnknownNode(f"node {nid} missing from the cost matrix")
+        self.depot_row = self._row[self.depot]
+        self.depot_col = self._col[self.depot]
+        self.stop_row = {s: self._row[n] for s, n in self.node_of.items()}
+        self.stop_col = {s: self._col[n] for s, n in self.node_of.items()}
 
     def c(self, a: int, b: int) -> float:
         return self._cost[self._row[a]][self._col[b]]
 
-    def t(self, a: int, b: int) -> float:
-        return self._time[self._row[a]][self._col[b]]
+    def _indices(self, seq: list[int]) -> tuple[list[int], list[int]]:
+        rows = [self.depot_row] + [self.stop_row[s] for s in seq] + [self.depot_row]
+        cols = [self.depot_col] + [self.stop_col[s] for s in seq] + [self.depot_col]
+        return rows, cols
 
-    def l(self, a: int, b: int) -> float:
-        return self._len[self._row[a]][self._col[b]]
+    def tour(self, seq: list[int]):
+        """Matrix rows and columns of the positions depot, *seq, depot,
+        and the cost of each leg: ``legs[k]`` runs from position k to
+        k + 1."""
+        rows, cols = self._indices(seq)
+        cost = self._cost
+        return rows, cols, [cost[r][c] for r, c in zip(rows, cols[1:])]
 
-    def _legs(self, seq: list[int]) -> list[tuple[int, int]]:
-        nodes = [self.depot] + [self.node_of[s] for s in seq] + [self.depot]
-        return list(zip(nodes[:-1], nodes[1:]))
+    def _leg_sum(self, table, seq: list[int]) -> float:
+        rows, cols = self._indices(seq)
+        return sum(table[r][c] for r, c in zip(rows, cols[1:]))
 
     def drive_cost(self, seq: list[int]) -> float:
-        return sum(self.c(a, b) for a, b in self._legs(seq))
+        return self._leg_sum(self._cost, seq)
 
     def drive_time(self, seq: list[int]) -> float:
-        return sum(self.t(a, b) for a, b in self._legs(seq))
+        return self._leg_sum(self._time, seq)
 
     def drive_len(self, seq: list[int]) -> float:
-        return sum(self.l(a, b) for a, b in self._legs(seq))
+        return self._leg_sum(self._len, seq)
 
     def load(self, seq: list[int]) -> float:
         return math.fsum(self.stops[s].assigned_demand_kg for s in seq)
@@ -205,8 +230,15 @@ class _Ctx:
 
 
 def _validate_instance(ctx: _Ctx) -> None:
+    """Reject what no plan can serve, and NaN or negative demands and
+    costs, which the delta evaluation of ``_improve_seqs`` excludes."""
     for sid in sorted(ctx.stops):
         stop = ctx.stops[sid]
+        if not stop.assigned_demand_kg >= 0:
+            raise ValueError(
+                f"stop {sid} demand {stop.assigned_demand_kg} kg is not a "
+                f"non-negative number"
+            )
         if stop.assigned_demand_kg > ctx.fleet.capacity_kg + _EPS:
             raise InfeasibleStop(
                 f"stop {sid} demand {stop.assigned_demand_kg:.1f} kg exceeds "
@@ -215,8 +247,14 @@ def _validate_instance(ctx: _Ctx) -> None:
     nodes = [ctx.depot] + sorted(set(ctx.node_of.values()))
     for a in nodes:
         for b in nodes:
-            if math.isinf(ctx.c(a, b)):
+            cost = ctx.c(a, b)
+            if math.isinf(cost):
                 raise UnreachableStop(f"no route between nodes {a} and {b}")
+            if not cost >= 0:
+                raise ValueError(
+                    f"cost {cost} from node {a} to node {b} is not a "
+                    f"non-negative number"
+                )
     for sid in sorted(ctx.stops):
         if not ctx.shift_ok([sid]):
             raise ShiftTooShort(
@@ -308,36 +346,155 @@ def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int]) -> list[list[int]]:
     return seqs
 
 
+def _delta_limit(n_legs: int, cost: float) -> float:
+    """Deltas at or above this cannot pass the full-recompute test of a
+    move over ``n_legs`` legs of trips costing ``cost`` in total (see
+    ``_improve_seqs``)."""
+    return _ROUND * (n_legs + 8) * cost - _EPS
+
+
+def _flip_prefix(cost, rows, cols, legs) -> list[float]:
+    """``flip[k]``: sum over legs m < k of (reverse cost - forward cost).
+
+    Reversing the stops between positions i and j turns legs i..j-1
+    around, which adds ``flip[j] - flip[i]``; it is 0 only when those
+    legs cost the same both ways.
+    """
+    flip = [0.0]
+    for k, leg in enumerate(legs):
+        flip.append(flip[k] + (cost[rows[k + 1]][cols[k]] - leg))
+    return flip
+
+
+def _reversal_deltas(cost, rows, cols, legs, flip, i: int) -> list[float]:
+    """Drive-cost change of reversing ``seq[i..j]`` for each j > i."""
+    row_in, row_out = cost[rows[i]], cost[rows[i + 1]]
+    n = len(rows) - 2
+    start = legs[i] + flip[i + 1]
+    # positions i+1..j+1 reversed: arcs i->j+1 and i+1->j+2 replace legs
+    # i and j+1; the inner legs flip
+    return [row_in[c_in] + row_out[c_out] + (f - leg) - start
+            for c_in, c_out, f, leg in zip(cols[i + 2:n + 1], cols[i + 3:],
+                                           flip[i + 2:], legs[i + 2:])]
+
+
+def _removal_delta(cost, rows, cols, legs, p: int, seg_len: int) -> float:
+    """Drive-cost change of cutting ``seq[p:p + seg_len]`` out, leaving
+    the segment's own legs aside (they travel with it). An emptied trip
+    costs 0, as ``_improve_seqs`` counts it."""
+    n = len(rows) - 2
+    gap = cost[rows[p]][cols[p + seg_len + 1]] if seg_len < n else 0.0
+    return gap - legs[p] - legs[p + seg_len]
+
+
+def _without(cost, rows, cols, legs, p: int, seg_len: int):
+    """``rows``, ``cols`` and ``legs`` of the trip with ``seq[p:p + seg_len]``
+    cut out and the gap closed, as ``_Ctx.tour`` would give them."""
+    cut = p + seg_len + 1
+    gap = cost[rows[p]][cols[cut]]
+    return (rows[:p + 1] + rows[cut:], cols[:p + 1] + cols[cut:],
+            legs[:p] + [gap] + legs[cut:])
+
+
+def _insertion_deltas(cost, rows, cols, legs, first_col: int, last_row,
+                      offset: float) -> list[float]:
+    """``offset`` plus the drive-cost change of putting a segment between
+    positions q and q + 1, for each q. The segment enters at column
+    ``first_col`` and leaves from the cost row ``last_row``."""
+    return [offset + cost[r][first_col] + last_row[c] - leg
+            for r, c, leg in zip(rows, cols[1:], legs)]
+
+
 def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list[int]]:
-    """First-improvement descent with 2-opt and Or-opt moves."""
+    """First-improvement descent with 2-opt and Or-opt moves.
+
+    Each scan tries every 2-opt reversal (trip, then i < j), then every
+    Or-opt relocation of 1 or 2 consecutive stops (source trip, segment
+    length, position, target trip, insert position), and applies the
+    first move that lowers the drive cost and keeps the changed trips
+    feasible. Scans repeat until none improves or ``max_moves`` ran.
+
+    Candidates are priced by delta evaluation. At the start of a scan
+    every trip gets its matrix indices and leg costs (``_Ctx.tour``),
+    its cost (their sum, as ``_Ctx.drive_cost`` takes it), its load and
+    the reverse-minus-forward prefix sums of ``_flip_prefix``; the
+    matrix is asymmetric, so a reversed segment changes its inner arcs.
+    A 2-opt delta then costs 4 lookups and a prefix difference, an
+    Or-opt delta 6 lookups.
+
+    The deltas only filter. A candidate goes on when its delta is below
+    ``_delta_limit``: ``-_EPS`` plus a slack of ``_ROUND * (legs + 8) *
+    cost`` over the trips it changes (for 2-opt, the trip's cost plus
+    its reversed cost). Each one that
+    goes on is decided as by full recomputation: ``drive_cost`` of the
+    changed trips against the incumbent minus ``_EPS``, then the same
+    shift and load checks. With the non-negative costs and demands that
+    ``_validate_instance`` admits, the slack bounds the rounding gap
+    between a delta and that difference of full-trip sums (a candidate
+    that costs over twice the incumbent fails both tests), so no move the
+    full test would accept is filtered out. Likewise a target trip that
+    the segment's load overfills beyond rounding, which ``load_ok``
+    rejects at every insert position, is skipped whole. Accepted moves,
+    scan order and result are those of pricing every candidate in full.
+    """
     seqs = [list(s) for s in seqs if s]
+    cost = ctx._cost
+    # a trip loaded beyond this estimate fails ctx.load_ok for sure
+    max_load = (ctx.fleet.capacity_kg + _EPS) * (1 + _ROUND)
     moves = 0
 
-    def try_two_opt() -> bool:
+    def try_two_opt(tours) -> bool:
         for t, seq in enumerate(seqs):
             n = len(seq)
             if n < 2:
                 continue
-            base = ctx.drive_cost(seq)
+            rows, cols, legs, base = tours[t]
+            flip = _flip_prefix(cost, rows, cols, legs)
+            # the cost bound covers the trip driven both ways
+            lim = _delta_limit(n + 1, 2 * base + flip[-1])
             for i in range(n - 1):
-                for j in range(i + 1, n):
+                deltas = _reversal_deltas(cost, rows, cols, legs, flip, i)
+                if min(deltas) >= lim:
+                    continue
+                for j, delta in enumerate(deltas, start=i + 1):
+                    if delta >= lim:
+                        continue
                     cand = seq[:i] + seq[i:j + 1][::-1] + seq[j + 1:]
                     if ctx.drive_cost(cand) < base - _EPS and ctx.shift_ok(cand):
                         seqs[t] = cand
                         return True
         return False
 
-    def try_or_opt() -> bool:
+    def try_or_opt(tours, loads) -> bool:
         for a, seq_a in enumerate(seqs):
+            rows, cols, legs, cost_a_old = tours[a]
+            n_a = len(seq_a)
+            lim_a = _delta_limit(n_a + 1, cost_a_old)
+            demand_a = [ctx.stops[s].assigned_demand_kg for s in seq_a]
             for seg_len in (1, 2):
-                for p in range(len(seq_a) - seg_len + 1):
+                for p in range(n_a - seg_len + 1):
                     seg = seq_a[p:p + seg_len]
                     rest_a = seq_a[:p] + seq_a[p + seg_len:]
-                    cost_a_old = ctx.drive_cost(seq_a)
-                    for b in range(len(seqs)):
+                    seg_load = sum(demand_a[p:p + seg_len])
+                    # trips the segment would overfill beyond rounding fail
+                    # load_ok at every insert position
+                    targets = [b for b, load_b in enumerate(loads)
+                               if b == a or load_b + seg_load <= max_load]
+                    first_col = cols[p + 1]
+                    last_row = cost[rows[p + seg_len]]
+                    removal = _removal_delta(cost, rows, cols, legs, p, seg_len)
+                    cost_a_new = None
+                    for b in targets:
                         if b == a:
-                            for q in range(len(rest_a) + 1):
-                                if q == p:
+                            if not rest_a:
+                                continue
+                            deltas = _insertion_deltas(
+                                cost, *_without(cost, rows, cols, legs, p, seg_len),
+                                first_col, last_row, removal)
+                            if min(deltas) >= lim_a:
+                                continue
+                            for q, delta in enumerate(deltas):
+                                if delta >= lim_a or q == p:
                                     continue
                                 cand = rest_a[:q] + seg + rest_a[q:]
                                 if (ctx.drive_cost(cand) < cost_a_old - _EPS
@@ -346,12 +503,20 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                                     return True
                         else:
                             seq_b = seqs[b]
-                            if not rest_a and not seq_b:
+                            rows_b, cols_b, legs_b, cost_b_old = tours[b]
+                            lim = _delta_limit(n_a + len(seq_b) + 2,
+                                               cost_a_old + cost_b_old)
+                            deltas = _insertion_deltas(
+                                cost, rows_b, cols_b, legs_b,
+                                first_col, last_row, removal)
+                            if min(deltas) >= lim:
                                 continue
-                            cost_b_old = ctx.drive_cost(seq_b)
-                            cost_a_new = ctx.drive_cost(rest_a) if rest_a else 0.0
-                            for q in range(len(seq_b) + 1):
+                            for q, delta in enumerate(deltas):
+                                if delta >= lim:
+                                    continue
                                 cand_b = seq_b[:q] + seg + seq_b[q:]
+                                if cost_a_new is None:
+                                    cost_a_new = ctx.drive_cost(rest_a) if rest_a else 0.0
                                 delta = (cost_a_new + ctx.drive_cost(cand_b)
                                          - cost_a_old - cost_b_old)
                                 if delta >= -_EPS:
@@ -366,7 +531,12 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
         return False
 
     while moves < max_moves:
-        if try_two_opt() or try_or_opt():
+        tours = []
+        for seq in seqs:
+            rows, cols, legs = ctx.tour(seq)
+            tours.append((rows, cols, legs, sum(legs)))
+        loads = [ctx.load(seq) for seq in seqs]
+        if try_two_opt(tours) or try_or_opt(tours, loads):
             moves += 1
             seqs = [s for s in seqs if s]
             continue
@@ -399,6 +569,7 @@ def improve_local(
     """
     ctx = _Ctx(matrix, list(plan.stops.values()), Depot(plan.depot_node),
                fleet, objective)
+    _validate_instance(ctx)
     seqs = [list(t.stop_ids) for t in plan.all_trips()]
     return _pack_plan(ctx, _improve_seqs(ctx, seqs, max_moves))
 

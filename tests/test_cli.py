@@ -1,5 +1,6 @@
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from mswplan.cli import main
@@ -68,6 +69,28 @@ def test_plan_far_depot_exits_4(tmp_path):
     result = CliRunner().invoke(main, ["plan", str(cfg), "--out", str(tmp_path)])
     assert result.exit_code == 4
     assert "network/snap" in result.output
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("999,nan,0.0,8", "building 999 has non-finite coordinates"),
+    ("3,0.0,0.0,8", "building id 3 appears more than once"),
+])
+def test_plan_bad_building_row_exits_4(tmp_path, bad_row, message):
+    with open(demo_path("four_stops", "buildings.csv")) as fh:
+        rows = fh.read()
+    buildings = tmp_path / "buildings.csv"
+    buildings.write_text(rows + bad_row + "\n")
+    cfg = tmp_path / "bad_building.cfg"
+    cfg.write_text(
+        f"network.nodes={demo_path('four_stops', 'nodes.csv')}\n"
+        f"network.edges={demo_path('four_stops', 'edges.csv')}\n"
+        f"buildings={buildings}\n"
+        "depot.x_m=0\ndepot.y_m=-2000\n"
+    )
+    result = CliRunner().invoke(main, ["plan", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 4
+    assert "demand/aggregate" in result.output
+    assert f"{buildings}: {message}" in result.output
 
 
 def test_plan_infeasible_shift_exits_3(tmp_path):

@@ -123,6 +123,18 @@ def test_uncoverable_demand_raises():
         place_stops(net, far, CoverageConfig(radius_m=300.0))
 
 
+def test_isolated_zero_mass_building_gets_a_stop():
+    net = line_network(spacing_m=200.0, n=8)  # nodes 0..7 at 0..1400 m
+    # building 1 has no dwelling units and sits 10 m past node 7, out of
+    # reach of the stop that serves building 0
+    demands = aggregate_demand([(0, 400.0, 0.0, 8), (1, 1410.0, 0.0, 0)], 2.49)
+    cfg = CoverageConfig(radius_m=300.0)
+    stops = place_stops(net, demands, cfg)
+    assert [(s.node, s.covered_demand_ids) for s in stops] == [(1, [0]), (6, [1])]
+    assert stops[1].assigned_demand_kg == 0.0
+    assert verify_coverage(stops, demands, net, cfg).ok
+
+
 def test_euclidean_mode_covers_offroad_demand():
     net = line_network()
     from mswplan.coverage import DemandPoint
@@ -256,3 +268,19 @@ def test_stop_row_with_blank_service_time_rejected(tmp_path):
                     "1,2,10.0,,2\n")
     with pytest.raises(DataError, match=r"bad stop row \['1', '2', '10\.0', '', '2'\]"):
         load_stops(str(path))
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_building_with_non_finite_coordinate_rejected(tmp_path, x):
+    path = tmp_path / "buildings.csv"
+    path.write_text(f"id,x_m,y_m,dwelling_units\n1,0.0,0.0,8\n7,{x},5.0,8\n")
+    with pytest.raises(DataError, match=rf"{path}: building 7 has non-finite"):
+        load_buildings(str(path))
+
+
+def test_repeated_building_id_rejected(tmp_path):
+    path = tmp_path / "buildings.csv"
+    path.write_text("id,x_m,y_m,dwelling_units\n"
+                    "3,0.0,0.0,8\n4,10.0,0.0,8\n3,20.0,0.0,8\n")
+    with pytest.raises(DataError, match=rf"{path}: building id 3 appears more"):
+        load_buildings(str(path))

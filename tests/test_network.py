@@ -248,3 +248,30 @@ def test_invalid_edge_rejected():
         RoadNetwork([Node(1, 0, 0), Node(2, 1, 1)], [Edge(1, 2, -5, 40)])
     with pytest.raises(ValueError):
         RoadNetwork([Node(1, 0, 0), Node(1, 1, 1)], [])
+
+
+def write_two_node_network(tmp_path, edge_rows: str):
+    nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
+    nodes_path.write_text("id,x_m,y_m\n1,0.0,0.0\n2,100.0,0.0\n")
+    edges_path.write_text("from_id,to_id,length_m,speed_kmh\n" + edge_rows)
+    return str(nodes_path), str(edges_path)
+
+
+def test_nan_edge_length_rejected_naming_the_edge(tmp_path):
+    nodes, edges = write_two_node_network(tmp_path, "1,2,100,40\n2,1,nan,40\n")
+    with pytest.raises(DataError, match=r"edge 1 needs a finite positive length"):
+        load_network(nodes, edges)
+
+
+def test_infinite_edge_speed_rejected_naming_the_edge(tmp_path):
+    nodes, edges = write_two_node_network(tmp_path, "1,2,100,inf\n2,1,100,40\n")
+    with pytest.raises(DataError, match=r"edge 0 needs a finite positive length"):
+        load_network(nodes, edges)
+
+
+def test_nan_turn_penalty_rejected_naming_the_edges(tmp_path):
+    nodes, edges = write_two_node_network(tmp_path, "1,2,100,40\n2,1,100,40\n")
+    turns = tmp_path / "turns.csv"
+    turns.write_text("from_edge_index,to_edge_index,penalty_s\n0,1,nan\n")
+    with pytest.raises(DataError, match=r"turn penalty \(0,1\) must be finite"):
+        load_network(nodes, edges, str(turns))

@@ -1,0 +1,218 @@
+"""Delta-evaluated local search against the full-recompute reference.
+
+``mswplan.vrp._improve_seqs`` prices moves from per-trip prefix data and
+confirms only promising ones by full recomputation. These tests hold it
+to the verbatim full-recompute descent in ``vrp_reference.py`` on random
+instances built to stress it: asymmetric matrices with non-integer and
+tie-prone costs, stops sharing nodes, and capacity and shift limits
+tight enough that the feasibility vetoes fire, under both objectives.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import make_stop
+from mswplan import network, vrp
+from mswplan.coverage import CoverageConfig, aggregate_demand, place_stops
+from mswplan.network import CostMatrix
+from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
+from mswplan.vrp import (
+    Depot,
+    FleetSpec,
+    _cheapest_insertion_seqs,
+    _clarke_wright_seqs,
+    _Ctx,
+    _flip_prefix,
+    _improve_seqs,
+    _insertion_deltas,
+    _removal_delta,
+    _reversal_deltas,
+    _without,
+    _validate_instance,
+)
+from vrp_reference import _improve_seqs as improve_seqs_reference
+from vrp_reference import full_recompute
+
+DETERMINISTIC = settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+# enough draws that a zeroed rounding slack or a load skip without the
+# capacity's _EPS is caught
+DIFFERENTIAL = settings(DETERMINISTIC, max_examples=1000)
+
+
+def random_table(rng, n: int, style: str) -> tuple[tuple[float, ...], ...]:
+    """Asymmetric n x n costs. "tenths" draws multiples of 0.1, whose
+    sums round (0.1 + 0.2 != 0.3), so exact ties in real numbers become
+    near-ties in floats; "eps" puts many deltas within rounding of the
+    -1e-9 improvement threshold; "uniform" draws arbitrary non-integers."""
+    def draw(a: int, b: int) -> float:
+        if a == b:
+            return rng.choice((0.0, 0.0, 0.1, 0.3))
+        if style == "tenths":
+            return rng.randint(1, 9) * 0.1
+        if style == "eps":
+            return 1.0 + rng.randint(0, 3) * 5e-10
+        return rng.uniform(1.0, 500.0)
+
+    return tuple(tuple(draw(a, b) for b in range(n)) for a in range(n))
+
+
+def random_instance(seed: int, n_stops: int, n_nodes: int, objective: str,
+                    style: str):
+    """(ctx, stop ids) with capacity and shift only just above what the
+    largest single stop needs."""
+    rng = random.Random(seed)
+    ids = tuple(range(n_nodes + 1))
+    time_s = random_table(rng, len(ids), style)
+    length_m = random_table(rng, len(ids), style)
+    matrix = CostMatrix(origins=ids, destinations=ids, metric=objective,
+                        length_m=length_m, time_s=time_s)
+    # tenths of a kg, so trip loads land on the capacity up to rounding
+    stops = [
+        make_stop(sid, rng.choice(ids), rng.randint(0, 30) * 0.1,
+                  service_s=rng.uniform(0.0, 30.0))
+        for sid in range(1, n_stops + 1)
+    ]
+    demands = [s.assigned_demand_kg for s in stops]
+    capacity = max(max(demands), 0.1) + rng.randint(0, 40) * 0.1
+    unload = rng.uniform(1.0, 60.0)
+    alone = max(time_s[0][s.node] + time_s[s.node][0] + s.service_time_s
+                for s in stops) + unload
+    fleet = FleetSpec(capacity_kg=capacity, unload_s=unload,
+                      shift_s=alone * rng.uniform(1.0, 2.5))
+    ctx = _Ctx(matrix, stops, Depot(0), fleet, objective)
+    _validate_instance(ctx)
+    return ctx, [s.id for s in stops]
+
+
+def starting_seqs(ctx, ids, rng, start: str) -> list[list[int]]:
+    if start == "savings":
+        return _clarke_wright_seqs(ctx)
+    order = ids[:]
+    rng.shuffle(order)
+    if start == "insertion":
+        return _cheapest_insertion_seqs(ctx, order)
+    # arbitrary chunks, feasible or not: the descent must agree either way
+    seqs, k = [], 0
+    while k < len(order):
+        step = rng.randint(1, len(order))
+        seqs.append(order[k:k + step])
+        k += step
+    return seqs
+
+
+@DIFFERENTIAL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_stops=st.integers(1, 12),
+    n_nodes=st.integers(1, 8),
+    objective=st.sampled_from(vrp.OBJECTIVES),
+    style=st.sampled_from(("tenths", "eps", "uniform")),
+    start=st.sampled_from(("savings", "insertion", "chunks")),
+    max_moves=st.sampled_from((1, 2, 5, 10_000)),
+)
+def test_delta_descent_matches_full_recompute(seed, n_stops, n_nodes, objective,
+                                              style, start, max_moves):
+    ctx, ids = random_instance(seed, n_stops, n_nodes, objective, style)
+    seqs = starting_seqs(ctx, ids, random.Random(seed), start)
+    expected = improve_seqs_reference(full_recompute(ctx),
+                                      [list(s) for s in seqs], max_moves)
+    assert _improve_seqs(ctx, [list(s) for s in seqs], max_moves) == expected
+
+
+@pytest.mark.parametrize("objective", vrp.OBJECTIVES)
+def test_delta_descent_matches_full_recompute_on_a_grid_city(objective):
+    # integer block costs: many moves tie exactly, so zero deltas abound
+    nodes, edges, buildings = gen_synthetic_city(
+        SyntheticCitySpec(seed=3, grid_x=5, grid_y=5))
+    net = network.RoadNetwork(nodes, edges)
+    depot = network.snap(net, (0.0, 0.0), 1000.0)
+    stops = place_stops(net, aggregate_demand(buildings), CoverageConfig())
+    matrix_nodes = sorted({depot} | {s.node for s in stops})
+    matrix = network.cost_matrix(net, matrix_nodes, matrix_nodes, objective)
+    ctx = _Ctx(matrix, stops, Depot(depot), FleetSpec(capacity_kg=1500.0),
+               objective)
+    _validate_instance(ctx)
+    ids = sorted(ctx.stops)
+    for start in ("savings", "insertion", "chunks"):
+        seqs = starting_seqs(ctx, ids, random.Random(7), start)
+        expected = improve_seqs_reference(full_recompute(ctx), seqs, 10_000)
+        assert _improve_seqs(ctx, seqs, 10_000) == expected
+
+
+def close(delta: float, recomputed: float, scale: float) -> bool:
+    return math.isclose(delta, recomputed, rel_tol=1e-9, abs_tol=1e-9 * scale)
+
+
+@DETERMINISTIC
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_stops=st.integers(2, 10),
+    style=st.sampled_from(("tenths", "eps", "uniform")),
+)
+def test_move_deltas_equal_recomputed_cost_differences(seed, n_stops, style):
+    ctx, ids = random_instance(seed, n_stops, 9, "time", style)
+    rng = random.Random(seed)
+    rng.shuffle(ids)
+    cut = rng.randint(1, len(ids) - 1)
+    seq_a, seq_b = ids[:cut], ids[cut:]
+    cost = ctx._cost
+    rows, cols, legs = ctx.tour(seq_a)
+    cost_a, cost_b = ctx.drive_cost(seq_a), ctx.drive_cost(seq_b)
+    scale = cost_a + cost_b
+    assert cost_a == full_recompute(ctx).drive_cost(seq_a)
+
+    flip = _flip_prefix(cost, rows, cols, legs)
+    for i in range(len(seq_a) - 1):
+        deltas = _reversal_deltas(cost, rows, cols, legs, flip, i)
+        assert len(deltas) == len(seq_a) - 1 - i
+        for j, delta in enumerate(deltas, start=i + 1):
+            cand = seq_a[:i] + seq_a[i:j + 1][::-1] + seq_a[j + 1:]
+            assert close(delta, ctx.drive_cost(cand) - cost_a, scale)
+
+    rows_b, cols_b, legs_b = ctx.tour(seq_b)
+    for seg_len in (1, 2):
+        for p in range(len(seq_a) - seg_len + 1):
+            seg = seq_a[p:p + seg_len]
+            rest = seq_a[:p] + seq_a[p + seg_len:]
+            removal = _removal_delta(cost, rows, cols, legs, p, seg_len)
+            first_col, last_row = cols[p + 1], cost[rows[p + seg_len]]
+            cost_rest = ctx.drive_cost(rest) if rest else 0.0
+            deltas = _insertion_deltas(cost, rows_b, cols_b, legs_b,
+                                       first_col, last_row, removal)
+            assert len(deltas) == len(seq_b) + 1
+            for q, delta in enumerate(deltas):
+                cand_b = seq_b[:q] + seg + seq_b[q:]
+                recomputed = cost_rest + ctx.drive_cost(cand_b) - cost_a - cost_b
+                assert close(delta, recomputed, scale)
+            if not rest:
+                continue
+            rest_tour = _without(cost, rows, cols, legs, p, seg_len)
+            assert rest_tour == ctx.tour(rest)
+            deltas = _insertion_deltas(cost, *rest_tour, first_col, last_row,
+                                       removal)
+            for q, delta in enumerate(deltas):
+                cand = rest[:q] + seg + rest[q:]
+                assert close(delta, ctx.drive_cost(cand) - cost_a, scale)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_nan_or_negative_cost_is_rejected(bad):
+    time_s = ((0.0, 10.0), (bad, 0.0))
+    matrix = CostMatrix(origins=(0, 1), destinations=(0, 1), metric="time",
+                        length_m=time_s, time_s=time_s)
+    with pytest.raises(ValueError, match="from node 1 to node 0"):
+        vrp.solve_vrp(matrix, [make_stop(1, 1, 100.0)], Depot(0), FleetSpec())
+
+
+@pytest.mark.parametrize("bad", [math.nan, -5.0])
+def test_nan_or_negative_demand_is_rejected(bad):
+    time_s = ((0.0, 10.0), (10.0, 0.0))
+    matrix = CostMatrix(origins=(0, 1), destinations=(0, 1), metric="time",
+                        length_m=time_s, time_s=time_s)
+    with pytest.raises(ValueError, match="stop 1 demand"):
+        vrp.solve_vrp(matrix, [make_stop(1, 1, bad)], Depot(0), FleetSpec())
