@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import fields
 
 import click
 
@@ -28,7 +29,8 @@ from .errors import (
     Unreachable,
     UnreachableStop,
 )
-from .pipeline import load_scenario_config, load_summary, parse_kv_file, run_pipeline
+from .pipeline import (load_scenario_config, load_summary, parse_kv_file,
+                       reject_unknown_keys, run_pipeline)
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -105,16 +107,10 @@ def synth_city(specfile: str, out_dir: str) -> None:
     """Generate a synthetic grid city from a SPECFILE (key=value)."""
     try:
         kv = parse_kv_file(specfile)
+        types = {f.name: type(f.default) for f in fields(synth.SyntheticCitySpec)}
+        reject_unknown_keys(specfile, kv, types)
         try:
-            spec = synth.SyntheticCitySpec(
-                seed=int(kv.get("seed", "0")),
-                grid_x=int(kv.get("grid_x", "3")),
-                grid_y=int(kv.get("grid_y", "3")),
-                block_m=float(kv.get("block_m", "200")),
-                buildings_per_block=int(kv.get("buildings_per_block", "7")),
-                units_per_building=int(kv.get("units_per_building", "8")),
-                speed_kmh=float(kv.get("speed_kmh", "40")),
-            )
+            spec = synth.SyntheticCitySpec(**{k: types[k](v) for k, v in kv.items()})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         paths = synth.write_city(spec, out_dir)

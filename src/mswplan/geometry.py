@@ -4,30 +4,27 @@ from __future__ import annotations
 
 import json
 
-from .network import RoadNetwork, shortest_path
+from .network import CostMatrix, RoadNetwork
 from .vrp import RoutePlan
 
 
-def route_geometry(plan: RoutePlan, net: RoadNetwork) -> dict:
+def route_geometry(plan: RoutePlan, net: RoadNetwork, matrix: CostMatrix) -> dict:
     """GeoJSON-style FeatureCollection of per-trip polylines.
 
-    Each trip becomes a LineString whose vertices are the concatenated
-    shortest paths (under the plan's objective metric) between depot,
-    stops, and depot again, with coordinates in planar meters.
+    Each trip becomes a LineString through depot, stops and depot again,
+    with coordinates in planar meters. Its legs are read from
+    ``matrix.path``, so they are exactly the paths the plan's drive times
+    and distances were measured on; nothing is searched here.
     """
     features = []
     for truck_id, trips in plan.trucks:
         for trip_index, trip in enumerate(trips, start=1):
-            waypoints = [plan.depot_node]
-            waypoints += [plan.stop_node(s) for s in trip.stop_ids]
-            waypoints.append(plan.depot_node)
+            stop_nodes = [plan.stop_node(s) for s in trip.stop_ids]
+            waypoints = [plan.depot_node, *stop_nodes, plan.depot_node]
             node_seq: list[int] = [waypoints[0]]
             for a, b in zip(waypoints[:-1], waypoints[1:]):
-                leg, _ = shortest_path(net, a, b, plan.objective)
-                node_seq.extend(leg[1:])
-            coords = [
-                [net.node(n).x_m, net.node(n).y_m] for n in node_seq
-            ]
+                node_seq.extend(matrix.path(a, b)[1:])
+            coords = [[net.node(n).x_m, net.node(n).y_m] for n in node_seq]
             features.append(
                 {
                     "type": "Feature",

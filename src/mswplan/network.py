@@ -5,6 +5,8 @@ workers. Costs come in two metrics: travel time in seconds (edge length
 divided by edge speed, plus optional turn penalties) and distance in
 meters (turn penalties ignored). Ties in the search are broken toward
 the smaller node id so identical inputs always yield identical paths.
+Searches run in :func:`cost_matrix`, once per origin (coverage's distance
+tables aside); ``CostMatrix.path`` reads paths back from the kept ones.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
 
@@ -133,6 +135,10 @@ class CostMatrix:
     of a route is exact rather than re-derived from an average speed.
     ``cost`` is the table of the chosen metric itself, not a copy.
     Unreachable pairs carry :data:`UNREACHABLE` in both tables.
+
+    A matrix from :func:`cost_matrix` keeps each origin's search, so
+    :meth:`path` returns the path a cell was measured on; the kept
+    searches take no part in equality or the repr.
     """
 
     origins: tuple[int, ...]
@@ -140,11 +146,26 @@ class CostMatrix:
     metric: str
     length_m: tuple[tuple[float, ...], ...]
     time_s: tuple[tuple[float, ...], ...]
+    _searches: dict[int, _SearchResult] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def cost(self) -> tuple[tuple[float, ...], ...]:
         """Optimal values in the metric: ``time_s`` or ``length_m``."""
         return self.time_s if self.metric == "time" else self.length_m
+
+    def path(self, origin: int, destination: int) -> list[int]:
+        """Node path the (origin, destination) cells were measured on.
+
+        Raises UnknownNode for a cell the matrix lacks or kept no search
+        for (a hand-built matrix), Unreachable for an UNREACHABLE cell.
+        """
+        search = self._searches.get(origin)
+        if search is None or destination not in self.destinations:
+            raise UnknownNode(f"matrix holds no path {origin} -> {destination}")
+        if destination not in search.cost:
+            raise Unreachable(f"no directed path {origin} -> {destination}")
+        return search.path_to(destination)
 
 
 class _SearchResult:
@@ -290,12 +311,8 @@ def shortest_path(
     penalties; distance costs ignore them. Raises UnknownNode for absent
     ids and Unreachable when no directed path exists.
     """
-    if not net.has_node(target):
-        raise UnknownNode(f"node {target} not in network")
-    res = _single_source(net, source, metric)
-    if target not in res.cost:
-        raise Unreachable(f"no directed path {source} -> {target}")
-    return res.path_to(target), res.cost[target]
+    m = cost_matrix(net, [source], [target], metric)
+    return m.path(source, target), m.cost[0][0]
 
 
 def cost_matrix(
@@ -306,27 +323,22 @@ def cost_matrix(
 ) -> CostMatrix:
     """Many-to-many drive times and lengths via one search per origin.
 
-    Paths are optimal in ``metric``. Unreachable pairs get the
-    UNREACHABLE marker rather than raising, so partially connected
-    networks still produce a usable matrix.
+    Paths are optimal in ``metric``; the matrix keeps each origin's
+    search so :meth:`CostMatrix.path` can read them back. Unreachable
+    pairs get the UNREACHABLE marker rather than raising, so partially
+    connected networks still produce a usable matrix.
     """
     for nid in list(origins) + list(destinations):
         if not net.has_node(nid):
             raise UnknownNode(f"node {nid} not in network")
+    searches = {o: _single_source(net, o, metric) for o in origins}
 
-    def one_row(origin: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        res = _single_source(net, origin, metric)
-        return (tuple(res.length_m.get(d, UNREACHABLE) for d in destinations),
-                tuple(res.time_s.get(d, UNREACHABLE) for d in destinations))
+    def table(column: str) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(getattr(searches[o], column).get(d, UNREACHABLE)
+                           for d in destinations) for o in origins)
 
-    rows = [one_row(o) for o in origins]
-    return CostMatrix(
-        origins=tuple(origins),
-        destinations=tuple(destinations),
-        metric=metric,
-        length_m=tuple(r[0] for r in rows),
-        time_s=tuple(r[1] for r in rows),
-    )
+    return CostMatrix(tuple(origins), tuple(destinations), metric,
+                      table("length_m"), table("time_s"), _searches=searches)
 
 
 def snap(net: RoadNetwork, point: tuple[float, float], max_dist_m: float) -> int:

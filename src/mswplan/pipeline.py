@@ -43,6 +43,12 @@ def parse_kv_file(path: str) -> dict[str, str]:
     return out
 
 
+def reject_unknown_keys(path: str, kv: dict[str, str], known) -> None:
+    """Raise a ConfigError naming every key of ``kv`` not in ``known``."""
+    if unknown := sorted(set(kv) - set(known)):
+        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
+
+
 def _get_float(kv: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in kv:
         if default is None:
@@ -85,7 +91,9 @@ def summary_from_mapping(kv: dict[str, str], prefix: str = "") -> impact.Scenari
 
 
 def load_summary(path: str) -> impact.ScenarioSummary:
-    return summary_from_mapping(parse_kv_file(path))
+    kv = parse_kv_file(path)
+    reject_unknown_keys(path, kv, {"name", *_SUMMARY_NUMERIC})
+    return summary_from_mapping(kv)
 
 
 def write_summary(summary: impact.ScenarioSummary, path: str) -> None:
@@ -135,9 +143,7 @@ SCENARIO_KEYS = frozenset(
 
 def load_scenario_config(path: str) -> ScenarioConfig:
     kv = parse_kv_file(path)
-    unknown = sorted(set(kv) - SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
+    reject_unknown_keys(path, kv, SCENARIO_KEYS)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(key: str, required: bool = True) -> str | None:
@@ -335,7 +341,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
     def emit() -> None:
         cov.write_stops(stops, files["stops"])
         vrp.write_plan(plan, files["plan"])
-        write_geojson(route_geometry(plan, net), files["routes"])
+        write_geojson(route_geometry(plan, net, matrix), files["routes"])
         write_summary(summary, files["summary"])
         if report is not None:
             files["comparison_table"] = os.path.join(out_dir, "comparison.csv")

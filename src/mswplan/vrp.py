@@ -117,18 +117,6 @@ class RoutePlan:
         return sum(t.drive_time_s for t in self.all_trips())
 
     @property
-    def total_service_time_s(self) -> float:
-        return sum(t.service_time_s for t in self.all_trips())
-
-    @property
-    def total_unload_s(self) -> float:
-        return sum(t.unload_s for t in self.all_trips())
-
-    @property
-    def total_work_time_s(self) -> float:
-        return sum(t.total_time_s for t in self.all_trips())
-
-    @property
     def cost(self) -> float:
         """Objective value: total drive seconds or meters."""
         if self.objective == "time":

@@ -138,6 +138,40 @@ def test_synth_then_plan_round_trip(tmp_path):
     assert ran.exit_code == 0, ran.output
 
 
+def test_compare_unknown_summary_key_exits_2(tmp_path):
+    typo = tmp_path / "typo.cfg"
+    with open(demo_path("summaries", "proposed.cfg")) as fh:
+        typo.write_text(fh.read() + "total_kmm=9\n")
+    result = CliRunner().invoke(
+        main, ["compare", demo_path("summaries", "existing.cfg"), str(typo)])
+    assert result.exit_code == 2
+    assert "total_kmm" in result.output
+
+
+def test_synth_unknown_key_exits_2(tmp_path):
+    spec = tmp_path / "city.cfg"
+    spec.write_text("seed=5\ngrid_x=3\ngird_y=9\n")
+    result = CliRunner().invoke(
+        main, ["synth", str(spec), "--out", str(tmp_path / "city")])
+    assert result.exit_code == 2
+    assert "gird_y" in result.output
+    assert not (tmp_path / "city").exists()
+
+
+def test_synth_seed_only_spec_uses_the_spec_defaults(tmp_path):
+    from mswplan.synth import SyntheticCitySpec, write_city
+
+    spec = tmp_path / "city.cfg"
+    spec.write_text("seed=5\n")
+    made = CliRunner().invoke(
+        main, ["synth", str(spec), "--out", str(tmp_path / "cli")])
+    assert made.exit_code == 0, made.output
+    write_city(SyntheticCitySpec(seed=5), str(tmp_path / "lib"))
+    for name in ("nodes.csv", "edges.csv", "buildings.csv"):
+        got, want = tmp_path / "cli" / name, tmp_path / "lib" / name
+        assert got.read_bytes() == want.read_bytes(), name
+
+
 def test_verify_accepts_planned_stops_and_rejects_pruned(tmp_path):
     runner = CliRunner()
     out = tmp_path / "out"

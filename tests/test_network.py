@@ -6,7 +6,9 @@ import pytest
 from helpers import min_cost_by_enumeration, random_graph
 from mswplan.errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
 from mswplan.network import (
+    METRICS,
     UNREACHABLE,
+    CostMatrix,
     Edge,
     Node,
     RoadNetwork,
@@ -16,6 +18,7 @@ from mswplan.network import (
     snap,
     write_edges,
     write_nodes,
+    _single_source,
 )
 
 
@@ -174,24 +177,71 @@ def test_penalized_turn_reroutes_through_other_approach():
     assert cost == pytest.approx(180.0)
 
 
+def with_random_turn_penalties(rng, net: RoadNetwork) -> RoadNetwork:
+    """Same graph with a 0-120 s penalty on about 30% of its turns."""
+    pens = {}
+    for ei in range(len(net.edges)):
+        for fi in range(len(net.edges)):
+            if net.edge(ei).to_id == net.edge(fi).from_id and rng.random() < 0.3:
+                pens[(ei, fi)] = rng.uniform(0, 120)
+    return RoadNetwork([net.node(i) for i in net.node_ids], list(net.edges), pens)
+
+
 def test_adding_turn_penalties_never_reduces_time_costs():
     rng = random.Random(314)
     for _ in range(20):
         net = random_graph(rng, max_nodes=8, max_edges=18)
-        pens = {}
-        for ei in range(len(net.edges)):
-            for fi in range(len(net.edges)):
-                if net.edge(ei).to_id == net.edge(fi).from_id and rng.random() < 0.3:
-                    pens[(ei, fi)] = rng.uniform(0, 120)
-        tolled = RoadNetwork(
-            [net.node(i) for i in net.node_ids], list(net.edges), pens
-        )
+        tolled = with_random_turn_penalties(rng, net)
         ids = net.node_ids
         base = cost_matrix(net, ids, ids, "time")
         with_pens = cost_matrix(tolled, ids, ids, "time")
         for i in range(len(ids)):
             for j in range(len(ids)):
                 assert with_pens.cost[i][j] >= base.cost[i][j] - 1e-9
+
+
+@pytest.mark.parametrize("turns", [False, True], ids=["plain", "turns"])
+def test_matrix_paths_equal_a_fresh_search_per_leg(turns):
+    # the kept searches must give the path a separate search per leg finds
+    rng = random.Random(8080 + turns)
+    penalized = 0
+    for _ in range(40):
+        net = random_graph(rng)
+        if turns:
+            net = with_random_turn_penalties(rng, net)
+            penalized += net.has_turn_penalties
+        ids = net.node_ids
+        for metric in METRICS:
+            m = cost_matrix(net, ids, ids, metric)
+            for i, a in enumerate(ids):
+                fresh = _single_source(net, a, metric)
+                for j, b in enumerate(ids):
+                    if m.cost[i][j] == UNREACHABLE:
+                        with pytest.raises(Unreachable):
+                            m.path(a, b)
+                    else:
+                        assert m.path(a, b) == fresh.path_to(b)
+    assert penalized >= 20 if turns else penalized == 0
+
+
+def test_matrix_path_raises_unreachable_and_unknown_node():
+    m = cost_matrix(triangle(), [1, 3], [1, 2], "time")
+    assert m.path(1, 2) == [1, 2]
+    assert m.path(1, 1) == [1]
+    with pytest.raises(Unreachable):
+        m.path(3, 1)
+    with pytest.raises(UnknownNode):
+        m.path(2, 1)  # 2 is in the network but not an origin
+    with pytest.raises(UnknownNode):
+        m.path(1, 3)  # 3 is in the network but not a destination
+    with pytest.raises(UnknownNode):
+        m.path(99, 1)
+    hand = CostMatrix(m.origins, m.destinations, m.metric, m.length_m, m.time_s)
+    assert hand == m and repr(hand) == repr(m)
+    for a in hand.origins:
+        for b in hand.destinations:
+            with pytest.raises(UnknownNode):
+                hand.path(a, b)
 
 
 def test_snap_exact_hit_and_threshold():

@@ -223,12 +223,40 @@ def test_single_out_and_back_polyline():
     matrix = cost_matrix(net, [0, 2], [0, 2], "time")
     plan = solve_vrp(matrix, [make_stop(7, 2, 100.0)], Depot(0), FleetSpec(),
                      "time", seed=0)
-    collection = route_geometry(plan, net)
+    collection = route_geometry(plan, net, matrix)
     assert len(collection["features"]) == 1
     coords = collection["features"][0]["geometry"]["coordinates"]
     # out along 0-1-2 and back along 2-1-0
     assert coords == [[0.0, 0.0], [1500.0, 0.0], [3000.0, 0.0],
                       [1500.0, 0.0], [0.0, 0.0]]
+
+
+def test_route_geometry_runs_no_search(monkeypatch):
+    import mswplan.network as network
+    from mswplan.geometry import route_geometry
+    from mswplan.vrp import solve_vrp
+    from helpers import make_stop
+
+    net = network.load_network(demo_path("city3x3", "nodes.csv"),
+                               demo_path("city3x3", "edges.csv"))
+    stop_nodes = net.node_ids[1::3]
+    stops = [make_stop(i, n, 300.0) for i, n in enumerate(stop_nodes)]
+    searches = []
+    real = network._single_source
+
+    def counted(net, source, metric):
+        searches.append(source)
+        return real(net, source, metric)
+
+    monkeypatch.setattr(network, "_single_source", counted)
+    nodes = [0] + stop_nodes
+    matrix = network.cost_matrix(net, nodes, nodes, "time")
+    assert searches == nodes
+    plan = solve_vrp(matrix, stops, Depot(0), FleetSpec(), "time", seed=0)
+    del searches[:]
+    collection = route_geometry(plan, net, matrix)
+    assert searches == []
+    assert len(collection["features"]) == plan.n_trips > 0
 
 
 def test_empty_plan_products():
@@ -245,6 +273,6 @@ def test_empty_plan_products():
     assert metrics.total_work_s == 0.0
     assert metrics.avg_route_time_s == 0.0
     net = RoadNetwork([Node(0, 0, 0), Node(1, 10, 0)], [Edge(0, 1, 10, 40)])
-    assert route_geometry(plan, net) == {
+    assert route_geometry(plan, net, m) == {
         "type": "FeatureCollection", "features": [],
     }
