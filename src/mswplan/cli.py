@@ -163,9 +163,13 @@ def verify(stops_file: str, buildings: str, network_dir: str,
             nodes_path, edges_path,
             turns_path if os.path.exists(turns_path) else None,
         )
-        demands = cov.aggregate_demand(cov.load_buildings(buildings), rate)
+        rows = cov.load_buildings(buildings)
+        try:
+            cfg = cov.CoverageConfig(radius_m=radius, distance_mode=mode)
+            demands = cov.aggregate_demand(rows, rate)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         stops = cov.load_stops(stops_file)
-        cfg = cov.CoverageConfig(radius_m=radius, distance_mode=mode)
         report = cov.verify_coverage(stops, demands, net, cfg)
     except PlannerError as exc:
         _fail(exc)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError, NegativeUnits, NoNodeWithinRange, UncoverableDemand
-from .network import RoadNetwork, _single_source, snap
+from .network import RoadNetwork, _search_nodes, snap
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +50,13 @@ class CoverageConfig:
     service_time_s: float = 1800.0
 
     def __post_init__(self):
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be positive")
-        if self.max_stop_load_kg <= 0:
-            raise ValueError("max_stop_load_kg must be positive")
+        for name in ("radius_m", "max_stop_load_kg"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
+        if not math.isfinite(self.service_time_s):
+            raise ValueError(
+                f"service_time_s must be finite, got {self.service_time_s}")
         if self.distance_mode not in ("network", "euclidean"):
             raise ValueError(f"unknown distance_mode {self.distance_mode!r}")
 
@@ -63,8 +66,9 @@ def aggregate_demand(
     rate_kg_per_unit_day: float = 2.49,
 ) -> list[DemandPoint]:
     """Turn (id, x, y, dwelling_units) building rows into demand points."""
-    if rate_kg_per_unit_day <= 0:
-        raise ValueError("generation rate must be positive")
+    if not 0 < rate_kg_per_unit_day < math.inf:
+        raise ValueError("generation rate must be finite and positive, "
+                         f"got {rate_kg_per_unit_day}")
     out = []
     for bid, x, y, units in buildings:
         if units < 0:
@@ -85,34 +89,43 @@ def _stop_distances(
     net: RoadNetwork, demands: list[DemandPoint], cfg: CoverageConfig,
     candidates: list[int],
 ) -> dict[int, dict[int, float]]:
-    """Distance in meters from each candidate node to each demand point.
+    """Meters from each candidate node to the demand points in its radius.
 
+    Returns ``{candidate: {demand id: meters}}`` holding only the demands
+    within ``radius_m`` (plus ``_RADIUS_TOL_M``), in demand input order.
     Network mode: directed shortest-path meters from the candidate to the
-    demand's snapped node. Euclidean mode: straight line from the
-    candidate node to the demand coordinates.
+    demand's snapped node. Each demand snaps once per call, and each
+    candidate's search stops at the radius, which is exact because no
+    distance beyond it is ever compared. Euclidean mode: straight line
+    from the candidate node to the demand coordinates.
     """
+    reach = cfg.radius_m + _RADIUS_TOL_M
+    dists: dict[int, dict[int, float]] = {}
     if cfg.distance_mode == "euclidean":
-        dists: dict[int, dict[int, float]] = {}
         for c in candidates:
             node = net.node(c)
-            dists[c] = {
-                d.id: math.hypot(node.x_m - d.x_m, node.y_m - d.y_m)
-                for d in demands
-            }
+            dists[c] = table = {}
+            for d in demands:
+                meters = math.hypot(node.x_m - d.x_m, node.y_m - d.y_m)
+                if meters <= reach:
+                    table[d.id] = meters
         return dists
-    snapped: dict[int, int] = {}
-    for d in demands:
+    at_node: dict[int, list[int]] = {}  # snapped node -> demand positions
+    for pos, d in enumerate(demands):
         try:
-            snapped[d.id] = snap(net, (d.x_m, d.y_m), cfg.radius_m)
+            node = snap(net, (d.x_m, d.y_m), cfg.radius_m)
         except NoNodeWithinRange as exc:
             raise UncoverableDemand(
                 f"demand {d.id} does not snap to the network within "
                 f"{cfg.radius_m} m"
             ) from exc
-    dists = {}
+        at_node.setdefault(node, []).append(pos)
     for c in candidates:
-        meters = _single_source(net, c, "distance").cost
-        dists[c] = {d.id: meters.get(snapped[d.id], math.inf) for d in demands}
+        net.node(c)  # UnknownNode for a candidate off the network
+        meters = _search_nodes(net, c, "distance", reach).cost
+        reached = sorted((pos, m) for n, m in meters.items() if m <= reach
+                         for pos in at_node.get(n, ()))
+        dists[c] = {demands[pos].id: m for pos, m in reached}
     return dists
 
 
@@ -131,12 +144,8 @@ def place_stops(
     candidates = sorted(cfg.candidate_nodes) if cfg.candidate_nodes else net.node_ids
     if not candidates:
         raise UncoverableDemand("candidate node set is empty")
-    dist = _stop_distances(net, demands, cfg, candidates)
+    within = _stop_distances(net, demands, cfg, candidates)
     by_id = {d.id: d for d in demands}
-    within: dict[int, list[int]] = {
-        c: [d.id for d in demands if dist[c][d.id] <= cfg.radius_m + _RADIUS_TOL_M]
-        for c in candidates
-    }
 
     uncovered = {d.id for d in demands}
     stops: list[StopPoint] = []
@@ -160,7 +169,7 @@ def place_stops(
             )
         eligible = sorted(
             (i for i in within[best_node] if i in uncovered),
-            key=lambda i: (dist[best_node][i], i),
+            key=lambda i: (within[best_node][i], i),
         )
         taken: list[int] = []
         load = 0.0
@@ -214,12 +223,10 @@ def verify_coverage(
 ) -> CoverageReport:
     """Audit a stop set: radius compliance, loads, and full coverage."""
     nodes = sorted({s.node for s in stops})
-    dist = _stop_distances(net, demands, cfg, nodes) if nodes else {}
+    within = _stop_distances(net, demands, cfg, nodes) if nodes else {}
     covered: set[int] = set()
     for s in stops:
-        for i in s.covered_demand_ids:
-            if dist[s.node].get(i, math.inf) <= cfg.radius_m + _RADIUS_TOL_M:
-                covered.add(i)
+        covered.update(i for i in s.covered_demand_ids if i in within[s.node])
     uncovered = sorted(d.id for d in demands if d.id not in covered)
     loads = [s.assigned_demand_kg for s in stops]
     histogram: dict[int, int] = {}

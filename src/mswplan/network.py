@@ -5,8 +5,10 @@ workers. Costs come in two metrics: travel time in seconds (edge length
 divided by edge speed, plus optional turn penalties) and distance in
 meters (turn penalties ignored). Ties in the search are broken toward
 the smaller node id so identical inputs always yield identical paths.
-Searches run in :func:`cost_matrix`, once per origin (coverage's distance
-tables aside); ``CostMatrix.path`` reads paths back from the kept ones.
+Searches run in :func:`cost_matrix`, once per origin, and in coverage's
+distance tables, which stop each search at the service radius;
+``CostMatrix.path`` reads paths back from the kept ones. :func:`snap`
+looks points up in a bucket grid each network builds once.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class RoadNetwork:
                 )
             out[e.from_id].append(i)
         self._out = {nid: tuple(idx) for nid, idx in out.items()}
+        self._grid = _NodeGrid(list(self._nodes.values())) if self._nodes else None
         self._turns: dict[tuple[int, int], float] = dict(turn_penalty_s or {})
         for (a, b), pen in self._turns.items():
             if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
@@ -218,8 +221,15 @@ class _SearchResult:
         return seq
 
 
-def _search_nodes(net: RoadNetwork, source: int, metric: str) -> _SearchResult:
-    """Plain node-keyed Dijkstra; ties pop the smaller node id."""
+def _search_nodes(net: RoadNetwork, source: int, metric: str,
+                  bound: float = math.inf) -> _SearchResult:
+    """Plain node-keyed Dijkstra; ties pop the smaller node id.
+
+    The search stops at the first pop that costs more than ``bound``.
+    Every node within the bound is settled with the value, and in the
+    heap order, of the unbounded search; a node left unsettled carries a
+    tentative cost above the bound.
+    """
     res = _SearchResult(net, source, metric)
     by_time = metric == "time"
     cost = res.cost  # the metric's own table, written by the relaxation below
@@ -227,6 +237,8 @@ def _search_nodes(net: RoadNetwork, source: int, metric: str) -> _SearchResult:
     heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
         cost_u, u = heapq.heappop(heap)
+        if cost_u > bound:
+            break
         if u in done:
             continue
         done.add(u)
@@ -341,19 +353,98 @@ def cost_matrix(
                       table("length_m"), table("time_s"), _searches=searches)
 
 
+class _NodeGrid:
+    """Uniform bucket grid over the node coordinates, for :func:`snap`.
+
+    Square cells are anchored at the lower-left corner of the nodes'
+    bounding box. The side is the larger of sqrt(area / nodes) and
+    (longer side / nodes), so the grid spans about 3n cells at most, even
+    when the box is flat.
+    """
+
+    def __init__(self, nodes: list[Node]):
+        xs = [n.x_m for n in nodes]
+        ys = [n.y_m for n in nodes]
+        self.x0, self.y0 = min(xs), min(ys)
+        w, h = max(xs) - self.x0, max(ys) - self.y0
+        n = len(nodes)
+        self.side = max(math.sqrt(w * h / n), w / n, h / n) or 1.0
+        # hypot and the cell indices round by a few ulps of the coordinates;
+        # nearest() lowers its stopping bound by 1e-12 of their size
+        self.magnitude = max(map(abs, xs)) + max(map(abs, ys))
+        self.cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+        for nd in nodes:
+            self.cells.setdefault(self._cell(nd.x_m, nd.y_m), []).append(
+                (nd.x_m, nd.y_m, nd.id))
+        self.nx = 1 + max(ix for ix, _ in self.cells)
+        self.ny = 1 + max(iy for _, iy in self.cells)
+
+    def _cell(self, x: float, y: float) -> tuple[int, int]:
+        return int((x - self.x0) // self.side), int((y - self.y0) // self.side)
+
+    def ring(self, cx: int, cy: int, r: int):
+        """Nodes in the cells at Chebyshev distance ``r`` from (cx, cy)."""
+        cells = self.cells
+        if r == 0:
+            yield from cells.get((cx, cy), ())
+            return
+        lo, hi = max(cx - r, 0), min(cx + r, self.nx - 1)
+        for iy in (cy - r, cy + r):
+            if 0 <= iy < self.ny:
+                for ix in range(lo, hi + 1):
+                    yield from cells.get((ix, iy), ())
+        lo, hi = max(cy - r + 1, 0), min(cy + r - 1, self.ny - 1)
+        for ix in (cx - r, cx + r):
+            if 0 <= ix < self.nx:
+                for iy in range(lo, hi + 1):
+                    yield from cells.get((ix, iy), ())
+
+    def nearest(self, px: float, py: float) -> tuple[float, int]:
+        """(distance, id) of the nearest node, as a scan of every node finds it.
+
+        Cells are read ring by ring outward from the point's cell. After
+        ring r every unread node is more than r cell sides away, so the
+        search ends once that exceeds the best distance plus the tie
+        tolerance; among nodes within the tolerance of the best, the
+        smaller id wins.
+        """
+        cx, cy = self._cell(px, py)
+        r = max(-cx, cx - self.nx + 1, -cy, cy - self.ny + 1, 0)
+        last = max(cx, self.nx - 1 - cx, cy, self.ny - 1 - cy)
+        slack = 1e-12 * (abs(px) + abs(py) + self.magnitude)
+        seen: list[tuple[float, int]] = []
+        best = math.inf
+        while r <= last:
+            for x, y, nid in self.ring(cx, cy, r):
+                d = math.hypot(x - px, y - py)
+                seen.append((d, nid))
+                best = min(best, d)
+            if r * self.side - slack > best + _SNAP_TIE_M:
+                break
+            r += 1
+        return best, min(nid for d, nid in seen if d <= best + _SNAP_TIE_M)
+
+
 def snap(net: RoadNetwork, point: tuple[float, float], max_dist_m: float) -> int:
-    """Nearest network node to a planar point; ties go to the smaller id."""
-    if net.n_nodes == 0:
+    """Nearest network node to a planar point; ties go to the smaller id.
+
+    Reads the network's bucket grid, not every node, and returns what a
+    scan of every node would: the node at the least ``math.hypot``
+    distance, the smaller id among nodes within ``_SNAP_TIE_M`` of it. A
+    node exactly ``max_dist_m`` away still snaps; beyond it,
+    NoNodeWithinRange gives the distance to the nearest node.
+    """
+    if net._grid is None:
         raise UnknownNode("network has no nodes")
     px, py = point
-    dists = {nid: math.hypot(net.node(nid).x_m - px, net.node(nid).y_m - py)
-             for nid in net.node_ids}
-    best = min(dists.values())
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError(f"cannot snap the non-finite point {point}")
+    best, nid = net._grid.nearest(px, py)
     if best > max_dist_m:
         raise NoNodeWithinRange(
             f"nearest node is {best:.1f} m away, limit {max_dist_m:.1f} m"
         )
-    return min(nid for nid, d in dists.items() if d <= best + _SNAP_TIE_M)
+    return nid
 
 
 # --- file interfaces ---

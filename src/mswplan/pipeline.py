@@ -55,9 +55,12 @@ def _get_float(kv: dict[str, str], key: str, default: float | None = None) -> fl
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(kv[key])
+        value = float(kv[key])
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a number: {kv[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {kv[key]!r}")
+    return value
 
 
 def _get_int(kv: dict[str, str], key: str, default: int | None = None) -> int:

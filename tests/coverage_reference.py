@@ -1,0 +1,182 @@
+"""Reference coverage: the full-scan ``snap`` and the unbounded,
+dense ``_stop_distances`` that ``mswplan`` replaced, with ``place_stops``
+and ``verify_coverage`` as they read those tables, kept verbatim.
+
+Every demand snaps by measuring every node, and every candidate's
+search settles the whole network. ``tests/test_coverage_bounded.py``
+requires the radius-bounded, grid-snapped code to return exactly the
+same stops, reports and errors.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+
+from mswplan.coverage import (
+    _RADIUS_TOL_M,
+    CoverageConfig,
+    CoverageReport,
+    DemandPoint,
+    StopPoint,
+)
+from mswplan.errors import NoNodeWithinRange, UncoverableDemand, UnknownNode
+from mswplan.network import _SNAP_TIE_M, RoadNetwork, _single_source
+
+log = logging.getLogger("mswplan.coverage")
+
+
+def snap(net: RoadNetwork, point: tuple[float, float], max_dist_m: float) -> int:
+    """Nearest network node to a planar point; ties go to the smaller id."""
+    if net.n_nodes == 0:
+        raise UnknownNode("network has no nodes")
+    px, py = point
+    dists = {nid: math.hypot(net.node(nid).x_m - px, net.node(nid).y_m - py)
+             for nid in net.node_ids}
+    best = min(dists.values())
+    if best > max_dist_m:
+        raise NoNodeWithinRange(
+            f"nearest node is {best:.1f} m away, limit {max_dist_m:.1f} m"
+        )
+    return min(nid for nid, d in dists.items() if d <= best + _SNAP_TIE_M)
+
+
+def _stop_distances(
+    net: RoadNetwork, demands: list[DemandPoint], cfg: CoverageConfig,
+    candidates: list[int],
+) -> dict[int, dict[int, float]]:
+    """Distance in meters from each candidate node to each demand point.
+
+    Network mode: directed shortest-path meters from the candidate to the
+    demand's snapped node. Euclidean mode: straight line from the
+    candidate node to the demand coordinates.
+    """
+    if cfg.distance_mode == "euclidean":
+        dists: dict[int, dict[int, float]] = {}
+        for c in candidates:
+            node = net.node(c)
+            dists[c] = {
+                d.id: math.hypot(node.x_m - d.x_m, node.y_m - d.y_m)
+                for d in demands
+            }
+        return dists
+    snapped: dict[int, int] = {}
+    for d in demands:
+        try:
+            snapped[d.id] = snap(net, (d.x_m, d.y_m), cfg.radius_m)
+        except NoNodeWithinRange as exc:
+            raise UncoverableDemand(
+                f"demand {d.id} does not snap to the network within "
+                f"{cfg.radius_m} m"
+            ) from exc
+    dists = {}
+    for c in candidates:
+        meters = _single_source(net, c, "distance").cost
+        dists[c] = {d.id: meters.get(snapped[d.id], math.inf) for d in demands}
+    return dists
+
+
+def place_stops(
+    net: RoadNetwork, demands: list[DemandPoint], cfg: CoverageConfig
+) -> list[StopPoint]:
+    """Open stops greedily until every demand point is covered.
+
+    Each round opens a stop at the candidate node whose radius contains
+    the largest uncovered waste mass (ties: smaller node id) and assigns
+    those demands nearest-first while the load cap allows; leftovers stay
+    uncovered and may trigger another stop, possibly at the same node.
+    When every coverable demand left has zero mass, so no candidate
+    gains, the smallest-id candidate covering one of them opens.
+    """
+    candidates = sorted(cfg.candidate_nodes) if cfg.candidate_nodes else net.node_ids
+    if not candidates:
+        raise UncoverableDemand("candidate node set is empty")
+    dist = _stop_distances(net, demands, cfg, candidates)
+    by_id = {d.id: d for d in demands}
+    within: dict[int, list[int]] = {
+        c: [d.id for d in demands if dist[c][d.id] <= cfg.radius_m + _RADIUS_TOL_M]
+        for c in candidates
+    }
+
+    uncovered = {d.id for d in demands}
+    stops: list[StopPoint] = []
+    while uncovered:
+        best_node = None
+        best_gain = 0.0
+        for c in candidates:
+            gain = sum(by_id[i].waste_kg_day for i in within[c] if i in uncovered)
+            if gain > best_gain:
+                best_gain, best_node = gain, c
+        if best_node is None:
+            # only zero-mass demands are coverable: gains cannot rank them
+            best_node = next(
+                (c for c in candidates if any(i in uncovered for i in within[c])),
+                None,
+            )
+        if best_node is None:
+            stranded = sorted(uncovered)
+            raise UncoverableDemand(
+                f"no candidate within {cfg.radius_m} m covers demands {stranded}"
+            )
+        eligible = sorted(
+            (i for i in within[best_node] if i in uncovered),
+            key=lambda i: (dist[best_node][i], i),
+        )
+        taken: list[int] = []
+        load = 0.0
+        overflow = False
+        for i in eligible:
+            w = by_id[i].waste_kg_day
+            if not taken and w > cfg.max_stop_load_kg:
+                taken = [i]
+                load = w
+                overflow = True
+                log.warning(
+                    "demand %s (%.1f kg) exceeds the %.1f kg stop cap; "
+                    "dedicated stop opened at node %s",
+                    i, w, cfg.max_stop_load_kg, best_node,
+                )
+                break
+            if load + w <= cfg.max_stop_load_kg:
+                taken.append(i)
+                load += w
+        stops.append(
+            StopPoint(
+                id=len(stops),
+                node=best_node,
+                assigned_demand_kg=math.fsum(by_id[i].waste_kg_day for i in taken),
+                service_time_s=cfg.service_time_s,
+                covered_demand_ids=taken,
+                overflow=overflow,
+            )
+        )
+        uncovered.difference_update(taken)
+    return stops
+
+
+def verify_coverage(
+    stops: list[StopPoint],
+    demands: list[DemandPoint],
+    net: RoadNetwork,
+    cfg: CoverageConfig,
+) -> CoverageReport:
+    """Audit a stop set: radius compliance, loads, and full coverage."""
+    nodes = sorted({s.node for s in stops})
+    dist = _stop_distances(net, demands, cfg, nodes) if nodes else {}
+    covered: set[int] = set()
+    for s in stops:
+        for i in s.covered_demand_ids:
+            if dist[s.node].get(i, math.inf) <= cfg.radius_m + _RADIUS_TOL_M:
+                covered.add(i)
+    uncovered = sorted(d.id for d in demands if d.id not in covered)
+    loads = [s.assigned_demand_kg for s in stops]
+    histogram: dict[int, int] = {}
+    for load in loads:
+        bin_start = int(load // 100) * 100
+        histogram[bin_start] = histogram.get(bin_start, 0) + 1
+    return CoverageReport(
+        uncovered_ids=uncovered,
+        max_load_kg=max(loads, default=0.0),
+        load_histogram=dict(sorted(histogram.items())),
+        overflow_stop_ids=[s.id for s in stops if s.overflow],
+    )

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -6,6 +7,8 @@ from click.testing import CliRunner
 from mswplan.cli import main
 
 DEMO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "demo"))
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden", "four_stops")
 
 
 def demo_path(*parts: str) -> str:
@@ -148,6 +151,34 @@ def test_compare_unknown_summary_key_exits_2(tmp_path):
     assert "total_kmm" in result.output
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_compare_non_finite_summary_value_exits_2(tmp_path, value):
+    bad = tmp_path / "nan.cfg"
+    with open(demo_path("summaries", "proposed.cfg")) as fh:
+        bad.write_text(fh.read().replace("total_km=3347", f"total_km={value}"))
+    result = CliRunner().invoke(
+        main, ["compare", demo_path("summaries", "existing.cfg"), str(bad)])
+    assert result.exit_code == 2
+    assert "'total_km': not a finite number" in result.output
+    assert "%" not in result.output
+
+
+@pytest.mark.parametrize("key", ["coverage.radius_m", "fleet.shift_s",
+                                 "depot.x_m"])
+def test_plan_non_finite_config_number_exits_2(tmp_path, key):
+    with open(demo_path("four_stops", "scenario.cfg")) as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if not ln.startswith(key + "=")]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("\n".join(lines + [f"{key}=nan"]) + "\n")
+    for name in ("nodes.csv", "edges.csv", "buildings.csv"):
+        shutil.copy(demo_path("four_stops", name), tmp_path / name)
+    result = CliRunner().invoke(main, ["plan", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"{key!r}: not a finite number" in result.output
+    assert not (tmp_path / "stops.csv").exists()
+
+
 def test_synth_unknown_key_exits_2(tmp_path):
     spec = tmp_path / "city.cfg"
     spec.write_text("seed=5\ngrid_x=3\ngird_y=9\n")
@@ -213,3 +244,19 @@ def test_seed_override_changes_nothing_on_fixed_instance(tmp_path):
     for name in ("stops.csv", "plan.csv", "routes.geojson", "summary.cfg"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--radius", "-5"], ["--radius", "nan"],
+                                    ["--radius", "inf"], ["--rate", "-1"],
+                                    ["--rate", "nan"]])
+def test_verify_bad_argument_exits_2(option):
+    result = CliRunner().invoke(
+        main,
+        ["verify", os.path.join(GOLDEN, "stops.csv"),
+         demo_path("four_stops", "buildings.csv"), demo_path("four_stops"),
+         *option],
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "must be finite and positive" in result.output
+    assert "UNCOVERED" not in result.output

@@ -1,0 +1,163 @@
+"""Radius-bounded, grid-snapped coverage against the full reference.
+
+``mswplan.coverage`` snaps through a bucket grid, stops each
+candidate's search at the service radius and keeps only in-radius
+distances. These tests hold it to the verbatim full-scan, unbounded
+code in ``coverage_reference.py`` on random cities built to stress it:
+radii at exact multiples of the block length (so distances land exactly
+on the radius), one-way streets, edges longer than the block, parts of
+the network no search reaches, zero-unit and overweight buildings,
+buildings off the network, candidate subsets, and both distance modes.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import coverage_reference as ref
+from mswplan.coverage import (
+    _RADIUS_TOL_M,
+    CoverageConfig,
+    StopPoint,
+    _stop_distances,
+    aggregate_demand,
+    place_stops,
+    verify_coverage,
+)
+from mswplan.network import Edge, Node, RoadNetwork
+from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
+
+DIFFERENTIAL = settings(max_examples=400, deadline=None, derandomize=True,
+                        database=None)
+
+
+def random_city(rng: random.Random):
+    """(network, building rows, block length) on a perturbed grid."""
+    block = rng.choice((50.0, 100.0, 137.5))
+    gx, gy = rng.randint(1, 5), rng.randint(1, 4)
+    ox, oy = rng.choice((0.0, -310.0)), rng.choice((0.0, 75.0))
+    nid = {(ix, iy): iy * (gx + 1) + ix
+           for iy in range(gy + 1) for ix in range(gx + 1)}
+    xy = {n: (ox + ix * block, oy + iy * block) for (ix, iy), n in nid.items()}
+    edges = []
+    for (ix, iy), a in nid.items():
+        for b in (nid.get((ix + 1, iy)), nid.get((ix, iy + 1))):
+            if b is None or rng.random() < 0.1:
+                continue  # a missing street
+            length = block if rng.random() < 0.6 else block * rng.choice(
+                (1.5, 2.0, rng.uniform(1.0, 3.0)))
+            kind = rng.random()
+            if kind > 0.25 or kind < 0.125:
+                edges.append(Edge(a, b, length, 40.0))
+            if kind > 0.125:
+                edges.append(Edge(b, a, length, 30.0))
+    # an island two streets long that no grid node reaches
+    island = [len(nid) + k for k in range(3)]
+    for k, n in enumerate(island):
+        xy[n] = (ox + (gx + 4 + k) * block, oy)
+    edges += [Edge(island[0], island[1], block, 40.0),
+              Edge(island[1], island[2], block, 40.0)]
+    net = RoadNetwork([Node(n, x, y) for n, (x, y) in xy.items()], edges)
+
+    rows = []
+    points = list(xy.values())
+    for bid in range(rng.randint(1, 30)):
+        where = rng.random()
+        if where < 0.25:  # on a node
+            x, y = rng.choice(points)
+        elif where < 0.45:  # halfway along a block: a snap tie
+            x, y = rng.choice(points)
+            if rng.random() < 0.5:
+                x += block / 2
+            else:
+                y += block / 2
+        elif where < 0.99:  # near a node
+            x, y = rng.choice(points)
+            x += rng.uniform(-0.35, 0.35) * block
+            y += rng.uniform(-0.35, 0.35) * block
+        else:  # off the network
+            x, y = ox - 20 * block, oy + rng.uniform(-5, 5) * block
+        units = 500 if rng.random() < 0.03 else rng.choice(
+            (0, rng.randint(1, 30), rng.randint(1, 30)))
+        rows.append((bid, x, y, units))
+    rng.shuffle(rows)
+    return net, rows, block
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def shuffled_stops(rng, stops, demands, net) -> list[StopPoint]:
+    """Stops moved to other nodes, emptied, or listing unknown demands."""
+    out = []
+    ids = [d.id for d in demands] + [10_000]
+    for s in stops or [StopPoint(0, net.node_ids[0], 0.0, 60.0, [])]:
+        node = rng.choice(net.node_ids) if rng.random() < 0.4 else s.node
+        covered = (s.covered_demand_ids if rng.random() < 0.6
+                   else rng.sample(ids, rng.randint(0, len(ids))))
+        out.append(StopPoint(s.id, node, s.assigned_demand_kg, s.service_time_s,
+                             list(covered), s.overflow))
+    return out
+
+
+@DIFFERENTIAL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(("network", "euclidean")),
+    blocks=st.sampled_from((None, 0.5, 1, 2, 3)),
+    subset=st.booleans(),
+)
+def test_bounded_coverage_matches_the_full_reference(seed, mode, blocks, subset):
+    rng = random.Random(seed)
+    net, rows, block = random_city(rng)
+    radius = rng.uniform(10.0, 400.0) if blocks is None else blocks * block
+    candidates = None
+    if subset:
+        candidates = tuple(rng.sample(net.node_ids,
+                                      rng.randint(1, net.n_nodes)))
+    cfg = CoverageConfig(radius_m=radius, distance_mode=mode,
+                         max_stop_load_kg=rng.choice((100.0, 300.0, 520.0)),
+                         candidate_nodes=candidates)
+    demands = aggregate_demand(rows, 2.49)
+
+    nodes = sorted(candidates or net.node_ids)
+    dense = outcome(ref._stop_distances, net, demands, cfg, nodes)
+    sparse = outcome(_stop_distances, net, demands, cfg, nodes)
+    if isinstance(dense, dict):
+        reach = cfg.radius_m + _RADIUS_TOL_M
+        dense = {c: [(i, m) for i, m in row.items() if m <= reach]
+                 for c, row in dense.items()}
+        sparse = {c: list(row.items()) for c, row in sparse.items()}
+    assert sparse == dense
+
+    expected = outcome(ref.place_stops, net, demands, cfg)
+    assert outcome(place_stops, net, demands, cfg) == expected
+    stops = expected if isinstance(expected, list) else []
+    for audited in (stops, shuffled_stops(rng, stops, demands, net)):
+        assert (outcome(verify_coverage, audited, demands, net, cfg)
+                == outcome(ref.verify_coverage, audited, demands, net, cfg))
+
+
+@pytest.mark.parametrize("mode", ["network", "euclidean"])
+def test_bounded_coverage_matches_the_reference_on_synthetic_cities(mode):
+    for seed in range(20):
+        spec = SyntheticCitySpec(seed=seed, grid_x=2 + seed % 4,
+                                 grid_y=2 + seed // 4 % 3,
+                                 buildings_per_block=1 + seed % 5)
+        nodes, edges, buildings = gen_synthetic_city(spec)
+        net = RoadNetwork(nodes, edges)
+        demands = aggregate_demand(buildings, 2.49)
+        # 200 m blocks: 400 m puts whole streets exactly on the radius
+        for radius in (200.0, 300.0, 400.0):
+            cfg = CoverageConfig(radius_m=radius, distance_mode=mode)
+            stops = place_stops(net, demands, cfg)
+            assert stops == ref.place_stops(net, demands, cfg)
+            assert (verify_coverage(stops, demands, net, cfg)
+                    == ref.verify_coverage(stops, demands, net, cfg))

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coverage_reference import snap as reference_snap
 from helpers import min_cost_by_enumeration, random_graph
 from mswplan.errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
 from mswplan.network import (
@@ -18,6 +21,7 @@ from mswplan.network import (
     snap,
     write_edges,
     write_nodes,
+    _search_nodes,
     _single_source,
 )
 
@@ -257,6 +261,105 @@ def test_snap_tie_breaks_to_smaller_id():
         [Node(3, 0, 0), Node(7, 100, 0)], [Edge(3, 7, 100, 40)]
     )
     assert snap(net, (50, 0), 100) == 3
+
+
+def scan_outcome(fn, net, point, max_dist_m):
+    try:
+        return fn(net, point, max_dist_m)
+    except NoNodeWithinRange as exc:
+        return NoNodeWithinRange, str(exc)
+
+
+def layout_points(rng, layout: str) -> list[tuple[float, float]]:
+    if layout == "one":
+        return [(rng.uniform(-500, 500), rng.uniform(-500, 500))]
+    n = rng.randint(2, 40)
+    if layout == "lattice":  # exact ties and repeated coordinates
+        return [(rng.randint(-4, 4) * 50.0, rng.randint(-3, 3) * 50.0)
+                for _ in range(n)]
+    if layout == "line":  # zero-height (or zero-width) bounding box
+        flat = [(rng.randint(-20, 20) * 10.0, -7.5) for _ in range(n)]
+        return flat if rng.random() < 0.5 else [(y, x) for x, y in flat]
+    if layout == "stacked":  # a few points, each shared by several nodes
+        spots = [(rng.uniform(-900, -100), rng.uniform(-900, -100))
+                 for _ in range(3)]
+        return [rng.choice(spots) for _ in range(n)]
+    return [(rng.uniform(-1000, 1000), rng.uniform(-1000, 1000))
+            for _ in range(n)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(("scatter", "lattice", "line", "stacked", "one")))
+def test_grid_snap_matches_a_scan_of_every_node(seed, layout):
+    rng = random.Random(seed)
+    points = layout_points(rng, layout)
+    ids = rng.sample(range(1000), len(points))
+    net = RoadNetwork([Node(i, x, y) for i, (x, y) in zip(ids, points)], [])
+    for _ in range(25):
+        kind = rng.random()
+        x, y = rng.choice(points)
+        if kind < 0.2:
+            query = (x, y)
+        elif kind < 0.4:  # midway between two nodes
+            x2, y2 = rng.choice(points)
+            query = ((x + x2) / 2, (y + y2) / 2)
+        elif kind < 0.8:
+            query = (x + rng.uniform(-300, 300), y + rng.uniform(-300, 300))
+        else:  # far outside the bounding box
+            far = rng.choice((1e4, 1e6, 1e9))
+            query = (x + far * rng.choice((-1, 1)), y + rng.uniform(-far, far))
+        nearest = min(math.hypot(px - query[0], py - query[1])
+                      for px, py in points)
+        for max_dist in (nearest, math.nextafter(nearest, 0.0),
+                         rng.uniform(0, 2 * nearest), math.inf):
+            assert (scan_outcome(snap, net, query, max_dist)
+                    == scan_outcome(reference_snap, net, query, max_dist))
+
+
+def test_grid_snap_picks_the_smaller_id_among_stacked_nodes():
+    net = RoadNetwork([Node(9, -5.0, -5.0), Node(4, -5.0, -5.0),
+                       Node(7, -5.0, -5.0)], [])
+    assert snap(net, (-5.0, -5.0), 0.0) == 4
+    assert snap(net, (1e7, -1e7), math.inf) == 4
+    with pytest.raises(NoNodeWithinRange, match="nearest node is 5.0 m away"):
+        snap(net, (-5.0, 0.0), 4.9)
+
+
+def test_grid_snap_reads_a_tied_node_past_the_ring_it_stopped_at():
+    # cells 5 m wide: node 5 sits in the point's cell, node 3 two cells
+    # on, 8e-10 m farther; the tie reaches past the first ring's bound
+    net = RoadNetwork([Node(5, 0.0, 0.0), Node(3, 10.0, 0.0)], [])
+    point = (5.0 - 4e-10, 0.0)
+    assert snap(net, point, 10.0) == reference_snap(net, point, 10.0) == 3
+
+
+def test_snap_rejects_a_non_finite_point():
+    with pytest.raises(ValueError, match="non-finite"):
+        snap(triangle(), (math.nan, 0.0), 100.0)
+
+
+@pytest.mark.parametrize("metric", ["time", "distance"])
+def test_bounded_search_settles_exactly_the_nodes_within_the_bound(metric):
+    rng = random.Random(23)
+    for _ in range(60):
+        net = random_graph(rng, max_nodes=12, max_edges=40)
+        for source in net.node_ids:
+            full = _search_nodes(net, source, metric)
+            values = sorted(set(full.cost.values()))
+            bounds = [0.0, math.inf, rng.choice(values),
+                      rng.uniform(0.0, 2 * values[-1])]
+            for bound in bounds:
+                part = _search_nodes(net, source, metric, bound)
+                settled = {n for n, c in part.cost.items() if c <= bound}
+                assert settled == {n for n, c in full.cost.items() if c <= bound}
+                for n in settled:
+                    assert part.length_m[n] == full.length_m[n]
+                    assert part.time_s[n] == full.time_s[n]
+                    assert part.path_to(n) == full.path_to(n)
+                # any other node it holds has a tentative, upper-bound cost
+                assert all(c >= full.cost[n] for n, c in part.cost.items()
+                           if n not in settled)
 
 
 def test_network_tables_round_trip(tmp_path):
