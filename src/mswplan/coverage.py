@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError, NegativeUnits, NoNodeWithinRange, UncoverableDemand
-from .network import RoadNetwork, _search_nodes, snap
+from .network import RoadNetwork, _read_table, _search_nodes, snap
 
 log = logging.getLogger(__name__)
 
@@ -54,11 +54,12 @@ class CoverageConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {getattr(self, name)}")
-        if not math.isfinite(self.service_time_s):
-            raise ValueError(
-                f"service_time_s must be finite, got {self.service_time_s}")
+        if not 0 <= self.service_time_s < math.inf:
+            raise ValueError("service_time_s must be finite and non-negative, "
+                             f"got {self.service_time_s}")
         if self.distance_mode not in ("network", "euclidean"):
-            raise ValueError(f"unknown distance_mode {self.distance_mode!r}")
+            raise ValueError("distance_mode must be 'network' or 'euclidean', "
+                             f"got {self.distance_mode!r}")
 
 
 def aggregate_demand(
@@ -249,18 +250,8 @@ STOP_HEADER = ["stop_id", "node_id", "assigned_kg", "service_time_s", "covered_i
 
 def load_buildings(path: str) -> list[tuple[int, float, float, int]]:
     rows = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            raw = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not raw or raw[0] != BUILDING_HEADER:
-        raise DataError(f"{path}: expected header {','.join(BUILDING_HEADER)}")
     seen: set[int] = set()
-    for row in raw[1:]:
-        if not row:
-            continue
+    for row in _read_table(path, BUILDING_HEADER):
         try:
             bid, x, y, units = int(row[0]), float(row[1]), float(row[2]), int(row[3])
         except (ValueError, IndexError) as exc:
@@ -299,28 +290,18 @@ def write_stops(stops: list[StopPoint], path: str) -> None:
 
 
 def load_stops(path: str) -> list[StopPoint]:
-    try:
-        with open(path, newline="") as fh:
-            raw = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not raw or raw[0] != STOP_HEADER:
-        raise DataError(f"{path}: expected header {','.join(STOP_HEADER)}")
     out = []
-    for row in raw[1:]:
-        if not row:
-            continue
+    for row in _read_table(path, STOP_HEADER):
         try:
+            sid, node = int(row[0]), int(row[1])
+            kg, service = float(row[2]), float(row[3])
             covered = [int(t) for t in row[4].split(";") if t != ""]
-            out.append(
-                StopPoint(
-                    id=int(row[0]),
-                    node=int(row[1]),
-                    assigned_demand_kg=float(row[2]),
-                    service_time_s=float(row[3]),
-                    covered_demand_ids=covered,
-                )
-            )
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}: bad stop row {row}") from exc
+        for name, value in (("assigned_kg", kg), ("service_time_s", service)):
+            if not 0 <= value < math.inf:
+                raise DataError(f"{path}: stop {sid} {name} {value} is not a "
+                                "finite non-negative number")
+        out.append(StopPoint(id=sid, node=node, assigned_demand_kg=kg,
+                             service_time_s=service, covered_demand_ids=covered))
     return out

@@ -21,6 +21,7 @@ from .errors import (
     NonpositiveBaseline,
     ZeroDistance,
 )
+from .network import _read_table
 
 _CONSISTENCY_TOL = 0.05  # totals vs n_trucks * average
 
@@ -236,17 +237,8 @@ def write_factors(factors_by_class: dict[str, ImpactFactors], path: str) -> None
 
 
 def load_factors(path: str) -> dict[str, ImpactFactors]:
-    try:
-        with open(path, newline="") as fh:
-            raw = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not raw or raw[0] != FACTOR_HEADER:
-        raise DataError(f"{path}: expected header {','.join(FACTOR_HEADER)}")
     out: dict[str, ImpactFactors] = {}
-    for row in raw[1:]:
-        if not row:
-            continue
+    for row in _read_table(path, FACTOR_HEADER):
         try:
             cls, quantity = row[0], row[1]
             per_km, per_stop = float(row[2]), float(row[3])

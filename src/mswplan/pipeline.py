@@ -169,6 +169,8 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("coverage.candidate_nodes: expected ;-separated "
                               "integers") from exc
+    # the messages of both classes start with the field name, so the
+    # section prefix makes them name the key
     try:
         coverage_cfg = cov.CoverageConfig(
             radius_m=_get_float(kv, "coverage.radius_m", 300.0),
@@ -177,13 +179,20 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             candidate_nodes=candidates,
             service_time_s=_get_float(kv, "coverage.service_time_s", 1800.0),
         )
+    except ValueError as exc:
+        raise ConfigError(f"coverage.{exc}") from exc
+    try:
         fleet = vrp.FleetSpec(
             capacity_kg=_get_float(kv, "fleet.capacity_kg", 4000.0),
             unload_s=_get_float(kv, "fleet.unload_s", 900.0),
             shift_s=_get_float(kv, "fleet.shift_s", 28800.0),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"fleet.{exc}") from exc
+    rate = _get_float(kv, "generation_rate_kg_unit_day", 2.49)
+    if not rate > 0:
+        raise ConfigError(
+            f"key 'generation_rate_kg_unit_day': must be positive, got {rate}")
     objective = kv.get("objective", "time")
     if objective not in vrp.OBJECTIVES:
         raise ConfigError(f"objective must be one of {vrp.OBJECTIVES}")
@@ -205,9 +214,7 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         fleet=fleet,
         objective=objective,
         seed=_get_int(kv, "seed", 0),
-        generation_rate_kg_unit_day=_get_float(
-            kv, "generation_rate_kg_unit_day", 2.49
-        ),
+        generation_rate_kg_unit_day=rate,
         scenario_name=kv.get("scenario_name", "proposed"),
         factors_path=resolve("factors", required=False),
         truck_class=kv.get("truck_class"),

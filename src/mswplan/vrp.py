@@ -13,15 +13,18 @@ Per-stop service time is constant for a fixed stop set and depot unload
 time only rewards merging trips, which shorter drive cost already does,
 so neither term can change the argmin.
 
-The local search prices moves by delta evaluation ("move evaluation by
-concatenation", Vidal 2022, arXiv:2012.10384): once per scan each trip
-gets its matrix indices, leg costs and reverse-direction prefix sums, and
-a 2-opt or Or-opt candidate then costs a few lookups instead of a
-full-trip sum. The deltas only filter, with a slack that bounds their
-rounding; each candidate that passes is decided by the full-trip
-comparison and feasibility checks, so the search accepts exactly the
-moves, in the same scan order, that pricing every candidate in full
-would (see ``_improve_seqs``).
+Construction, local search and validation read costs only by matrix row
+and column index, which ``_Ctx`` resolves once per stop. The local search
+prices moves by delta evaluation ("move evaluation by concatenation",
+Vidal 2022, arXiv:2012.10384): once per scan each trip gets its matrix
+indices, leg costs and reverse-direction prefix sums, and a 2-opt or
+Or-opt candidate then costs a few lookups instead of a full-trip sum. The
+deltas only filter, with a slack that bounds their rounding; each
+candidate that passes is decided by the full-trip comparison and
+feasibility checks, so the search accepts exactly the moves, in the same
+scan order, that pricing every candidate in full would (see
+``_improve_seqs``). One pricer, ``_insertion_deltas``, prices both the
+Or-opt insertions and the insertion positions of the restarts.
 """
 
 from __future__ import annotations
@@ -147,19 +150,18 @@ class _Ctx:
         self.objective = objective
         self.depot = depot.node
         self.stops = {s.id: s for s in stops}
-        self.node_of = {s.id: s.node for s in stops}
-        self._row = {nid: i for i, nid in enumerate(matrix.origins)}
-        self._col = {nid: i for i, nid in enumerate(matrix.destinations)}
-        for nid in [self.depot] + sorted(set(self.node_of.values())):
-            if nid not in self._row or nid not in self._col:
+        row = {nid: i for i, nid in enumerate(matrix.origins)}
+        col = {nid: i for i, nid in enumerate(matrix.destinations)}
+        nodes = [self.depot] + sorted({s.node for s in stops})
+        for nid in nodes:
+            if nid not in row or nid not in col:
                 raise UnknownNode(f"node {nid} missing from the cost matrix")
-        self.depot_row = self._row[self.depot]
-        self.depot_col = self._col[self.depot]
-        self.stop_row = {s: self._row[n] for s, n in self.node_of.items()}
-        self.stop_col = {s: self._col[n] for s, n in self.node_of.items()}
-
-    def c(self, a: int, b: int) -> float:
-        return self._cost[self._row[a]][self._col[b]]
+        # (node, matrix row, matrix column): the depot, then each distinct
+        # stop node in id order
+        self.nodes = [(nid, row[nid], col[nid]) for nid in nodes]
+        self.depot_row, self.depot_col = row[self.depot], col[self.depot]
+        self.stop_row = {s.id: row[s.node] for s in stops}
+        self.stop_col = {s.id: col[s.node] for s in stops}
 
     def _indices(self, seq: list[int]) -> tuple[list[int], list[int]]:
         rows = [self.depot_row] + [self.stop_row[s] for s in seq] + [self.depot_row]
@@ -232,10 +234,9 @@ def _validate_instance(ctx: _Ctx) -> None:
                 f"stop {sid} demand {stop.assigned_demand_kg:.1f} kg exceeds "
                 f"capacity {ctx.fleet.capacity_kg:.1f} kg"
             )
-    nodes = [ctx.depot] + sorted(set(ctx.node_of.values()))
-    for a in nodes:
-        for b in nodes:
-            cost = ctx.c(a, b)
+    for a, row, _ in ctx.nodes:
+        for b, _, col in ctx.nodes:
+            cost = ctx._cost[row][col]
             if math.isinf(cost):
                 raise UnreachableStop(f"no route between nodes {a} and {b}")
             if not cost >= 0:
@@ -278,13 +279,16 @@ def _clarke_wright_seqs(ctx: _Ctx) -> list[list[int]]:
     routes: dict[int, list[int]] = {sid: [sid] for sid in ids}
     head_of = {sid: sid for sid in ids}  # stop -> route id where it is first
     tail_of = {sid: sid for sid in ids}  # stop -> route id where it is last
+    cost = ctx._cost
+    from_depot = cost[ctx.depot_row]
+    to_depot = {j: cost[ctx.stop_row[j]][ctx.depot_col] for j in ids}
     savings = []
     for i in ids:
+        out_i, row_i = from_depot[ctx.stop_col[i]], cost[ctx.stop_row[i]]
         for j in ids:
             if i == j:
                 continue
-            ni, nj = ctx.node_of[i], ctx.node_of[j]
-            s = ctx.c(ctx.depot, ni) + ctx.c(nj, ctx.depot) - ctx.c(ni, nj)
+            s = out_i + to_depot[j] - row_i[ctx.stop_col[j]]
             savings.append((s, i, j))
     savings.sort(key=lambda t: (-t[0], t[1], t[2]))
     for s, i, j in savings:
@@ -312,19 +316,22 @@ def _canonical(seqs: list[list[int]]) -> list[list[int]]:
 
 
 def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int]) -> list[list[int]]:
+    """Put each stop of ``order`` at its cheapest feasible position, priced
+    as a one-stop Or-opt segment, or alone in a new trip."""
+    cost = ctx._cost
     seqs: list[list[int]] = []
     for sid in order:
         best: tuple[float, int, int] | None = None
-        node = ctx.node_of[sid]
+        col_s, row_s = ctx.stop_col[sid], cost[ctx.stop_row[sid]]
         for ti, seq in enumerate(seqs):
-            nodes = [ctx.depot] + [ctx.node_of[s] for s in seq] + [ctx.depot]
-            for pos in range(len(seq) + 1):
-                a, b = nodes[pos], nodes[pos + 1]
-                delta = ctx.c(a, node) + ctx.c(node, b) - ctx.c(a, b)
+            # the load is an fsum, correctly rounded: the same at every position
+            if not ctx.load_ok(seq + [sid]):
+                continue
+            deltas = _insertion_deltas(cost, *ctx.tour(seq), col_s, row_s, 0.0)
+            for pos, delta in enumerate(deltas):
                 if best is not None and delta >= best[0]:
                     continue
-                cand = seq[:pos] + [sid] + seq[pos:]
-                if _seq_feasible(ctx, cand):
+                if ctx.shift_ok(seq[:pos] + [sid] + seq[pos:]):
                     best = (delta, ti, pos)
         if best is None:
             seqs.append([sid])
@@ -579,9 +586,6 @@ def solve_vrp(
     """
     ctx = _Ctx(matrix, stops, depot, fleet, objective)
     _validate_instance(ctx)
-    if not stops:
-        return RoutePlan(trucks=[], objective=objective,
-                         depot_node=depot.node, stops={})
     best_seqs = _improve_seqs(ctx, _clarke_wright_seqs(ctx), 10_000)
     best_cost = sum(ctx.drive_cost(s) for s in best_seqs)
     ids = sorted(ctx.stops)
@@ -623,9 +627,6 @@ def brute_force_vrp(
         raise TooLarge(f"{len(stops)} stops exceed the 8-stop oracle limit")
     ctx = _Ctx(matrix, stops, depot, fleet, objective)
     _validate_instance(ctx)
-    if not stops:
-        return RoutePlan(trucks=[], objective=objective,
-                         depot_node=depot.node, stops={})
     ids = sorted(ctx.stops)
     best_seqs: list[list[int]] | None = None
     best_cost = math.inf

@@ -179,6 +179,29 @@ def test_plan_non_finite_config_number_exits_2(tmp_path, key):
     assert not (tmp_path / "stops.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("generation_rate_kg_unit_day", "-1",
+     "'generation_rate_kg_unit_day': must be positive"),
+    ("generation_rate_kg_unit_day", "0",
+     "'generation_rate_kg_unit_day': must be positive"),
+    ("coverage.service_time_s", "-500",
+     "coverage.service_time_s must be finite and non-negative"),
+], ids=["rate-negative", "rate-zero", "service-time-negative"])
+def test_plan_config_number_of_wrong_sign_exits_2(tmp_path, key, value, message):
+    with open(demo_path("four_stops", "scenario.cfg")) as fh:
+        lines = [ln for ln in fh.read().splitlines()
+                 if not ln.startswith(key + "=")]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+    for name in ("nodes.csv", "edges.csv", "buildings.csv"):
+        shutil.copy(demo_path("four_stops", name), tmp_path / name)
+    result = CliRunner().invoke(main, ["plan", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "stage" not in result.output
+    assert not (tmp_path / "stops.csv").exists()
+
+
 def test_synth_unknown_key_exits_2(tmp_path):
     spec = tmp_path / "city.cfg"
     spec.write_text("seed=5\ngrid_x=3\ngird_y=9\n")
@@ -260,3 +283,27 @@ def test_verify_bad_argument_exits_2(option):
     assert isinstance(result.exception, SystemExit)
     assert "must be finite and positive" in result.output
     assert "UNCOVERED" not in result.output
+
+
+@pytest.mark.parametrize("column, value", [
+    (2, "nan"), (2, "-50.0"), (2, "inf"), (3, "nan"), (3, "-1.0"),
+])
+def test_verify_bad_stop_number_exits_4(tmp_path, column, value):
+    with open(os.path.join(GOLDEN, "stops.csv")) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = value
+    lines[2] = ",".join(cells)
+    stops = tmp_path / "stops.csv"
+    stops.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(
+        main,
+        ["verify", str(stops), demo_path("four_stops", "buildings.csv"),
+         demo_path("four_stops")],
+    )
+    name = ("assigned_kg", "service_time_s")[column - 2]
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert (f"{stops}: stop 1 {name} {float(value)} is not a finite "
+            "non-negative number") in result.output
+    assert "coverage OK" not in result.output

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from coverage_reference import snap as reference_snap
 from helpers import min_cost_by_enumeration, random_graph
+from mswplan.coverage import load_buildings, load_stops
 from mswplan.errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
+from mswplan.impact import load_factors
 from mswplan.network import (
     METRICS,
     UNREACHABLE,
@@ -17,6 +20,7 @@ from mswplan.network import (
     RoadNetwork,
     cost_matrix,
     load_network,
+    load_nodes,
     shortest_path,
     snap,
     write_edges,
@@ -392,6 +396,19 @@ def test_bad_header_raises_data_error(tmp_path):
     p.write_text("id,x,y\n1,0,0\n")
     with pytest.raises(DataError):
         load_network(str(p), str(p))
+
+
+@pytest.mark.parametrize("loader", [load_nodes, load_buildings, load_stops,
+                                    load_factors])
+def test_table_loaders_reject_a_missing_file_and_a_wrong_header(tmp_path, loader):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(DataError, match=f"cannot read {re.escape(str(missing))}: "):
+        loader(str(missing))
+    wrong = tmp_path / "wrong.csv"
+    wrong.write_text("a,b\n1,2\n")
+    with pytest.raises(DataError,
+                       match=rf"{re.escape(str(wrong))}: expected header \w+,"):
+        loader(str(wrong))
 
 
 def test_invalid_edge_rejected():

@@ -267,6 +267,8 @@ def test_empty_plan_products():
 
     m = matrix_from_points({0: (0.0, 0.0)})
     plan = solve_vrp(m, [], Depot(0), FleetSpec(), "time", seed=0)
+    assert plan == RoutePlan(trucks=[], objective="time", depot_node=0, stops={})
+    assert brute_force_vrp(m, [], Depot(0), FleetSpec(), "time") == plan
     assert plan.fleet_size == 0
     assert plan.cost == 0.0
     metrics = route_metrics(plan, m, FleetSpec())

@@ -1,11 +1,14 @@
-"""Delta-evaluated local search against the full-recompute reference.
+"""Index-based construction and delta-evaluated local search against
+the node-id, full-recompute reference.
 
 ``mswplan.vrp._improve_seqs`` prices moves from per-trip prefix data and
-confirms only promising ones by full recomputation. These tests hold it
-to the verbatim full-recompute descent in ``vrp_reference.py`` on random
-instances built to stress it: asymmetric matrices with non-integer and
-tie-prone costs, stops sharing nodes, and capacity and shift limits
-tight enough that the feasibility vetoes fire, under both objectives.
+confirms only promising ones by full recomputation; the savings and
+insertion constructions read the matrix by index. These tests hold them
+to the verbatim originals in ``vrp_reference.py`` on random instances
+built to stress them: asymmetric matrices with non-integer and
+tie-prone costs, rows and columns in shuffled orders, stops sharing
+nodes, and capacity and shift limits tight enough that the feasibility
+vetoes fire, under both objectives.
 """
 
 import math
@@ -34,6 +37,8 @@ from mswplan.vrp import (
     _without,
     _validate_instance,
 )
+from vrp_reference import _cheapest_insertion_seqs as insertion_reference
+from vrp_reference import _clarke_wright_seqs as savings_reference
 from vrp_reference import _improve_seqs as improve_seqs_reference
 from vrp_reference import full_recompute
 
@@ -63,14 +68,12 @@ def random_table(rng, n: int, style: str) -> tuple[tuple[float, ...], ...]:
 
 def random_instance(seed: int, n_stops: int, n_nodes: int, objective: str,
                     style: str):
-    """(ctx, stop ids) with capacity and shift only just above what the
+    """(ctx, stop ids, matrix) with capacity and shift only just above what the
     largest single stop needs."""
     rng = random.Random(seed)
     ids = tuple(range(n_nodes + 1))
     time_s = random_table(rng, len(ids), style)
     length_m = random_table(rng, len(ids), style)
-    matrix = CostMatrix(origins=ids, destinations=ids, metric=objective,
-                        length_m=length_m, time_s=time_s)
     # tenths of a kg, so trip loads land on the capacity up to rounding
     stops = [
         make_stop(sid, rng.choice(ids), rng.randint(0, 30) * 0.1,
@@ -84,9 +87,21 @@ def random_instance(seed: int, n_stops: int, n_nodes: int, objective: str,
                 for s in stops) + unload
     fleet = FleetSpec(capacity_kg=capacity, unload_s=unload,
                       shift_s=alone * rng.uniform(1.0, 2.5))
+    # rows and columns in their own orders, neither that of the node ids,
+    # so reading a row index as a column or a node id as an index shows
+    origins, destinations = list(ids), list(ids)
+    rng.shuffle(origins)
+    rng.shuffle(destinations)
+
+    def by_index(table):
+        return tuple(tuple(table[a][b] for b in destinations) for a in origins)
+
+    matrix = CostMatrix(origins=tuple(origins), destinations=tuple(destinations),
+                        metric=objective, length_m=by_index(length_m),
+                        time_s=by_index(time_s))
     ctx = _Ctx(matrix, stops, Depot(0), fleet, objective)
     _validate_instance(ctx)
-    return ctx, [s.id for s in stops]
+    return ctx, [s.id for s in stops], matrix
 
 
 def starting_seqs(ctx, ids, rng, start: str) -> list[list[int]]:
@@ -117,11 +132,31 @@ def starting_seqs(ctx, ids, rng, start: str) -> list[list[int]]:
 )
 def test_delta_descent_matches_full_recompute(seed, n_stops, n_nodes, objective,
                                               style, start, max_moves):
-    ctx, ids = random_instance(seed, n_stops, n_nodes, objective, style)
+    ctx, ids, matrix = random_instance(seed, n_stops, n_nodes, objective, style)
     seqs = starting_seqs(ctx, ids, random.Random(seed), start)
-    expected = improve_seqs_reference(full_recompute(ctx),
+    expected = improve_seqs_reference(full_recompute(ctx, matrix),
                                       [list(s) for s in seqs], max_moves)
     assert _improve_seqs(ctx, [list(s) for s in seqs], max_moves) == expected
+
+
+@DIFFERENTIAL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_stops=st.integers(1, 12),
+    n_nodes=st.integers(1, 8),
+    objective=st.sampled_from(vrp.OBJECTIVES),
+    style=st.sampled_from(("tenths", "eps", "uniform")),
+)
+def test_index_construction_matches_the_node_id_reference(seed, n_stops, n_nodes,
+                                                          objective, style):
+    ctx, ids, matrix = random_instance(seed, n_stops, n_nodes, objective, style)
+    ref = full_recompute(ctx, matrix)
+    assert _clarke_wright_seqs(ctx) == savings_reference(ref)
+    rng = random.Random(seed)
+    for _ in range(3):
+        order = ids[:]
+        rng.shuffle(order)
+        assert _cheapest_insertion_seqs(ctx, order) == insertion_reference(ref, order)
 
 
 @pytest.mark.parametrize("objective", vrp.OBJECTIVES)
@@ -138,9 +173,13 @@ def test_delta_descent_matches_full_recompute_on_a_grid_city(objective):
                objective)
     _validate_instance(ctx)
     ids = sorted(ctx.stops)
+    ref = full_recompute(ctx, matrix)
+    # tied savings and insertion costs must break as in the reference
+    assert _clarke_wright_seqs(ctx) == savings_reference(ref)
+    assert _cheapest_insertion_seqs(ctx, ids) == insertion_reference(ref, ids)
     for start in ("savings", "insertion", "chunks"):
         seqs = starting_seqs(ctx, ids, random.Random(7), start)
-        expected = improve_seqs_reference(full_recompute(ctx), seqs, 10_000)
+        expected = improve_seqs_reference(ref, seqs, 10_000)
         assert _improve_seqs(ctx, seqs, 10_000) == expected
 
 
@@ -155,7 +194,7 @@ def close(delta: float, recomputed: float, scale: float) -> bool:
     style=st.sampled_from(("tenths", "eps", "uniform")),
 )
 def test_move_deltas_equal_recomputed_cost_differences(seed, n_stops, style):
-    ctx, ids = random_instance(seed, n_stops, 9, "time", style)
+    ctx, ids, matrix = random_instance(seed, n_stops, 9, "time", style)
     rng = random.Random(seed)
     rng.shuffle(ids)
     cut = rng.randint(1, len(ids) - 1)
@@ -164,7 +203,7 @@ def test_move_deltas_equal_recomputed_cost_differences(seed, n_stops, style):
     rows, cols, legs = ctx.tour(seq_a)
     cost_a, cost_b = ctx.drive_cost(seq_a), ctx.drive_cost(seq_b)
     scale = cost_a + cost_b
-    assert cost_a == full_recompute(ctx).drive_cost(seq_a)
+    assert cost_a == full_recompute(ctx, matrix).drive_cost(seq_a)
 
     flip = _flip_prefix(cost, rows, cols, legs)
     for i in range(len(seq_a) - 1):
