@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError, NegativeUnits, NoNodeWithinRange, UncoverableDemand
-from .network import RoadNetwork, _read_table, _search_nodes, snap
+from .network import RoadNetwork, _read_table, _search, snap
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +97,8 @@ def _stop_distances(
     Network mode: directed shortest-path meters from the candidate to the
     demand's snapped node. Each demand snaps once per call, and each
     candidate's search stops at the radius, which is exact because no
-    distance beyond it is ever compared. Euclidean mode: straight line
+    distance beyond it is ever compared; it holds only the nodes it
+    settled within the radius. Euclidean mode: straight line
     from the candidate node to the demand coordinates.
     """
     reach = cfg.radius_m + _RADIUS_TOL_M
@@ -123,8 +124,8 @@ def _stop_distances(
         at_node.setdefault(node, []).append(pos)
     for c in candidates:
         net.node(c)  # UnknownNode for a candidate off the network
-        meters = _search_nodes(net, c, "distance", reach).cost
-        reached = sorted((pos, m) for n, m in meters.items() if m <= reach
+        meters = _search(net, c, "distance", reach).cost
+        reached = sorted((pos, m) for n, m in meters.items()
                          for pos in at_node.get(n, ()))
         dists[c] = {demands[pos].id: m for pos, m in reached}
     return dists
@@ -291,6 +292,8 @@ def write_stops(stops: list[StopPoint], path: str) -> None:
 
 def load_stops(path: str) -> list[StopPoint]:
     out = []
+    stop_ids: set[int] = set()
+    stop_of: dict[int, int] = {}  # demand id -> the stop listing it
     for row in _read_table(path, STOP_HEADER):
         try:
             sid, node = int(row[0]), int(row[1])
@@ -302,6 +305,14 @@ def load_stops(path: str) -> list[StopPoint]:
             if not 0 <= value < math.inf:
                 raise DataError(f"{path}: stop {sid} {name} {value} is not a "
                                 "finite non-negative number")
+        if sid in stop_ids:
+            raise DataError(f"{path}: stop {sid} is listed twice")
+        stop_ids.add(sid)
+        for d in covered:
+            if d in stop_of:
+                raise DataError(f"{path}: demand {d} is listed under stop "
+                                f"{stop_of[d]} and again under stop {sid}")
+            stop_of[d] = sid
         out.append(StopPoint(id=sid, node=node, assigned_demand_kg=kg,
                              service_time_s=service, covered_demand_ids=covered))
     return out

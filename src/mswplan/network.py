@@ -5,8 +5,10 @@ workers. Costs come in two metrics: travel time in seconds (edge length
 divided by edge speed, plus optional turn penalties) and distance in
 meters (turn penalties ignored). Ties in the search are broken toward
 the smaller node id so identical inputs always yield identical paths.
-Searches run in :func:`cost_matrix`, once per origin, and in coverage's
-distance tables, which stop each search at the service radius;
+One Dijkstra kernel, :func:`_search`, runs every search: over nodes, or
+over arriving edges when turn penalties change the time metric. It runs
+in :func:`cost_matrix`, once per origin, and in coverage's distance
+tables, which stop each search at the service radius;
 ``CostMatrix.path`` reads paths back from the kept ones. :func:`snap`
 looks points up in a bucket grid each network builds once.
 """
@@ -70,7 +72,8 @@ class RoadNetwork:
                 raise ValueError(f"node {n.id} has non-finite coordinates")
             self._nodes[n.id] = n
         self._edges: tuple[Edge, ...] = tuple(edges)
-        out: dict[int, list[int]] = {nid: [] for nid in self._nodes}
+        adj: dict[int, list[tuple[int, int, float, float]]] = {
+            nid: [] for nid in self._nodes}
         for i, e in enumerate(self._edges):
             if e.from_id not in self._nodes or e.to_id not in self._nodes:
                 raise ValueError(f"edge {i} references unknown node")
@@ -79,11 +82,13 @@ class RoadNetwork:
                     f"edge {i} needs a finite positive length and speed, got "
                     f"{e.length_m} m at {e.speed_kmh} km/h"
                 )
-            out[e.from_id].append(i)
-        self._out = {nid: tuple(idx) for nid, idx in out.items()}
+            adj[e.from_id].append((i, e.to_id, e.length_m, e.travel_time_s))
+        # per node, (edge, to, length, time) of its out-edges in index order
+        self._adj = {nid: tuple(row) for nid, row in adj.items()}
         self._grid = _NodeGrid(list(self._nodes.values())) if self._nodes else None
-        self._turns: dict[tuple[int, int], float] = dict(turn_penalty_s or {})
-        for (a, b), pen in self._turns.items():
+        # in edge -> out edge -> penalty seconds
+        self._turns: dict[int, dict[int, float]] = {}
+        for (a, b), pen in (turn_penalty_s or {}).items():
             if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
                 raise ValueError(f"turn penalty references unknown edge ({a},{b})")
             if self._edges[a].to_id != self._edges[b].from_id:
@@ -93,6 +98,9 @@ class RoadNetwork:
                     f"turn penalty ({a},{b}) must be finite and non-negative, "
                     f"got {pen}"
                 )
+            self._turns.setdefault(a, {})[b] = pen
+        self._has_turn_penalties = any(
+            p > 0 for row in self._turns.values() for p in row.values())
 
     @property
     def node_ids(self) -> list[int]:
@@ -108,7 +116,7 @@ class RoadNetwork:
 
     @property
     def has_turn_penalties(self) -> bool:
-        return any(p > 0 for p in self._turns.values())
+        return self._has_turn_penalties
 
     def node(self, node_id: int) -> Node:
         try:
@@ -118,15 +126,6 @@ class RoadNetwork:
 
     def has_node(self, node_id: int) -> bool:
         return node_id in self._nodes
-
-    def out_edges(self, node_id: int) -> tuple[int, ...]:
-        return self._out[node_id]
-
-    def edge(self, index: int) -> Edge:
-        return self._edges[index]
-
-    def turn_penalty(self, in_edge: int, out_edge: int) -> float:
-        return self._turns.get((in_edge, out_edge), 0.0)
 
 
 @dataclass(frozen=True)
@@ -174,24 +173,24 @@ class CostMatrix:
 class _SearchResult:
     """Single-source search output: per-node drive time and length.
 
-    Path reconstruction is mode-specific: plain Dijkstra stores one
-    parent edge per node, the turn-penalty search stores one parent per
-    edge state (the same node can be crossed via different incoming
-    edges on different optimal paths).
+    Holds the nodes the search settled, each with the values of the path
+    it was first settled on, and the edge that path arrived by (-1 at the
+    source). ``_parent`` maps an edge to the arriving edge of the path it
+    was last relaxed from, so :meth:`path_to` walks back from a node's
+    arriving edge to the source in either search mode.
     """
 
     __slots__ = ("source", "metric", "length_m", "time_s",
-                 "_net", "_parent_edge", "_node_best", "_parent_state")
+                 "_net", "_arrive", "_parent")
 
     def __init__(self, net: RoadNetwork, source: int, metric: str):
         self.source = source
         self.metric = metric
-        self.length_m: dict[int, float] = {source: 0.0}
-        self.time_s: dict[int, float] = {source: 0.0}
+        self.length_m: dict[int, float] = {}
+        self.time_s: dict[int, float] = {}
         self._net = net
-        self._parent_edge: dict[int, int] = {}
-        self._node_best: dict[int, int] | None = None
-        self._parent_state: list[int | None] | None = None
+        self._arrive: dict[int, int] = {}
+        self._parent = [-1] * len(net.edges)
 
     @property
     def cost(self) -> dict[int, float]:
@@ -199,108 +198,72 @@ class _SearchResult:
         return self.time_s if self.metric == "time" else self.length_m
 
     def path_to(self, target: int) -> list[int]:
-        if target == self.source:
-            return [self.source]
         edge_seq: list[int] = []
-        if self._node_best is not None:
-            assert self._parent_state is not None
-            state: int | None = self._node_best[target]
-            while state is not None:
-                edge_seq.append(state)
-                state = self._parent_state[state]
-        else:
-            node = target
-            while node != self.source:
-                ei = self._parent_edge[node]
-                edge_seq.append(ei)
-                node = self._net.edge(ei).from_id
-        edge_seq.reverse()
-        seq = [self.source]
-        for ei in edge_seq:
-            seq.append(self._net.edge(ei).to_id)
-        return seq
+        ei = self._arrive[target]
+        while ei != -1:
+            edge_seq.append(ei)
+            ei = self._parent[ei]
+        edges = self._net.edges
+        return [self.source] + [edges[ei].to_id for ei in reversed(edge_seq)]
 
 
-def _search_nodes(net: RoadNetwork, source: int, metric: str,
-                  bound: float = math.inf) -> _SearchResult:
-    """Plain node-keyed Dijkstra; ties pop the smaller node id.
+def _search(net: RoadNetwork, source: int, metric: str,
+            bound: float = math.inf) -> _SearchResult:
+    """Dijkstra from ``source``; ties pop the smaller node id.
 
-    The search stops at the first pop that costs more than ``bound``.
-    Every node within the bound is settled with the value, and in the
-    heap order, of the unbounded search; a node left unsettled carries a
-    tentative cost above the bound.
+    Search states are nodes, or arriving edges when turn penalties change
+    the time metric: the cheapest way to stand at a node then depends on
+    the edge used to arrive. Heap entries are (cost, node, arriving edge),
+    -1 for the source, and a state is pushed again only at a strictly
+    lower cost, so an entry costing more than its state's best is stale.
+    A node's answer is its first settled state (minimum cost, then
+    smaller node id, then smaller edge index).
+
+    The search stops at the first pop that costs more than ``bound``, so
+    it settles exactly the nodes within the bound, with the values and in
+    the heap order of the unbounded search.
     """
     res = _SearchResult(net, source, metric)
+    by_edge = metric == "time" and net.has_turn_penalties
     by_time = metric == "time"
-    cost = res.cost  # the metric's own table, written by the relaxation below
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, source)]
+    adj, turns, no_turns = net._adj, net._turns, {}
+    length, time_s, arrive, parent = res.length_m, res.time_s, res._arrive, res._parent
+    # best cost pushed, and the length and time of that path, per state
+    if by_edge:
+        n = len(net.edges) + 1  # the last slot, index -1, is the source's
+        best, len_k, time_k = [math.inf] * n, [0.0] * n, [0.0] * n
+        best[-1] = 0.0
+    else:
+        best = dict.fromkeys(adj, math.inf)
+        best[source] = 0.0
+        len_k, time_k = {source: 0.0}, {source: 0.0}
+    heap: list[tuple[float, int, int]] = [(0.0, source, -1)]
     while heap:
-        cost_u, u = heapq.heappop(heap)
+        cost_u, u, ei = heapq.heappop(heap)
         if cost_u > bound:
             break
-        if u in done:
+        key = ei if by_edge else u
+        if cost_u > best[key]:
             continue
-        done.add(u)
-        in_edge = res._parent_edge.get(u)
-        for ei in net.out_edges(u):
-            e = net.edge(ei)
-            v = e.to_id
-            if v in done:
-                continue
-            nc = cost_u + (e.travel_time_s if by_time else e.length_m)
-            if v not in cost or nc < cost[v]:
-                res.length_m[v] = res.length_m[u] + e.length_m
+        len_u, time_u = len_k[key], time_k[key]
+        if u not in arrive:
+            length[u], time_s[u], arrive[u] = len_u, time_u, ei
+        pens = turns.get(ei, no_turns)
+        for fi, v, len_f, time_f in adj[u]:
+            if by_edge:
+                k = fi
+                nc = cost_u + pens.get(fi, 0.0) + time_f
+            else:
+                k = v
+                nc = cost_u + (time_f if by_time else len_f)
+            if nc < best[k]:
+                best[k] = nc
+                len_k[k] = len_u + len_f
                 # physical drive time along the chosen path, turns included
-                pen = 0.0 if in_edge is None else net.turn_penalty(in_edge, ei)
-                res.time_s[v] = res.time_s[u] + e.travel_time_s + pen
-                res._parent_edge[v] = ei
-                heapq.heappush(heap, (nc, v))
-    return res
-
-
-def _search_edge_states(net: RoadNetwork, source: int) -> _SearchResult:
-    """Time-metric Dijkstra over incoming-edge states.
-
-    Required when turn penalties are present: the cheapest way to stand
-    at a node depends on the edge used to arrive. States are edge
-    indices; the per-node answer is the first state settled at that node
-    (minimum cost, then smaller node id, then smaller edge index).
-    """
-    res = _SearchResult(net, source, "time")
-    n_edges = len(net.edges)
-    cost_e = [math.inf] * n_edges
-    len_e = [0.0] * n_edges
-    parent_e: list[int | None] = [None] * n_edges
-    done_e = [False] * n_edges
-    node_best: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = []
-    for ei in net.out_edges(source):
-        e = net.edge(ei)
-        cost_e[ei] = e.travel_time_s
-        len_e[ei] = e.length_m
-        heapq.heappush(heap, (cost_e[ei], e.to_id, ei))
-    while heap:
-        cost_u, node_u, ei = heapq.heappop(heap)
-        if done_e[ei]:
-            continue
-        done_e[ei] = True
-        if node_u not in node_best and node_u != source:
-            node_best[node_u] = ei
-            res.time_s[node_u] = cost_u
-            res.length_m[node_u] = len_e[ei]
-        for fi in net.out_edges(node_u):
-            if done_e[fi]:
-                continue
-            f = net.edge(fi)
-            nc = cost_u + net.turn_penalty(ei, fi) + f.travel_time_s
-            if nc < cost_e[fi]:
-                cost_e[fi] = nc
-                len_e[fi] = len_e[ei] + f.length_m
-                parent_e[fi] = ei
-                heapq.heappush(heap, (nc, f.to_id, fi))
-    res._node_best = node_best
-    res._parent_state = parent_e
+                time_k[k] = nc if by_edge else (
+                    time_u + time_f + pens.get(fi, 0.0))
+                parent[fi] = ei
+                heapq.heappush(heap, (nc, v, fi))
     return res
 
 
@@ -309,9 +272,7 @@ def _single_source(net: RoadNetwork, source: int, metric: str) -> _SearchResult:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if not net.has_node(source):
         raise UnknownNode(f"node {source} not in network")
-    if metric == "time" and net.has_turn_penalties:
-        return _search_edge_states(net, source)
-    return _search_nodes(net, source, metric)
+    return _search(net, source, metric)
 
 
 def shortest_path(

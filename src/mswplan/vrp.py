@@ -695,9 +695,6 @@ class TruckMetrics:
     truck_id: int
     n_trips: int
     distance_m: float
-    drive_s: float
-    service_s: float
-    unload_s: float
     work_s: float
 
 
@@ -707,9 +704,6 @@ class RouteMetrics:
     fleet_size: int
     n_trips: int
     total_distance_m: float
-    total_drive_s: float
-    total_service_s: float
-    total_unload_s: float
     total_work_s: float
     avg_route_distance_m: float  # per truck, Table-style averages
     avg_route_time_s: float
@@ -724,9 +718,6 @@ def route_metrics(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> Rout
                 truck_id=tid,
                 n_trips=len(trips),
                 distance_m=sum(t.distance_m for t in trips),
-                drive_s=sum(t.drive_time_s for t in trips),
-                service_s=sum(t.service_time_s for t in trips),
-                unload_s=sum(t.unload_s for t in trips),
                 work_s=sum(t.total_time_s for t in trips),
             )
         )
@@ -749,9 +740,6 @@ def route_metrics(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> Rout
         fleet_size=fleet_size,
         n_trips=sum(m.n_trips for m in per_truck),
         total_distance_m=total_distance,
-        total_drive_s=sum(m.drive_s for m in per_truck),
-        total_service_s=sum(m.service_s for m in per_truck),
-        total_unload_s=sum(m.unload_s for m in per_truck),
         total_work_s=total_work,
         avg_route_distance_m=total_distance / fleet_size if fleet_size else 0.0,
         avg_route_time_s=total_work / fleet_size if fleet_size else 0.0,

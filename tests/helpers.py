@@ -42,8 +42,7 @@ def min_cost_by_enumeration(net: RoadNetwork, source: int, target: int,
         return 0.0
     best: float | None = None
 
-    def weight(ei: int) -> float:
-        e = net.edge(ei)
+    def weight(e: Edge) -> float:
         return e.travel_time_s if metric == "time" else e.length_m
 
     def dfs(u: int, cost: float, seen: frozenset[int]) -> None:
@@ -52,11 +51,10 @@ def min_cost_by_enumeration(net: RoadNetwork, source: int, target: int,
             if best is None or cost < best:
                 best = cost
             return
-        for ei in net.out_edges(u):
-            v = net.edge(ei).to_id
-            if v in seen:
+        for e in net.edges:
+            if e.from_id != u or e.to_id in seen:
                 continue
-            dfs(v, cost + weight(ei), seen | {v})
+            dfs(e.to_id, cost + weight(e), seen | {e.to_id})
 
     dfs(source, 0.0, frozenset({source}))
     return best

@@ -285,6 +285,28 @@ def test_verify_bad_argument_exits_2(option):
     assert "UNCOVERED" not in result.output
 
 
+@pytest.mark.parametrize("extra, message", [
+    ("3,4,517.92,1800.0,78;79", "stop 3 is listed twice"),
+    ("4,4,517.92,1800.0,103",
+     "demand 103 is listed under stop 3 and again under stop 4"),
+    ("4,4,517.92,1800.0,104;104",
+     "demand 104 is listed under stop 4 and again under stop 4"),
+], ids=["stop", "demand", "demand_in_one_stop"])
+def test_verify_repeated_stop_or_demand_exits_4(tmp_path, extra, message):
+    stops = tmp_path / "stops.csv"
+    with open(os.path.join(GOLDEN, "stops.csv")) as fh:
+        stops.write_text(fh.read() + extra + "\n")
+    result = CliRunner().invoke(
+        main,
+        ["verify", str(stops), demo_path("four_stops", "buildings.csv"),
+         demo_path("four_stops")],
+    )
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"{stops}: {message}" in result.output
+    assert "coverage OK" not in result.output
+
+
 @pytest.mark.parametrize("column, value", [
     (2, "nan"), (2, "-50.0"), (2, "inf"), (3, "nan"), (3, "-1.0"),
 ])

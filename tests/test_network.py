@@ -25,7 +25,7 @@ from mswplan.network import (
     snap,
     write_edges,
     write_nodes,
-    _search_nodes,
+    _search,
     _single_source,
 )
 
@@ -190,7 +190,7 @@ def with_random_turn_penalties(rng, net: RoadNetwork) -> RoadNetwork:
     pens = {}
     for ei in range(len(net.edges)):
         for fi in range(len(net.edges)):
-            if net.edge(ei).to_id == net.edge(fi).from_id and rng.random() < 0.3:
+            if net.edges[ei].to_id == net.edges[fi].from_id and rng.random() < 0.3:
                 pens[(ei, fi)] = rng.uniform(0, 120)
     return RoadNetwork([net.node(i) for i in net.node_ids], list(net.edges), pens)
 
@@ -349,12 +349,12 @@ def test_bounded_search_settles_exactly_the_nodes_within_the_bound(metric):
     for _ in range(60):
         net = random_graph(rng, max_nodes=12, max_edges=40)
         for source in net.node_ids:
-            full = _search_nodes(net, source, metric)
+            full = _search(net, source, metric)
             values = sorted(set(full.cost.values()))
             bounds = [0.0, math.inf, rng.choice(values),
                       rng.uniform(0.0, 2 * values[-1])]
             for bound in bounds:
-                part = _search_nodes(net, source, metric, bound)
+                part = _search(net, source, metric, bound)
                 settled = {n for n, c in part.cost.items() if c <= bound}
                 assert settled == {n for n, c in full.cost.items() if c <= bound}
                 for n in settled:
