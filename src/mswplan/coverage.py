@@ -112,7 +112,8 @@ def _stop_distances(
                 if meters <= reach:
                     table[d.id] = meters
         return dists
-    at_node: dict[int, list[int]] = {}  # snapped node -> demand positions
+    # per node position, the input positions of the demands snapped to it
+    at_node: list[list[int]] = [[] for _ in range(net.n_nodes)]
     for pos, d in enumerate(demands):
         try:
             node = snap(net, (d.x_m, d.y_m), cfg.radius_m)
@@ -121,12 +122,14 @@ def _stop_distances(
                 f"demand {d.id} does not snap to the network within "
                 f"{cfg.radius_m} m"
             ) from exc
-        at_node.setdefault(node, []).append(pos)
+        at_node[net._pos[node]].append(pos)
     for c in candidates:
         net.node(c)  # UnknownNode for a candidate off the network
-        meters = _search(net, c, "distance", reach).cost
-        reached = sorted((pos, m) for n, m in meters.items()
-                         for pos in at_node.get(n, ()))
+        # a distance search is a node search: lengths by node position
+        res = _search(net, c, "distance", reach)
+        meters = res._len
+        reached = sorted((pos, meters[p]) for p in res._order
+                         for pos in at_node[p])
         dists[c] = {demands[pos].id: m for pos, m in reached}
     return dists
 
@@ -223,7 +226,24 @@ def verify_coverage(
     net: RoadNetwork,
     cfg: CoverageConfig,
 ) -> CoverageReport:
-    """Audit a stop set: radius compliance, loads, and full coverage."""
+    """Audit a stop set: radius compliance, loads, and full coverage.
+
+    Raises DataError for a stop that lists an id no demand point has, or
+    whose ``assigned_demand_kg`` is not the mass of the demands it lists
+    (within the pipeline's conservation tolerance).
+    """
+    by_id = {d.id: d for d in demands}
+    for s in stops:
+        for i in s.covered_demand_ids:
+            if i not in by_id:
+                raise DataError(f"stop {s.id} lists demand {i}, which is not "
+                                "a demand point")
+        mass = math.fsum(by_id[i].waste_kg_day for i in s.covered_demand_ids)
+        if not math.isclose(s.assigned_demand_kg, mass, rel_tol=1e-9,
+                            abs_tol=1e-6):
+            raise DataError(
+                f"stop {s.id} has assigned_kg {s.assigned_demand_kg} but its "
+                f"demands weigh {mass} kg; was it planned at another --rate?")
     nodes = sorted({s.node for s in stops})
     within = _stop_distances(net, demands, cfg, nodes) if nodes else {}
     covered: set[int] = set()

@@ -9,8 +9,12 @@ One Dijkstra kernel, :func:`_search`, runs every search: over nodes, or
 over arriving edges when turn penalties change the time metric. It runs
 in :func:`cost_matrix`, once per origin, and in coverage's distance
 tables, which stop each search at the service radius;
-``CostMatrix.path`` reads paths back from the kept ones. :func:`snap`
-looks points up in a bucket grid each network builds once.
+``CostMatrix.path`` reads paths back from the kept ones. Each network
+numbers its nodes by position in id order and builds, once, per-node
+out-edge rows and per-edge successor rows that carry the turn
+penalties, so the kernel's state lives in lists indexed by position or
+edge. :func:`snap` looks points up in a bucket grid each network builds
+once.
 """
 
 from __future__ import annotations
@@ -72,8 +76,11 @@ class RoadNetwork:
                 raise ValueError(f"node {n.id} has non-finite coordinates")
             self._nodes[n.id] = n
         self._edges: tuple[Edge, ...] = tuple(edges)
-        adj: dict[int, list[tuple[int, int, float, float]]] = {
-            nid: [] for nid in self._nodes}
+        # node ids by position; sorted, so position order is id order
+        self._ids = tuple(sorted(self._nodes))
+        self._pos = {nid: p for p, nid in enumerate(self._ids)}
+        rows: list[list[tuple[int, int, float, float, float]]] = [
+            [] for _ in self._ids]
         for i, e in enumerate(self._edges):
             if e.from_id not in self._nodes or e.to_id not in self._nodes:
                 raise ValueError(f"edge {i} references unknown node")
@@ -82,12 +89,13 @@ class RoadNetwork:
                     f"edge {i} needs a finite positive length and speed, got "
                     f"{e.length_m} m at {e.speed_kmh} km/h"
                 )
-            adj[e.from_id].append((i, e.to_id, e.length_m, e.travel_time_s))
-        # per node, (edge, to, length, time) of its out-edges in index order
-        self._adj = {nid: tuple(row) for nid, row in adj.items()}
+            rows[self._pos[e.from_id]].append(
+                (i, self._pos[e.to_id], e.length_m, e.travel_time_s, 0.0))
+        # per node position, (edge, head position, length, time, 0.0) of
+        # its out-edges in index order
+        self._rows = [tuple(row) for row in rows]
         self._grid = _NodeGrid(list(self._nodes.values())) if self._nodes else None
-        # in edge -> out edge -> penalty seconds
-        self._turns: dict[int, dict[int, float]] = {}
+        turns: dict[int, dict[int, float]] = {}  # in edge -> out edge -> s
         for (a, b), pen in (turn_penalty_s or {}).items():
             if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
                 raise ValueError(f"turn penalty references unknown edge ({a},{b})")
@@ -98,13 +106,19 @@ class RoadNetwork:
                     f"turn penalty ({a},{b}) must be finite and non-negative, "
                     f"got {pen}"
                 )
-            self._turns.setdefault(a, {})[b] = pen
+            turns.setdefault(a, {})[b] = pen
         self._has_turn_penalties = any(
-            p > 0 for row in self._turns.values() for p in row.values())
+            p > 0 for row in turns.values() for p in row.values())
+        # per edge, the rows of its head with the penalty of each turn onto
+        # them in the last slot; an edge without penalties shares the row
+        self._succ = [self._rows[self._pos[e.to_id]] for e in self._edges]
+        for a, pens in turns.items():
+            self._succ[a] = tuple((fi, v, len_f, time_f, pens.get(fi, 0.0))
+                                  for fi, v, len_f, time_f, _ in self._succ[a])
 
     @property
     def node_ids(self) -> list[int]:
-        return sorted(self._nodes)
+        return list(self._ids)
 
     @property
     def n_nodes(self) -> int:
@@ -138,9 +152,10 @@ class CostMatrix:
     ``cost`` is the table of the chosen metric itself, not a copy.
     Unreachable pairs carry :data:`UNREACHABLE` in both tables.
 
-    A matrix from :func:`cost_matrix` keeps each origin's search, so
-    :meth:`path` returns the path a cell was measured on; the kept
-    searches take no part in equality or the repr.
+    A matrix from :func:`cost_matrix` keeps each origin's search, cut to
+    its arriving edge per node and parent per edge, so :meth:`path`
+    returns the path a cell was measured on; the kept searches take no
+    part in equality or the repr.
     """
 
     origins: tuple[int, ...]
@@ -165,41 +180,63 @@ class CostMatrix:
         search = self._searches.get(origin)
         if search is None or destination not in self.destinations:
             raise UnknownNode(f"matrix holds no path {origin} -> {destination}")
-        if destination not in search.cost:
+        if search._arrive[search._net._pos[destination]] is None:
             raise Unreachable(f"no directed path {origin} -> {destination}")
         return search.path_to(destination)
 
 
 class _SearchResult:
-    """Single-source search output: per-node drive time and length.
+    """Single-source search output, stored by node position.
 
-    Holds the nodes the search settled, each with the values of the path
-    it was first settled on, and the edge that path arrived by (-1 at the
-    source). ``_parent`` maps an edge to the arriving edge of the path it
-    was last relaxed from, so :meth:`path_to` walks back from a node's
-    arriving edge to the source in either search mode.
+    ``_arrive[p]`` is the edge by which the path node position p was
+    first settled on arrived (-1 at the source, None while unsettled),
+    and ``_order`` lists the settled positions in settle order.
+    ``_parent`` maps an edge to the arriving edge of the path it was last
+    relaxed from, so :meth:`path_to` walks back from a node's arriving
+    edge to the source in either search mode. ``_len`` and ``_time`` are
+    the kernel's state values: indexed by node position in a node search,
+    by edge (the source in the last slot) in an edge-state search, and
+    ``_key[p]`` names node position p's state in them. ``cost``,
+    ``length_m`` and ``time_s`` read them into dicts over the settled
+    node ids. :func:`cost_matrix` keeps only ``_arrive`` and ``_parent``.
     """
 
-    __slots__ = ("source", "metric", "length_m", "time_s",
-                 "_net", "_arrive", "_parent")
+    __slots__ = ("source", "metric", "_net", "_arrive", "_parent", "_order",
+                 "_len", "_time", "_key")
 
-    def __init__(self, net: RoadNetwork, source: int, metric: str):
-        self.source = source
-        self.metric = metric
-        self.length_m: dict[int, float] = {}
-        self.time_s: dict[int, float] = {}
-        self._net = net
-        self._arrive: dict[int, int] = {}
-        self._parent = [-1] * len(net.edges)
+    def __init__(self, net: RoadNetwork, source: int, metric: str,
+                 arrive: list[int | None], parent: list[int], order: list[int],
+                 len_k: list[float], time_k: list[float], key):
+        self.source, self.metric, self._net = source, metric, net
+        self._arrive, self._parent, self._order = arrive, parent, order
+        self._len, self._time, self._key = len_k, time_k, key
 
     @property
     def cost(self) -> dict[int, float]:
         """Per-node optimal value in the search metric."""
         return self.time_s if self.metric == "time" else self.length_m
 
+    @property
+    def length_m(self) -> dict[int, float]:
+        return self._by_id(self._len)
+
+    @property
+    def time_s(self) -> dict[int, float]:
+        return self._by_id(self._time)
+
+    def _by_id(self, values: list[float]) -> dict[int, float]:
+        ids, key = self._net._ids, self._key
+        return {ids[p]: values[key[p]] for p in self._order}
+
+    def _row(self, values: list[float], cols: list[int]) -> tuple[float, ...]:
+        """``values`` at node positions ``cols``, UNREACHABLE if unsettled."""
+        arrive, key = self._arrive, self._key
+        return tuple(UNREACHABLE if arrive[p] is None else values[key[p]]
+                     for p in cols)
+
     def path_to(self, target: int) -> list[int]:
         edge_seq: list[int] = []
-        ei = self._arrive[target]
+        ei = self._arrive[self._net._pos[target]]
         while ei != -1:
             edge_seq.append(ei)
             ei = self._parent[ei]
@@ -213,31 +250,33 @@ def _search(net: RoadNetwork, source: int, metric: str,
 
     Search states are nodes, or arriving edges when turn penalties change
     the time metric: the cheapest way to stand at a node then depends on
-    the edge used to arrive. Heap entries are (cost, node, arriving edge),
-    -1 for the source, and a state is pushed again only at a strictly
-    lower cost, so an entry costing more than its state's best is stale.
-    A node's answer is its first settled state (minimum cost, then
-    smaller node id, then smaller edge index).
+    the edge used to arrive. Heap entries are (cost, node position,
+    arriving edge), -1 for the source; positions follow the sorted ids,
+    so ties pop the smaller id. A state is pushed again only at a
+    strictly lower cost, so an entry costing more than its state's best
+    is stale. A node's answer is its first settled state (minimum cost,
+    then smaller node id, then smaller edge index). Each pop relaxes the
+    rows ``net._succ`` holds for its arriving edge, with the turn
+    penalties already in them, or the source's ``net._rows``.
 
     The search stops at the first pop that costs more than ``bound``, so
     it settles exactly the nodes within the bound, with the values and in
     the heap order of the unbounded search.
     """
-    res = _SearchResult(net, source, metric)
     by_edge = metric == "time" and net.has_turn_penalties
     by_time = metric == "time"
-    adj, turns, no_turns = net._adj, net._turns, {}
-    length, time_s, arrive, parent = res.length_m, res.time_s, res._arrive, res._parent
-    # best cost pushed, and the length and time of that path, per state
-    if by_edge:
-        n = len(net.edges) + 1  # the last slot, index -1, is the source's
-        best, len_k, time_k = [math.inf] * n, [0.0] * n, [0.0] * n
-        best[-1] = 0.0
-    else:
-        best = dict.fromkeys(adj, math.inf)
-        best[source] = 0.0
-        len_k, time_k = {source: 0.0}, {source: 0.0}
-    heap: list[tuple[float, int, int]] = [(0.0, source, -1)]
+    rows, succ = net._rows, net._succ
+    n_nodes = len(rows)
+    src = net._pos[source]
+    arrive: list[int | None] = [None] * n_nodes
+    parent = [-1] * len(net.edges)
+    order: list[int] = []
+    # best cost pushed, and the length and time of that path, per state;
+    # in an edge-state search the last slot, index -1, is the source's
+    n = len(net.edges) + 1 if by_edge else n_nodes
+    best, len_k, time_k = [math.inf] * n, [0.0] * n, [0.0] * n
+    best[-1 if by_edge else src] = 0.0
+    heap: list[tuple[float, int, int]] = [(0.0, src, -1)]
     while heap:
         cost_u, u, ei = heapq.heappop(heap)
         if cost_u > bound:
@@ -246,13 +285,13 @@ def _search(net: RoadNetwork, source: int, metric: str,
         if cost_u > best[key]:
             continue
         len_u, time_u = len_k[key], time_k[key]
-        if u not in arrive:
-            length[u], time_s[u], arrive[u] = len_u, time_u, ei
-        pens = turns.get(ei, no_turns)
-        for fi, v, len_f, time_f in adj[u]:
+        if arrive[u] is None:
+            arrive[u] = ei
+            order.append(u)
+        for fi, v, len_f, time_f, pen in (rows[u] if ei == -1 else succ[ei]):
             if by_edge:
                 k = fi
-                nc = cost_u + pens.get(fi, 0.0) + time_f
+                nc = cost_u + pen + time_f
             else:
                 k = v
                 nc = cost_u + (time_f if by_time else len_f)
@@ -260,19 +299,11 @@ def _search(net: RoadNetwork, source: int, metric: str,
                 best[k] = nc
                 len_k[k] = len_u + len_f
                 # physical drive time along the chosen path, turns included
-                time_k[k] = nc if by_edge else (
-                    time_u + time_f + pens.get(fi, 0.0))
+                time_k[k] = nc if by_edge else time_u + time_f + pen
                 parent[fi] = ei
                 heapq.heappush(heap, (nc, v, fi))
-    return res
-
-
-def _single_source(net: RoadNetwork, source: int, metric: str) -> _SearchResult:
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
-    if not net.has_node(source):
-        raise UnknownNode(f"node {source} not in network")
-    return _search(net, source, metric)
+    return _SearchResult(net, source, metric, arrive, parent, order, len_k,
+                         time_k, arrive if by_edge else range(n_nodes))
 
 
 def shortest_path(
@@ -297,21 +328,29 @@ def cost_matrix(
     """Many-to-many drive times and lengths via one search per origin.
 
     Paths are optimal in ``metric``; the matrix keeps each origin's
-    search so :meth:`CostMatrix.path` can read them back. Unreachable
-    pairs get the UNREACHABLE marker rather than raising, so partially
-    connected networks still produce a usable matrix.
+    search, cut to its arriving and parent edges, so
+    :meth:`CostMatrix.path` can read them back. Unreachable pairs get
+    the UNREACHABLE marker rather than raising, so partially connected
+    networks still produce a usable matrix.
     """
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     for nid in list(origins) + list(destinations):
         if not net.has_node(nid):
             raise UnknownNode(f"node {nid} not in network")
-    searches = {o: _single_source(net, o, metric) for o in origins}
-
-    def table(column: str) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(getattr(searches[o], column).get(d, UNREACHABLE)
-                           for d in destinations) for o in origins)
-
+    cols = [net._pos[d] for d in destinations]
+    searches: dict[int, _SearchResult] = {}
+    lengths: dict[int, tuple[float, ...]] = {}
+    times: dict[int, tuple[float, ...]] = {}
+    for o in origins:
+        if o in searches:
+            continue
+        res = searches[o] = _search(net, o, metric)
+        lengths[o], times[o] = res._row(res._len, cols), res._row(res._time, cols)
+        res._order = res._len = res._time = res._key = None
     return CostMatrix(tuple(origins), tuple(destinations), metric,
-                      table("length_m"), table("time_s"), _searches=searches)
+                      tuple(lengths[o] for o in origins),
+                      tuple(times[o] for o in origins), _searches=searches)
 
 
 class _NodeGrid:

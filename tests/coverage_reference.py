@@ -6,6 +6,11 @@ Every demand snaps by measuring every node, and every candidate's
 search settles the whole network. ``tests/test_coverage_bounded.py``
 requires the radius-bounded, grid-snapped code to return exactly the
 same stops, reports and errors.
+
+The audit later gained input checks: a stop listing an unknown demand
+id, or an ``assigned_kg`` other than its demands' mass, is a DataError.
+``_check_stop_table`` restates them here, so audits of such stop sets
+still compare as errors.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from mswplan.coverage import (
     DemandPoint,
     StopPoint,
 )
-from mswplan.errors import NoNodeWithinRange, UncoverableDemand, UnknownNode
-from mswplan.network import _SNAP_TIE_M, RoadNetwork, _single_source
+from mswplan.errors import (DataError, NoNodeWithinRange, UncoverableDemand,
+                            UnknownNode)
+from mswplan.network import _SNAP_TIE_M, RoadNetwork, _search
 
 log = logging.getLogger("mswplan.coverage")
 
@@ -71,7 +77,7 @@ def _stop_distances(
             ) from exc
     dists = {}
     for c in candidates:
-        meters = _single_source(net, c, "distance").cost
+        meters = _search(net, c, "distance").cost
         dists[c] = {d.id: meters.get(snapped[d.id], math.inf) for d in demands}
     return dists
 
@@ -161,6 +167,7 @@ def verify_coverage(
     cfg: CoverageConfig,
 ) -> CoverageReport:
     """Audit a stop set: radius compliance, loads, and full coverage."""
+    _check_stop_table(stops, demands)
     nodes = sorted({s.node for s in stops})
     dist = _stop_distances(net, demands, cfg, nodes) if nodes else {}
     covered: set[int] = set()
@@ -180,3 +187,19 @@ def verify_coverage(
         load_histogram=dict(sorted(histogram.items())),
         overflow_stop_ids=[s.id for s in stops if s.overflow],
     )
+
+
+def _check_stop_table(stops: list[StopPoint], demands: list[DemandPoint]) -> None:
+    """Each stop lists known demands whose masses sum to its assigned_kg."""
+    mass = {d.id: d.waste_kg_day for d in demands}
+    for s in stops:
+        unknown = [i for i in s.covered_demand_ids if i not in mass]
+        if unknown:
+            raise DataError(f"stop {s.id} lists demand {unknown[0]}, which is "
+                            "not a demand point")
+        listed = math.fsum(mass[i] for i in s.covered_demand_ids)
+        if abs(listed - s.assigned_demand_kg) > max(
+                1e-9 * max(abs(listed), abs(s.assigned_demand_kg)), 1e-6):
+            raise DataError(
+                f"stop {s.id} has assigned_kg {s.assigned_demand_kg} but its "
+                f"demands weigh {listed} kg; was it planned at another --rate?")

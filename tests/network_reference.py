@@ -5,8 +5,9 @@ replaced with one, kept verbatim with the result class they filled.
 by arriving edge; each records its own parent links. They read the
 network through the per-call methods they were written against
 (``out_edges``, ``edge``, ``turn_penalty``, all gone from
-:class:`RoadNetwork`), which :class:`OldNetwork` supplies over a current
-network from its edge tuple and penalty table.
+:class:`RoadNetwork`), which :class:`OldNetwork` supplies from a current
+network's edge tuple and the turn-penalty dict the network was built
+from, so the reference reads no table the kernel reads.
 ``tests/test_search_kernel.py`` requires the single kernel to settle the
 same nodes with the same values and paths.
 """
@@ -20,12 +21,13 @@ from mswplan.network import Edge, RoadNetwork
 
 
 class OldNetwork:
-    """The reads the old kernels made, over a current network."""
+    """The reads the old kernels made, over a current network's edges and
+    the ``(in edge, out edge) -> seconds`` dict it was built from."""
 
-    def __init__(self, net: RoadNetwork):
-        self._net = net
+    def __init__(self, net: RoadNetwork, pens: dict[tuple[int, int], float]):
+        self._pens = pens
         self.edges = net.edges
-        self.has_turn_penalties = net.has_turn_penalties
+        self.has_turn_penalties = any(p > 0 for p in pens.values())
 
     def out_edges(self, node_id: int) -> tuple[int, ...]:
         return tuple(ei for ei, e in enumerate(self.edges)
@@ -35,15 +37,17 @@ class OldNetwork:
         return self.edges[index]
 
     def turn_penalty(self, in_edge: int, out_edge: int) -> float:
-        return self._net._turns.get(in_edge, {}).get(out_edge, 0.0)
+        return self._pens.get((in_edge, out_edge), 0.0)
 
 
-def reference_search(net: RoadNetwork, source: int, metric: str,
+def reference_search(net: RoadNetwork, pens: dict[tuple[int, int], float],
+                     source: int, metric: str,
                      bound: float = math.inf) -> _SearchResult:
-    """The search the old ``_single_source`` dispatched to; the
-    edge-state search has no bound and settles every reachable node."""
-    old = OldNetwork(net)
-    if metric == "time" and net.has_turn_penalties:
+    """The search the old ``_single_source`` dispatched to, on ``net``
+    built with the turn penalties ``pens``; the edge-state search has no
+    bound and settles every reachable node."""
+    old = OldNetwork(net, pens)
+    if metric == "time" and old.has_turn_penalties:
         return _search_edge_states(old, source)
     return _search_nodes(old, source, metric, bound)
 

@@ -329,3 +329,30 @@ def test_verify_bad_stop_number_exits_4(tmp_path, column, value):
     assert (f"{stops}: stop 1 {name} {float(value)} is not a finite "
             "non-negative number") in result.output
     assert "coverage OK" not in result.output
+
+
+@pytest.mark.parametrize("row, column, value, messages", [
+    (4, 4, "{};999", ["stop 3 lists demand 999, which is not a demand point"]),
+    (1, 2, "100.0", ["stop 0 has assigned_kg 100.0 but its demands weigh "
+                     "517.92", "--rate"]),
+], ids=["unknown_demand", "assigned_kg"])
+def test_verify_stop_inconsistent_with_the_demands_exits_4(tmp_path, row,
+                                                           column, value,
+                                                           messages):
+    with open(os.path.join(GOLDEN, "stops.csv")) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[row].split(",")
+    cells[column] = value.format(cells[column])
+    lines[row] = ",".join(cells)
+    stops = tmp_path / "stops.csv"
+    stops.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(
+        main,
+        ["verify", str(stops), demo_path("four_stops", "buildings.csv"),
+         demo_path("four_stops")],
+    )
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    for message in messages:
+        assert message in result.output
+    assert "coverage OK" not in result.output

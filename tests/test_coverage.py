@@ -224,13 +224,13 @@ def test_greedy_stop_count_within_log_bound_of_optimum():
         except UncoverableDemand:
             continue
         # independent cover sets from scratch, by direct distance recompute
-        from mswplan.network import _single_source, snap as snap_node
+        from mswplan.network import _search, snap as snap_node
 
         cover = {}
         snapped = {d.id: snap_node(net, (d.x_m, d.y_m), cfg.radius_m)
                    for d in demands}
         for c in candidates:
-            res = _single_source(net, c, "distance")
+            res = _search(net, c, "distance")
             cover[c] = {
                 d.id for d in demands
                 if res.cost.get(snapped[d.id], math.inf) <= cfg.radius_m + 1e-9

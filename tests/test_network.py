@@ -26,7 +26,6 @@ from mswplan.network import (
     write_edges,
     write_nodes,
     _search,
-    _single_source,
 )
 
 
@@ -70,6 +69,12 @@ def test_unknown_node_rejected():
         shortest_path(triangle(), 99, 1, "time")
     with pytest.raises(UnknownNode):
         cost_matrix(triangle(), [1, 99], [1], "time")
+
+
+@pytest.mark.parametrize("origins", [[1], []])
+def test_unknown_metric_rejected(origins):
+    with pytest.raises(ValueError, match="metric must be one of"):
+        cost_matrix(triangle(), origins, [1], "hops")
 
 
 def test_equal_cost_tie_prefers_smaller_node_id():
@@ -222,7 +227,7 @@ def test_matrix_paths_equal_a_fresh_search_per_leg(turns):
         for metric in METRICS:
             m = cost_matrix(net, ids, ids, metric)
             for i, a in enumerate(ids):
-                fresh = _single_source(net, a, metric)
+                fresh = _search(net, a, metric)
                 for j, b in enumerate(ids):
                     if m.cost[i][j] == UNREACHABLE:
                         with pytest.raises(Unreachable):

@@ -242,13 +242,13 @@ def test_route_geometry_runs_no_search(monkeypatch):
     stop_nodes = net.node_ids[1::3]
     stops = [make_stop(i, n, 300.0) for i, n in enumerate(stop_nodes)]
     searches = []
-    real = network._single_source
+    real = network._search
 
-    def counted(net, source, metric):
+    def counted(net, source, metric, bound=math.inf):
         searches.append(source)
-        return real(net, source, metric)
+        return real(net, source, metric, bound)
 
-    monkeypatch.setattr(network, "_single_source", counted)
+    monkeypatch.setattr(network, "_search", counted)
     nodes = [0] + stop_nodes
     matrix = network.cost_matrix(net, nodes, nodes, "time")
     assert searches == nodes

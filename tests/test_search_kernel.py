@@ -9,6 +9,8 @@ built to tie: integer lengths and speeds that give integer times,
 parallel edges, self-loops, turn tables of zeros (which leave the node
 search in charge) and positive penalties. The oracle tests check
 ``cost_matrix`` against networkx, which shares no code with either.
+Both oracles read turn penalties from the dicts the tests build the
+networks from, never from the network's own tables.
 """
 
 import math
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from helpers import random_graph
 from network_reference import reference_search
+from mswplan.errors import Unreachable
 from mswplan.network import (
     METRICS,
     UNREACHABLE,
@@ -35,8 +38,10 @@ DIFFERENTIAL = settings(max_examples=300, deadline=None, derandomize=True,
                         database=None)
 
 
-def tie_rich_graph(rng: random.Random, lengths: str, turns: str) -> RoadNetwork:
-    """Up to 9 nodes with scattered ids, self-loops and parallel edges.
+def tie_rich_graph(rng: random.Random, lengths: str,
+                   turns: str) -> tuple[RoadNetwork, dict]:
+    """Up to 9 nodes with scattered ids, self-loops and parallel edges,
+    and the turn penalties the network was built with.
 
     ``lengths`` "integer" draws 100-400 m at 36 or 72 km/h (times of
     5-40 s, so sums tie often); "uniform" draws real lengths and speeds.
@@ -64,12 +69,12 @@ def tie_rich_graph(rng: random.Random, lengths: str, turns: str) -> RoadNetwork:
                 if e.to_id == f.from_id and rng.random() < 0.4:
                     pens[(ei, fi)] = (0.0 if turns == "zero"
                                       else float(rng.choice((0, 5, 10, 30))))
-    return RoadNetwork(nodes, edges, pens)
+    return RoadNetwork(nodes, edges, pens), pens
 
 
-def assert_same_search(net: RoadNetwork, source: int, metric: str,
+def assert_same_search(net: RoadNetwork, pens: dict, source: int, metric: str,
                        bound: float) -> None:
-    old = reference_search(net, source, metric, bound)
+    old = reference_search(net, pens, source, metric, bound)
     new = _search(net, source, metric, bound)
     settled = {n for n, c in old.cost.items() if c <= bound}
     assert set(new.cost) == set(new.length_m) == set(new.time_s) == settled
@@ -89,18 +94,20 @@ def assert_same_search(net: RoadNetwork, source: int, metric: str,
 def test_single_kernel_matches_the_node_and_edge_state_kernels(seed, lengths,
                                                                turns):
     rng = random.Random(seed)
-    net = tie_rich_graph(rng, lengths, turns)
+    net, pens = tie_rich_graph(rng, lengths, turns)
     for metric in METRICS:
         for source in net.node_ids:
-            values = sorted(reference_search(net, source, metric).cost.values())
+            values = sorted(reference_search(net, pens, source,
+                                             metric).cost.values())
             bounds = (0.0, rng.choice(values),
                       rng.uniform(0.0, 2 * values[-1]), math.inf)
             for bound in bounds:
-                assert_same_search(net, source, metric, bound)
+                assert_same_search(net, pens, source, metric, bound)
 
 
-def turned_grid_city(grid: int) -> RoadNetwork:
-    """A synthetic grid city with a 60 s U-turn and a 10 s bend penalty."""
+def turned_grid_city(grid: int) -> tuple[RoadNetwork, dict]:
+    """A synthetic grid city with a 60 s U-turn and a 10 s bend penalty,
+    and those penalties."""
     nodes, edges, _ = gen_synthetic_city(
         SyntheticCitySpec(seed=3, grid_x=grid, grid_y=grid))
     xy = {n.id: (n.x_m, n.y_m) for n in nodes}
@@ -116,30 +123,75 @@ def turned_grid_city(grid: int) -> RoadNetwork:
                                                 xy[f.to_id])
                 if (bx - ax) * (cy - by) != (by - ay) * (cx - bx):
                     pens[(ei, fi)] = 10.0
-    return RoadNetwork(nodes, edges, pens)
+    return RoadNetwork(nodes, edges, pens), pens
 
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_single_kernel_matches_the_reference_on_a_turned_grid_city(metric):
-    net = turned_grid_city(6)
+    net, pens = turned_grid_city(6)
     assert net.has_turn_penalties
     for source in net.node_ids:
-        assert_same_search(net, source, metric, math.inf)
+        assert_same_search(net, pens, source, metric, math.inf)
+
+
+@DIFFERENTIAL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.sampled_from(("integer", "uniform")),
+    turns=st.sampled_from(("none", "zero", "positive")),
+)
+def test_matrix_cells_equal_a_fresh_search(seed, lengths, turns):
+    # origins and destinations unsorted, repeated, and partly unreachable
+    rng = random.Random(seed)
+    net, _ = tie_rich_graph(rng, lengths, turns)
+    ids = net.node_ids
+    for metric in METRICS:
+        origins = rng.choices(ids, k=rng.randint(1, 2 * len(ids)))
+        destinations = rng.choices(ids, k=rng.randint(1, 2 * len(ids)))
+        m = cost_matrix(net, origins, destinations, metric)
+        for i, a in enumerate(origins):
+            fresh = _search(net, a, metric)
+            for j, b in enumerate(destinations):
+                if b in fresh.cost:
+                    assert m.cost[i][j] == fresh.cost[b]
+                    assert m.length_m[i][j] == fresh.length_m[b]
+                    assert m.time_s[i][j] == fresh.time_s[b]
+                    assert m.path(a, b) == fresh.path_to(b)
+                else:
+                    assert (m.cost[i][j] == m.length_m[i][j] == m.time_s[i][j]
+                            == UNREACHABLE)
+                    with pytest.raises(Unreachable):
+                        m.path(a, b)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_kept_matrix_searches_hold_only_their_path_links(metric):
+    # time runs over edge states here, distance over nodes
+    net, _ = turned_grid_city(4)
+    ids = net.node_ids
+    m = cost_matrix(net, ids, ids, metric)
+    assert set(m._searches) == set(ids)
+    for search in m._searches.values():
+        held = {name for name in type(search).__slots__
+                if getattr(search, name) is not None}
+        assert held == {"source", "metric", "_net", "_arrive", "_parent"}
+        assert len(search._arrive) == net.n_nodes
+        assert len(search._parent) == len(net.edges)
 
 
 def networkx_costs(net: RoadNetwork, source: int, metric: str,
-                   turns: bool) -> dict[int, float]:
+                   pens: dict | None) -> dict[int, float]:
     """Per-node optimal cost from networkx's Dijkstra.
 
-    With ``turns``, the search runs on the turn-expanded line graph: one
-    vertex per edge, an arc between consecutive edges weighted by the
-    turn penalty plus the second edge's time, and the source joined to
-    its out-edges.
+    With turn penalties ``pens``, the search runs on the turn-expanded
+    line graph: one vertex per edge, an arc between consecutive edges
+    weighted by the turn penalty plus the second edge's time, and the
+    source joined to its out-edges.
     """
     nx = pytest.importorskip("networkx")
     g = nx.DiGraph()
     edges = net.edges
-    if not turns:
+    if pens is None:
         g.add_nodes_from(net.node_ids)
         for e in edges:
             w = e.travel_time_s if metric == "time" else e.length_m
@@ -153,8 +205,7 @@ def networkx_costs(net: RoadNetwork, source: int, metric: str,
             g.add_edge(src, fi, w=f.travel_time_s)
         for gi, h in enumerate(edges):
             if f.to_id == h.from_id:
-                g.add_edge(fi, gi, w=net._turns.get(fi, {}).get(gi, 0.0)
-                           + h.travel_time_s)
+                g.add_edge(fi, gi, w=pens.get((fi, gi), 0.0) + h.travel_time_s)
     out = {source: 0.0}
     for state, c in nx.single_source_dijkstra_path_length(g, src,
                                                           weight="w").items():
@@ -165,11 +216,11 @@ def networkx_costs(net: RoadNetwork, source: int, metric: str,
 
 
 def assert_matrix_matches_networkx(net: RoadNetwork, metric: str,
-                                   turns: bool) -> None:
+                                   pens: dict | None) -> None:
     ids = net.node_ids
     m = cost_matrix(net, ids, ids, metric)
     for i, a in enumerate(ids):
-        want = networkx_costs(net, a, metric, turns)
+        want = networkx_costs(net, a, metric, pens)
         for j, b in enumerate(ids):
             if b in want:
                 assert m.cost[i][j] == pytest.approx(want[b], rel=1e-12)
@@ -181,7 +232,7 @@ def assert_matrix_matches_networkx(net: RoadNetwork, metric: str,
 def test_cost_matrix_matches_networkx_without_turns(metric):
     rng = random.Random(4242)
     for _ in range(40):
-        assert_matrix_matches_networkx(random_graph(rng), metric, False)
+        assert_matrix_matches_networkx(random_graph(rng), metric, None)
 
 
 def test_time_matrix_matches_networkx_on_the_turn_expanded_graph():
@@ -196,6 +247,7 @@ def test_time_matrix_matches_networkx_on_the_turn_expanded_graph():
         net = RoadNetwork([plain.node(i) for i in plain.node_ids],
                           list(plain.edges), pens)
         penalized += net.has_turn_penalties
-        assert_matrix_matches_networkx(net, "time", True)
-    assert_matrix_matches_networkx(turned_grid_city(4), "time", True)
+        assert_matrix_matches_networkx(net, "time", pens)
+    net, pens = turned_grid_city(4)
+    assert_matrix_matches_networkx(net, "time", pens)
     assert penalized >= 20
