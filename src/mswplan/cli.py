@@ -143,7 +143,8 @@ def compare(existing: str, proposed: str, fmt: str) -> None:
 @click.argument("stops_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("buildings", type=click.Path(exists=True, dir_okay=False))
 @click.argument("network_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--radius", type=float, default=300.0, show_default=True,
+@click.option("--radius", type=float, default=cov.CoverageConfig.radius_m,
+              show_default=True,
               help="Service radius in meters.")
 @click.option("--mode", type=click.Choice(["network", "euclidean"]),
               default="network", show_default=True)

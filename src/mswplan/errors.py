@@ -54,7 +54,7 @@ class TooLarge(PlannerError):
 # --- impact ---
 
 class NegativeInput(PlannerError):
-    """A consumption/emission model received a negative quantity."""
+    """A consumption/emission model received a negative or non-finite quantity."""
 
 
 class ZeroDistance(PlannerError):

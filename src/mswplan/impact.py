@@ -11,6 +11,7 @@ when formatting a report.
 from __future__ import annotations
 
 import csv
+import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
@@ -39,8 +40,9 @@ class ImpactFactors:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise NegativeInput(f"{f.name} must be >= 0")
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise NegativeInput(f"{f.name} must be finite and >= 0, "
+                                    f"got {getattr(self, f.name)}")
 
 
 @dataclass(frozen=True)
@@ -246,12 +248,10 @@ def load_factors(path: str) -> dict[str, ImpactFactors]:
             raise DataError(f"{path}: bad factor row {row}") from exc
         if quantity not in _QUANTITIES:
             raise DataError(f"{path}: unknown quantity {quantity!r}")
-        base = out.get(cls, ImpactFactors())
-        out[cls] = replace(
-            base,
-            **{
-                f"{quantity}_per_km": per_km,
-                f"{quantity}_per_stop": per_stop,
-            },
-        )
+        try:
+            out[cls] = replace(out.get(cls, ImpactFactors()),
+                               **{f"{quantity}_per_km": per_km,
+                                  f"{quantity}_per_stop": per_stop})
+        except NegativeInput as exc:
+            raise DataError(f"{path}: class {cls!r} {quantity}: {exc}") from exc
     return out

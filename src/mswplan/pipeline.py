@@ -135,13 +135,37 @@ class ScenarioConfig:
 SCENARIO_KEYS = frozenset(
     ["network.nodes", "network.edges", "network.turns", "buildings",
      "depot.x_m", "depot.y_m", "depot.max_snap_m", "objective", "seed",
-     "generation_rate_kg_unit_day", "scenario_name", "factors", "truck_class",
-     "coverage.radius_m", "coverage.distance_mode", "coverage.max_stop_load_kg",
-     "coverage.candidate_nodes", "coverage.service_time_s",
-     "fleet.capacity_kg", "fleet.unload_s", "fleet.shift_s"]
-    + [f"{block}.{f.name}" for block in ("existing", "proposed")
-       for f in fields(impact.ScenarioSummary)]
+     "generation_rate_kg_unit_day", "scenario_name", "factors", "truck_class"]
+    + [f"{section}.{f.name}" for section, cls in (
+        ("coverage", cov.CoverageConfig), ("fleet", vrp.FleetSpec),
+        ("existing", impact.ScenarioSummary), ("proposed", impact.ScenarioSummary))
+       for f in fields(cls)]
 )
+
+
+def _candidate_nodes(text: str) -> tuple[int, ...] | None:
+    try:
+        return tuple(int(t) for t in text.split(";")) if text else None
+    except ValueError as exc:
+        raise ConfigError("coverage.candidate_nodes: expected ;-separated "
+                          "integers") from exc
+
+
+def _section(kv: dict[str, str], section: str, cls, **parsers):
+    """``cls`` from the ``<section>.<field>`` keys of ``kv``: a field without
+    a key keeps its default, a field without a parser is a number."""
+    values = {}
+    for f in fields(cls):
+        key = f"{section}.{f.name}"
+        if key in kv:
+            parse = parsers.get(f.name)
+            values[f.name] = parse(kv[key]) if parse else _get_float(kv, key)
+    # the messages of both classes start with the field name, so the
+    # section prefix makes them name the key
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
@@ -160,35 +184,13 @@ def load_scenario_config(path: str) -> ScenarioConfig:
             raise ConfigError(f"key {key!r}: file not found: {full}")
         return full
 
-    candidates = None
-    if "coverage.candidate_nodes" in kv and kv["coverage.candidate_nodes"]:
-        try:
-            candidates = tuple(
-                int(t) for t in kv["coverage.candidate_nodes"].split(";")
-            )
-        except ValueError as exc:
-            raise ConfigError("coverage.candidate_nodes: expected ;-separated "
-                              "integers") from exc
-    # the messages of both classes start with the field name, so the
-    # section prefix makes them name the key
-    try:
-        coverage_cfg = cov.CoverageConfig(
-            radius_m=_get_float(kv, "coverage.radius_m", 300.0),
-            distance_mode=kv.get("coverage.distance_mode", "network"),
-            max_stop_load_kg=_get_float(kv, "coverage.max_stop_load_kg", 520.0),
-            candidate_nodes=candidates,
-            service_time_s=_get_float(kv, "coverage.service_time_s", 1800.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"coverage.{exc}") from exc
-    try:
-        fleet = vrp.FleetSpec(
-            capacity_kg=_get_float(kv, "fleet.capacity_kg", 4000.0),
-            unload_s=_get_float(kv, "fleet.unload_s", 900.0),
-            shift_s=_get_float(kv, "fleet.shift_s", 28800.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"fleet.{exc}") from exc
+    coverage_cfg = _section(kv, "coverage", cov.CoverageConfig, distance_mode=str,
+                            candidate_nodes=_candidate_nodes)
+    fleet = _section(kv, "fleet", vrp.FleetSpec)
+    max_snap = _get_float(kv, "depot.max_snap_m", 500.0)
+    if not max_snap >= 0:
+        raise ConfigError(
+            f"key 'depot.max_snap_m': must be non-negative, got {max_snap}")
     rate = _get_float(kv, "generation_rate_kg_unit_day", 2.49)
     if not rate > 0:
         raise ConfigError(
@@ -209,7 +211,7 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         turns_path=resolve("network.turns", required=False),
         depot_x_m=_get_float(kv, "depot.x_m"),
         depot_y_m=_get_float(kv, "depot.y_m"),
-        depot_max_snap_m=_get_float(kv, "depot.max_snap_m", 500.0),
+        depot_max_snap_m=max_snap,
         coverage=coverage_cfg,
         fleet=fleet,
         objective=objective,

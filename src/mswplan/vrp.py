@@ -13,18 +13,21 @@ Per-stop service time is constant for a fixed stop set and depot unload
 time only rewards merging trips, which shorter drive cost already does,
 so neither term can change the argmin.
 
-Construction, local search and validation read costs only by matrix row
-and column index, which ``_Ctx`` resolves once per stop. The local search
-prices moves by delta evaluation ("move evaluation by concatenation",
-Vidal 2022, arXiv:2012.10384): once per scan each trip gets its matrix
-indices, leg costs and reverse-direction prefix sums, and a 2-opt or
-Or-opt candidate then costs a few lookups instead of a full-trip sum. The
-deltas only filter, with a slack that bounds their rounding; each
-candidate that passes is decided by the full-trip comparison and
-feasibility checks, so the search accepts exactly the moves, in the same
-scan order, that pricing every candidate in full would (see
-``_improve_seqs``). One pricer, ``_insertion_deltas``, prices both the
-Or-opt insertions and the insertion positions of the restarts.
+Only ``_Ctx.__init__`` reads the ``CostMatrix`` tables. It copies the
+cells the instance needs into square time and length tables: position 0
+is the depot, then one per distinct stop node, so a stop has one index
+as origin and as destination, as in the client-indexed matrix of
+HGS-CVRP. The local search prices moves by delta evaluation ("move
+evaluation by concatenation", Vidal 2022, arXiv:2012.10384): once per
+scan each trip gets its positions, leg costs and reverse-direction
+prefix sums, and a 2-opt or Or-opt candidate then costs a few lookups
+instead of a full-trip sum. The deltas only filter, with a slack that
+bounds their rounding; each candidate that passes is decided by the
+full-trip comparison and feasibility checks, so the search accepts
+exactly the moves, in the same scan order, that pricing every candidate
+in full would (see ``_improve_seqs``). One pricer, ``_insertion_deltas``,
+prices both the Or-opt insertions and the insertion positions of the
+restarts.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ _EPS = 1e-9
 _ROUND = 4 * sys.float_info.epsilon
 
 OBJECTIVES = ("time", "distance")
+#: Plans ``solve_vrp`` compares: savings, then seeded insertion restarts.
+RESTARTS = 4
+#: Moves one local-search descent may apply.
+MAX_MOVES = 10_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,9 @@ class FleetSpec:
 
     def __post_init__(self):
         for name in ("capacity_kg", "unload_s", "shift_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -142,52 +150,44 @@ class _Ctx:
                 f"matrix metric {matrix.metric!r} does not match objective "
                 f"{objective!r}"
             )
-        # bound once: drive costs are summed in the local-search hot loop
-        self._cost = matrix.cost
-        self._time = matrix.time_s
-        self._len = matrix.length_m
         self.fleet = fleet
         self.objective = objective
         self.depot = depot.node
         self.stops = {s.id: s for s in stops}
+        # table positions: 0 is the depot, then each distinct stop node in id
+        # order; one position indexes a stop both as origin and destination
+        self.nodes = [self.depot] + sorted({s.node for s in stops} - {self.depot})
         row = {nid: i for i, nid in enumerate(matrix.origins)}
         col = {nid: i for i, nid in enumerate(matrix.destinations)}
-        nodes = [self.depot] + sorted({s.node for s in stops})
-        for nid in nodes:
+        for nid in self.nodes:
             if nid not in row or nid not in col:
                 raise UnknownNode(f"node {nid} missing from the cost matrix")
-        # (node, matrix row, matrix column): the depot, then each distinct
-        # stop node in id order
-        self.nodes = [(nid, row[nid], col[nid]) for nid in nodes]
-        self.depot_row, self.depot_col = row[self.depot], col[self.depot]
-        self.stop_row = {s.id: row[s.node] for s in stops}
-        self.stop_col = {s.id: col[s.node] for s in stops}
+        at = {nid: k for k, nid in enumerate(self.nodes)}
+        self.at = {s.id: at[s.node] for s in stops}
+        src = [row[nid] for nid in self.nodes]
+        dst = [col[nid] for nid in self.nodes]
+        self.time, self.length = ([[table[r][c] for c in dst] for r in src]
+                                  for table in (matrix.time_s, matrix.length_m))
+        self.cost = self.time if objective == "time" else self.length
 
-    def _indices(self, seq: list[int]) -> tuple[list[int], list[int]]:
-        rows = [self.depot_row] + [self.stop_row[s] for s in seq] + [self.depot_row]
-        cols = [self.depot_col] + [self.stop_col[s] for s in seq] + [self.depot_col]
-        return rows, cols
+    def _legs(self, table, seq: list[int]):
+        at = self.at
+        idx = [0] + [at[s] for s in seq] + [0]
+        return idx, [table[a][b] for a, b in zip(idx, idx[1:])]
 
     def tour(self, seq: list[int]):
-        """Matrix rows and columns of the positions depot, *seq, depot,
-        and the cost of each leg: ``legs[k]`` runs from position k to
-        k + 1."""
-        rows, cols = self._indices(seq)
-        cost = self._cost
-        return rows, cols, [cost[r][c] for r, c in zip(rows, cols[1:])]
-
-    def _leg_sum(self, table, seq: list[int]) -> float:
-        rows, cols = self._indices(seq)
-        return sum(table[r][c] for r, c in zip(rows, cols[1:]))
+        """Table positions of depot, *seq, depot, and the cost of each
+        leg: ``legs[k]`` runs from ``idx[k]`` to ``idx[k + 1]``."""
+        return self._legs(self.cost, seq)
 
     def drive_cost(self, seq: list[int]) -> float:
-        return self._leg_sum(self._cost, seq)
+        return sum(self._legs(self.cost, seq)[1])
 
     def drive_time(self, seq: list[int]) -> float:
-        return self._leg_sum(self._time, seq)
+        return sum(self._legs(self.time, seq)[1])
 
     def drive_len(self, seq: list[int]) -> float:
-        return self._leg_sum(self._len, seq)
+        return sum(self._legs(self.length, seq)[1])
 
     def load(self, seq: list[int]) -> float:
         return math.fsum(self.stops[s].assigned_demand_kg for s in seq)
@@ -234,9 +234,8 @@ def _validate_instance(ctx: _Ctx) -> None:
                 f"stop {sid} demand {stop.assigned_demand_kg:.1f} kg exceeds "
                 f"capacity {ctx.fleet.capacity_kg:.1f} kg"
             )
-    for a, row, _ in ctx.nodes:
-        for b, _, col in ctx.nodes:
-            cost = ctx._cost[row][col]
+    for a, line in zip(ctx.nodes, ctx.cost):
+        for b, cost in zip(ctx.nodes, line):
             if math.isinf(cost):
                 raise UnreachableStop(f"no route between nodes {a} and {b}")
             if not cost >= 0:
@@ -279,16 +278,16 @@ def _clarke_wright_seqs(ctx: _Ctx) -> list[list[int]]:
     routes: dict[int, list[int]] = {sid: [sid] for sid in ids}
     head_of = {sid: sid for sid in ids}  # stop -> route id where it is first
     tail_of = {sid: sid for sid in ids}  # stop -> route id where it is last
-    cost = ctx._cost
-    from_depot = cost[ctx.depot_row]
-    to_depot = {j: cost[ctx.stop_row[j]][ctx.depot_col] for j in ids}
+    cost, at = ctx.cost, ctx.at
+    from_depot = cost[0]
+    to_depot = {j: cost[at[j]][0] for j in ids}
     savings = []
     for i in ids:
-        out_i, row_i = from_depot[ctx.stop_col[i]], cost[ctx.stop_row[i]]
+        out_i, line_i = from_depot[at[i]], cost[at[i]]
         for j in ids:
             if i == j:
                 continue
-            s = out_i + to_depot[j] - row_i[ctx.stop_col[j]]
+            s = out_i + to_depot[j] - line_i[at[j]]
             savings.append((s, i, j))
     savings.sort(key=lambda t: (-t[0], t[1], t[2]))
     for s, i, j in savings:
@@ -318,16 +317,16 @@ def _canonical(seqs: list[list[int]]) -> list[list[int]]:
 def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int]) -> list[list[int]]:
     """Put each stop of ``order`` at its cheapest feasible position, priced
     as a one-stop Or-opt segment, or alone in a new trip."""
-    cost = ctx._cost
+    cost = ctx.cost
     seqs: list[list[int]] = []
     for sid in order:
         best: tuple[float, int, int] | None = None
-        col_s, row_s = ctx.stop_col[sid], cost[ctx.stop_row[sid]]
+        at_s = ctx.at[sid]
         for ti, seq in enumerate(seqs):
             # the load is an fsum, correctly rounded: the same at every position
             if not ctx.load_ok(seq + [sid]):
                 continue
-            deltas = _insertion_deltas(cost, *ctx.tour(seq), col_s, row_s, 0.0)
+            deltas = _insertion_deltas(cost, *ctx.tour(seq), at_s, cost[at_s], 0.0)
             for pos, delta in enumerate(deltas):
                 if best is not None and delta >= best[0]:
                     continue
@@ -348,7 +347,7 @@ def _delta_limit(n_legs: int, cost: float) -> float:
     return _ROUND * (n_legs + 8) * cost - _EPS
 
 
-def _flip_prefix(cost, rows, cols, legs) -> list[float]:
+def _flip_prefix(cost, idx, legs) -> list[float]:
     """``flip[k]``: sum over legs m < k of (reverse cost - forward cost).
 
     Reversing the stops between positions i and j turns legs i..j-1
@@ -357,47 +356,47 @@ def _flip_prefix(cost, rows, cols, legs) -> list[float]:
     """
     flip = [0.0]
     for k, leg in enumerate(legs):
-        flip.append(flip[k] + (cost[rows[k + 1]][cols[k]] - leg))
+        flip.append(flip[k] + (cost[idx[k + 1]][idx[k]] - leg))
     return flip
 
 
-def _reversal_deltas(cost, rows, cols, legs, flip, i: int) -> list[float]:
+def _reversal_deltas(cost, idx, legs, flip, i: int) -> list[float]:
     """Drive-cost change of reversing ``seq[i..j]`` for each j > i."""
-    row_in, row_out = cost[rows[i]], cost[rows[i + 1]]
-    n = len(rows) - 2
+    from_in, from_out = cost[idx[i]], cost[idx[i + 1]]
+    n = len(idx) - 2
     start = legs[i] + flip[i + 1]
     # positions i+1..j+1 reversed: arcs i->j+1 and i+1->j+2 replace legs
     # i and j+1; the inner legs flip
-    return [row_in[c_in] + row_out[c_out] + (f - leg) - start
-            for c_in, c_out, f, leg in zip(cols[i + 2:n + 1], cols[i + 3:],
-                                           flip[i + 2:], legs[i + 2:])]
+    return [from_in[to_in] + from_out[to_out] + (f - leg) - start
+            for to_in, to_out, f, leg in zip(idx[i + 2:n + 1], idx[i + 3:],
+                                             flip[i + 2:], legs[i + 2:])]
 
 
-def _removal_delta(cost, rows, cols, legs, p: int, seg_len: int) -> float:
+def _removal_delta(cost, idx, legs, p: int, seg_len: int) -> float:
     """Drive-cost change of cutting ``seq[p:p + seg_len]`` out, leaving
     the segment's own legs aside (they travel with it). An emptied trip
     costs 0, as ``_improve_seqs`` counts it."""
-    n = len(rows) - 2
-    gap = cost[rows[p]][cols[p + seg_len + 1]] if seg_len < n else 0.0
+    n = len(idx) - 2
+    gap = cost[idx[p]][idx[p + seg_len + 1]] if seg_len < n else 0.0
     return gap - legs[p] - legs[p + seg_len]
 
 
-def _without(cost, rows, cols, legs, p: int, seg_len: int):
-    """``rows``, ``cols`` and ``legs`` of the trip with ``seq[p:p + seg_len]``
-    cut out and the gap closed, as ``_Ctx.tour`` would give them."""
+def _without(cost, idx, legs, p: int, seg_len: int):
+    """``idx`` and ``legs`` of the trip with ``seq[p:p + seg_len]`` cut out
+    and the gap closed, as ``_Ctx.tour`` would give them."""
     cut = p + seg_len + 1
-    gap = cost[rows[p]][cols[cut]]
-    return (rows[:p + 1] + rows[cut:], cols[:p + 1] + cols[cut:],
-            legs[:p] + [gap] + legs[cut:])
+    gap = cost[idx[p]][idx[cut]]
+    return idx[:p + 1] + idx[cut:], legs[:p] + [gap] + legs[cut:]
 
 
-def _insertion_deltas(cost, rows, cols, legs, first_col: int, last_row,
+def _insertion_deltas(cost, idx, legs, first: int, from_last,
                       offset: float) -> list[float]:
     """``offset`` plus the drive-cost change of putting a segment between
-    positions q and q + 1, for each q. The segment enters at column
-    ``first_col`` and leaves from the cost row ``last_row``."""
-    return [offset + cost[r][first_col] + last_row[c] - leg
-            for r, c, leg in zip(rows, cols[1:], legs)]
+    positions q and q + 1, for each q. The segment enters at table
+    position ``first`` and leaves along ``from_last``, the cost line of
+    its last stop."""
+    return [offset + cost[a][first] + from_last[b] - leg
+            for a, b, leg in zip(idx, idx[1:], legs)]
 
 
 def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list[int]]:
@@ -410,10 +409,10 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
     feasible. Scans repeat until none improves or ``max_moves`` ran.
 
     Candidates are priced by delta evaluation. At the start of a scan
-    every trip gets its matrix indices and leg costs (``_Ctx.tour``),
+    every trip gets its table positions and leg costs (``_Ctx.tour``),
     its cost (their sum, as ``_Ctx.drive_cost`` takes it), its load and
     the reverse-minus-forward prefix sums of ``_flip_prefix``; the
-    matrix is asymmetric, so a reversed segment changes its inner arcs.
+    costs are asymmetric, so a reversed segment changes its inner arcs.
     A 2-opt delta then costs 4 lookups and a prefix difference, an
     Or-opt delta 6 lookups.
 
@@ -433,7 +432,7 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
     scan order and result are those of pricing every candidate in full.
     """
     seqs = [list(s) for s in seqs if s]
-    cost = ctx._cost
+    cost = ctx.cost
     # a trip loaded beyond this estimate fails ctx.load_ok for sure
     max_load = (ctx.fleet.capacity_kg + _EPS) * (1 + _ROUND)
     moves = 0
@@ -443,12 +442,12 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
             n = len(seq)
             if n < 2:
                 continue
-            rows, cols, legs, base = tours[t]
-            flip = _flip_prefix(cost, rows, cols, legs)
+            idx, legs, base = tours[t]
+            flip = _flip_prefix(cost, idx, legs)
             # the cost bound covers the trip driven both ways
             lim = _delta_limit(n + 1, 2 * base + flip[-1])
             for i in range(n - 1):
-                deltas = _reversal_deltas(cost, rows, cols, legs, flip, i)
+                deltas = _reversal_deltas(cost, idx, legs, flip, i)
                 if min(deltas) >= lim:
                     continue
                 for j, delta in enumerate(deltas, start=i + 1):
@@ -462,7 +461,7 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
 
     def try_or_opt(tours, loads) -> bool:
         for a, seq_a in enumerate(seqs):
-            rows, cols, legs, cost_a_old = tours[a]
+            idx, legs, cost_a_old = tours[a]
             n_a = len(seq_a)
             lim_a = _delta_limit(n_a + 1, cost_a_old)
             demand_a = [ctx.stops[s].assigned_demand_kg for s in seq_a]
@@ -475,17 +474,17 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                     # load_ok at every insert position
                     targets = [b for b, load_b in enumerate(loads)
                                if b == a or load_b + seg_load <= max_load]
-                    first_col = cols[p + 1]
-                    last_row = cost[rows[p + seg_len]]
-                    removal = _removal_delta(cost, rows, cols, legs, p, seg_len)
+                    first = idx[p + 1]
+                    from_last = cost[idx[p + seg_len]]
+                    removal = _removal_delta(cost, idx, legs, p, seg_len)
                     cost_a_new = None
                     for b in targets:
                         if b == a:
                             if not rest_a:
                                 continue
                             deltas = _insertion_deltas(
-                                cost, *_without(cost, rows, cols, legs, p, seg_len),
-                                first_col, last_row, removal)
+                                cost, *_without(cost, idx, legs, p, seg_len),
+                                first, from_last, removal)
                             if min(deltas) >= lim_a:
                                 continue
                             for q, delta in enumerate(deltas):
@@ -498,12 +497,11 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                                     return True
                         else:
                             seq_b = seqs[b]
-                            rows_b, cols_b, legs_b, cost_b_old = tours[b]
+                            idx_b, legs_b, cost_b_old = tours[b]
                             lim = _delta_limit(n_a + len(seq_b) + 2,
                                                cost_a_old + cost_b_old)
                             deltas = _insertion_deltas(
-                                cost, rows_b, cols_b, legs_b,
-                                first_col, last_row, removal)
+                                cost, idx_b, legs_b, first, from_last, removal)
                             if min(deltas) >= lim:
                                 continue
                             for q, delta in enumerate(deltas):
@@ -528,8 +526,8 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
     while moves < max_moves:
         tours = []
         for seq in seqs:
-            rows, cols, legs = ctx.tour(seq)
-            tours.append((rows, cols, legs, sum(legs)))
+            idx, legs = ctx.tour(seq)
+            tours.append((idx, legs, sum(legs)))
         loads = [ctx.load(seq) for seq in seqs]
         if try_two_opt(tours) or try_or_opt(tours, loads):
             moves += 1
@@ -556,7 +554,6 @@ def improve_local(
     matrix: CostMatrix,
     fleet: FleetSpec,
     objective: str = "time",
-    max_moves: int = 10_000,
 ) -> RoutePlan:
     """Descend with 2-opt/Or-opt until no move improves (or budget ends).
 
@@ -566,7 +563,7 @@ def improve_local(
                fleet, objective)
     _validate_instance(ctx)
     seqs = [list(t.stop_ids) for t in plan.all_trips()]
-    return _pack_plan(ctx, _improve_seqs(ctx, seqs, max_moves))
+    return _pack_plan(ctx, _improve_seqs(ctx, seqs, MAX_MOVES))
 
 
 def solve_vrp(
@@ -576,7 +573,6 @@ def solve_vrp(
     fleet: FleetSpec,
     objective: str = "time",
     seed: int = 0,
-    restarts: int = 4,
 ) -> RoutePlan:
     """Best feasible plan from savings construction plus seeded restarts.
 
@@ -586,14 +582,14 @@ def solve_vrp(
     """
     ctx = _Ctx(matrix, stops, depot, fleet, objective)
     _validate_instance(ctx)
-    best_seqs = _improve_seqs(ctx, _clarke_wright_seqs(ctx), 10_000)
+    best_seqs = _improve_seqs(ctx, _clarke_wright_seqs(ctx), MAX_MOVES)
     best_cost = sum(ctx.drive_cost(s) for s in best_seqs)
     ids = sorted(ctx.stops)
-    for r in range(1, max(1, restarts)):
+    for r in range(1, RESTARTS):
         rng = random.Random(seed * 1_000_003 + r)
         order = ids[:]
         rng.shuffle(order)
-        seqs = _improve_seqs(ctx, _cheapest_insertion_seqs(ctx, order), 10_000)
+        seqs = _improve_seqs(ctx, _cheapest_insertion_seqs(ctx, order), MAX_MOVES)
         cost = sum(ctx.drive_cost(s) for s in seqs)
         if cost < best_cost - _EPS:
             best_seqs, best_cost = seqs, cost

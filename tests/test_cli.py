@@ -186,7 +186,9 @@ def test_plan_non_finite_config_number_exits_2(tmp_path, key):
      "'generation_rate_kg_unit_day': must be positive"),
     ("coverage.service_time_s", "-500",
      "coverage.service_time_s must be finite and non-negative"),
-], ids=["rate-negative", "rate-zero", "service-time-negative"])
+    ("depot.max_snap_m", "-5", "'depot.max_snap_m': must be non-negative"),
+], ids=["rate-negative", "rate-zero", "service-time-negative",
+        "max-snap-negative"])
 def test_plan_config_number_of_wrong_sign_exits_2(tmp_path, key, value, message):
     with open(demo_path("four_stops", "scenario.cfg")) as fh:
         lines = [ln for ln in fh.read().splitlines()
@@ -200,6 +202,25 @@ def test_plan_config_number_of_wrong_sign_exits_2(tmp_path, key, value, message)
     assert message in result.output
     assert "stage" not in result.output
     assert not (tmp_path / "stops.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_plan_non_finite_impact_factor_exits_4(tmp_path, value):
+    for name in ("scenario.cfg", "nodes.csv", "edges.csv", "buildings.csv"):
+        shutil.copy(demo_path("four_stops", name), tmp_path / name)
+    factors = tmp_path / "factors.csv"
+    factors.write_text("class,quantity,per_km,per_stop\n"
+                       "4t,energy_mj,62.02,0.5\n"
+                       f"4t,co2_g,19.5,{value}\n")
+    with open(tmp_path / "scenario.cfg", "a") as fh:
+        fh.write("factors=factors.csv\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["plan", str(tmp_path / "scenario.cfg"), "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{factors}: class '4t' co2_g: co2_g_per_stop must be finite" \
+        in result.output
+    assert not (out / "summary.cfg").exists()
 
 
 def test_synth_unknown_key_exits_2(tmp_path):

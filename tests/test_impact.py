@@ -85,6 +85,12 @@ def test_negative_inputs_rejected():
         time_consumption(-1, 0, 0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_impact_factors_reject_a_value_that_is_not_finite(value):
+    with pytest.raises(NegativeInput, match="co2_g_per_stop must be finite"):
+        ImpactFactors(co2_g_per_stop=value)
+
+
 def test_emission_totals_from_calibrated_factors():
     f_existing = calibrate_factors(DUMPSTER)
     co, co2, nox = emissions(1756, 0, f_existing)

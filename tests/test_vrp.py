@@ -332,6 +332,13 @@ def test_distance_objective_reads_distance_matrix():
         solve_vrp(m_dist, stops, DEPOT, FleetSpec(), "time", seed=0)
 
 
+@pytest.mark.parametrize("name", ["capacity_kg", "unload_s", "shift_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_fleet_spec_rejects_a_value_that_is_not_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        FleetSpec(**{name: value})
+
+
 def test_demand_above_capacity_is_infeasible():
     m = matrix_from_points({0: (0.0, 0.0), 1: (100.0, 0.0)})
     with pytest.raises(InfeasibleStop):

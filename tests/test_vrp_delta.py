@@ -1,14 +1,14 @@
-"""Index-based construction and delta-evaluated local search against
+"""Position-based construction and delta-evaluated local search against
 the node-id, full-recompute reference.
 
 ``mswplan.vrp._improve_seqs`` prices moves from per-trip prefix data and
 confirms only promising ones by full recomputation; the savings and
-insertion constructions read the matrix by index. These tests hold them
-to the verbatim originals in ``vrp_reference.py`` on random instances
-built to stress them: asymmetric matrices with non-integer and
-tie-prone costs, rows and columns in shuffled orders, stops sharing
-nodes, and capacity and shift limits tight enough that the feasibility
-vetoes fire, under both objectives.
+insertion constructions read the instance tables by position. These
+tests hold them to the verbatim originals in ``vrp_reference.py`` on
+random instances built to stress them: asymmetric matrices with
+non-integer and tie-prone costs, rows and columns in shuffled orders,
+stops sharing nodes, and capacity and shift limits tight enough that
+the feasibility vetoes fire, under both objectives.
 """
 
 import math
@@ -87,8 +87,8 @@ def random_instance(seed: int, n_stops: int, n_nodes: int, objective: str,
                 for s in stops) + unload
     fleet = FleetSpec(capacity_kg=capacity, unload_s=unload,
                       shift_s=alone * rng.uniform(1.0, 2.5))
-    # rows and columns in their own orders, neither that of the node ids,
-    # so reading a row index as a column or a node id as an index shows
+    # matrix rows and columns in their own orders, neither that of the node
+    # ids, so a wrong row or column map in _Ctx.__init__ shows
     origins, destinations = list(ids), list(ids)
     rng.shuffle(origins)
     rng.shuffle(destinations)
@@ -102,6 +102,29 @@ def random_instance(seed: int, n_stops: int, n_nodes: int, objective: str,
     ctx = _Ctx(matrix, stops, Depot(0), fleet, objective)
     _validate_instance(ctx)
     return ctx, [s.id for s in stops], matrix
+
+
+@DETERMINISTIC
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_stops=st.integers(1, 12),
+    n_nodes=st.integers(1, 8),
+    objective=st.sampled_from(vrp.OBJECTIVES),
+)
+def test_instance_tables_equal_the_matrix_by_node_id(seed, n_stops, n_nodes,
+                                                     objective):
+    ctx, ids, matrix = random_instance(seed, n_stops, n_nodes, objective,
+                                       "uniform")
+    row = {nid: i for i, nid in enumerate(matrix.origins)}
+    col = {nid: i for i, nid in enumerate(matrix.destinations)}
+    assert ctx.cost is (ctx.time if objective == "time" else ctx.length)
+    for table, cells in ((ctx.time, matrix.time_s), (ctx.length, matrix.length_m)):
+        assert len(table) == len(ctx.nodes)
+        for a, line in zip(ctx.nodes, table):
+            assert line == [cells[row[a]][col[b]] for b in ctx.nodes]
+    # the depot is position 0 and listed once; each stop sits at its node
+    assert ctx.nodes[0] == 0 and len(set(ctx.nodes)) == len(ctx.nodes)
+    assert all(ctx.nodes[ctx.at[sid]] == ctx.stops[sid].node for sid in ids)
 
 
 def starting_seqs(ctx, ids, rng, start: str) -> list[list[int]]:
@@ -199,30 +222,30 @@ def test_move_deltas_equal_recomputed_cost_differences(seed, n_stops, style):
     rng.shuffle(ids)
     cut = rng.randint(1, len(ids) - 1)
     seq_a, seq_b = ids[:cut], ids[cut:]
-    cost = ctx._cost
-    rows, cols, legs = ctx.tour(seq_a)
+    cost = ctx.cost
+    idx, legs = ctx.tour(seq_a)
     cost_a, cost_b = ctx.drive_cost(seq_a), ctx.drive_cost(seq_b)
     scale = cost_a + cost_b
     assert cost_a == full_recompute(ctx, matrix).drive_cost(seq_a)
 
-    flip = _flip_prefix(cost, rows, cols, legs)
+    flip = _flip_prefix(cost, idx, legs)
     for i in range(len(seq_a) - 1):
-        deltas = _reversal_deltas(cost, rows, cols, legs, flip, i)
+        deltas = _reversal_deltas(cost, idx, legs, flip, i)
         assert len(deltas) == len(seq_a) - 1 - i
         for j, delta in enumerate(deltas, start=i + 1):
             cand = seq_a[:i] + seq_a[i:j + 1][::-1] + seq_a[j + 1:]
             assert close(delta, ctx.drive_cost(cand) - cost_a, scale)
 
-    rows_b, cols_b, legs_b = ctx.tour(seq_b)
+    idx_b, legs_b = ctx.tour(seq_b)
     for seg_len in (1, 2):
         for p in range(len(seq_a) - seg_len + 1):
             seg = seq_a[p:p + seg_len]
             rest = seq_a[:p] + seq_a[p + seg_len:]
-            removal = _removal_delta(cost, rows, cols, legs, p, seg_len)
-            first_col, last_row = cols[p + 1], cost[rows[p + seg_len]]
+            removal = _removal_delta(cost, idx, legs, p, seg_len)
+            first, from_last = idx[p + 1], cost[idx[p + seg_len]]
             cost_rest = ctx.drive_cost(rest) if rest else 0.0
-            deltas = _insertion_deltas(cost, rows_b, cols_b, legs_b,
-                                       first_col, last_row, removal)
+            deltas = _insertion_deltas(cost, idx_b, legs_b, first, from_last,
+                                       removal)
             assert len(deltas) == len(seq_b) + 1
             for q, delta in enumerate(deltas):
                 cand_b = seq_b[:q] + seg + seq_b[q:]
@@ -230,9 +253,9 @@ def test_move_deltas_equal_recomputed_cost_differences(seed, n_stops, style):
                 assert close(delta, recomputed, scale)
             if not rest:
                 continue
-            rest_tour = _without(cost, rows, cols, legs, p, seg_len)
+            rest_tour = _without(cost, idx, legs, p, seg_len)
             assert rest_tour == ctx.tour(rest)
-            deltas = _insertion_deltas(cost, *rest_tour, first_col, last_row,
+            deltas = _insertion_deltas(cost, *rest_tour, first, from_last,
                                        removal)
             for q, delta in enumerate(deltas):
                 cand = rest[:q] + seg + rest[q:]

@@ -3,11 +3,11 @@ full-recompute descent that ``mswplan.vrp`` replaced, kept verbatim.
 
 Every candidate move is priced by recomputing the changed trips in
 full with ``drive_cost``, and construction reads each cost by node id
-through ``c``. ``tests/test_vrp_delta.py`` requires the index-based
+through ``c``. ``tests/test_vrp_delta.py`` requires the position-based
 construction and the delta-evaluated descent to return exactly the same
-sequences. Run them on ``full_recompute(ctx, matrix)``, which builds its
-own node-id lookup from the matrix, so the reference shares no cost path
-with the code under test.
+sequences. Run them on ``full_recompute(ctx, matrix)``, which reads
+``matrix.cost`` by node id, so the reference shares no cost table with
+the code under test.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from mswplan.vrp import _EPS, _canonical, _Ctx, _seq_feasible
 
 class _FullRecomputeCtx(_Ctx):
     def c(self, a: int, b: int) -> float:
-        return self._cost[self._row[a]][self._col[b]]
+        return self.matrix_cost[self._row[a]][self._col[b]]
 
     def drive_cost(self, seq: list[int]) -> float:
         nodes = [self.depot] + [self.node_of[s] for s in seq] + [self.depot]
@@ -30,6 +30,7 @@ def full_recompute(ctx: _Ctx, matrix: CostMatrix) -> _Ctx:
     ref = object.__new__(_FullRecomputeCtx)
     ref.__dict__.update(ctx.__dict__)
     ref.node_of = {s.id: s.node for s in ctx.stops.values()}
+    ref.matrix_cost = matrix.cost
     ref._row = {nid: i for i, nid in enumerate(matrix.origins)}
     ref._col = {nid: i for i, nid in enumerate(matrix.destinations)}
     return ref
