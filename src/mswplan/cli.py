@@ -29,8 +29,9 @@ from .errors import (
     Unreachable,
     UnreachableStop,
 )
-from .pipeline import (load_scenario_config, load_summary, parse_kv_file,
-                       reject_unknown_keys, run_pipeline)
+from .pipeline import (ScenarioConfig, load_scenario_config, load_summary,
+                       parse_kv_file, read_fields, reject_unknown_keys,
+                       run_pipeline)
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -107,13 +108,9 @@ def synth_city(specfile: str, out_dir: str) -> None:
     """Generate a synthetic grid city from a SPECFILE (key=value)."""
     try:
         kv = parse_kv_file(specfile)
-        types = {f.name: type(f.default) for f in fields(synth.SyntheticCitySpec)}
-        reject_unknown_keys(specfile, kv, types)
-        try:
-            spec = synth.SyntheticCitySpec(**{k: types[k](v) for k, v in kv.items()})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        paths = synth.write_city(spec, out_dir)
+        reject_unknown_keys(specfile, kv,
+                            [f.name for f in fields(synth.SyntheticCitySpec)])
+        paths = synth.write_city(read_fields(kv, synth.SyntheticCitySpec), out_dir)
     except PlannerError as exc:
         _fail(exc)
         return
@@ -148,7 +145,8 @@ def compare(existing: str, proposed: str, fmt: str) -> None:
               help="Service radius in meters.")
 @click.option("--mode", type=click.Choice(["network", "euclidean"]),
               default="network", show_default=True)
-@click.option("--rate", type=float, default=2.49, show_default=True,
+@click.option("--rate", type=float,
+              default=ScenarioConfig.generation_rate_kg_unit_day, show_default=True,
               help="Waste generation rate, kg per dwelling unit per day.")
 def verify(stops_file: str, buildings: str, network_dir: str,
            radius: float, mode: str, rate: float) -> None:

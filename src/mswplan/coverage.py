@@ -63,8 +63,7 @@ class CoverageConfig:
 
 
 def aggregate_demand(
-    buildings: list[tuple[int, float, float, int]],
-    rate_kg_per_unit_day: float = 2.49,
+    buildings: list[tuple[int, float, float, int]], rate_kg_per_unit_day: float,
 ) -> list[DemandPoint]:
     """Turn (id, x, y, dwelling_units) building rows into demand points."""
     if not 0 < rate_kg_per_unit_day < math.inf:
@@ -270,19 +269,15 @@ STOP_HEADER = ["stop_id", "node_id", "assigned_kg", "service_time_s", "covered_i
 
 
 def load_buildings(path: str) -> list[tuple[int, float, float, int]]:
-    rows = []
+    rows = _read_table(path, BUILDING_HEADER, "building",
+                       lambda r: (int(r[0]), float(r[1]), float(r[2]), int(r[3])))
     seen: set[int] = set()
-    for row in _read_table(path, BUILDING_HEADER):
-        try:
-            bid, x, y, units = int(row[0]), float(row[1]), float(row[2]), int(row[3])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: bad building row {row}") from exc
+    for bid, x, y, _ in rows:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DataError(f"{path}: building {bid} has non-finite coordinates")
         if bid in seen:
             raise DataError(f"{path}: building id {bid} appears more than once")
         seen.add(bid)
-        rows.append((bid, x, y, units))
     return rows
 
 
@@ -311,28 +306,24 @@ def write_stops(stops: list[StopPoint], path: str) -> None:
 
 
 def load_stops(path: str) -> list[StopPoint]:
-    out = []
+    stops = _read_table(
+        path, STOP_HEADER, "stop",
+        lambda r: StopPoint(int(r[0]), int(r[1]), float(r[2]), float(r[3]),
+                            [int(t) for t in r[4].split(";") if t != ""]))
     stop_ids: set[int] = set()
     stop_of: dict[int, int] = {}  # demand id -> the stop listing it
-    for row in _read_table(path, STOP_HEADER):
-        try:
-            sid, node = int(row[0]), int(row[1])
-            kg, service = float(row[2]), float(row[3])
-            covered = [int(t) for t in row[4].split(";") if t != ""]
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: bad stop row {row}") from exc
-        for name, value in (("assigned_kg", kg), ("service_time_s", service)):
+    for s in stops:
+        for name, value in (("assigned_kg", s.assigned_demand_kg),
+                            ("service_time_s", s.service_time_s)):
             if not 0 <= value < math.inf:
-                raise DataError(f"{path}: stop {sid} {name} {value} is not a "
+                raise DataError(f"{path}: stop {s.id} {name} {value} is not a "
                                 "finite non-negative number")
-        if sid in stop_ids:
-            raise DataError(f"{path}: stop {sid} is listed twice")
-        stop_ids.add(sid)
-        for d in covered:
+        if s.id in stop_ids:
+            raise DataError(f"{path}: stop {s.id} is listed twice")
+        stop_ids.add(s.id)
+        for d in s.covered_demand_ids:
             if d in stop_of:
                 raise DataError(f"{path}: demand {d} is listed under stop "
-                                f"{stop_of[d]} and again under stop {sid}")
-            stop_of[d] = sid
-        out.append(StopPoint(id=sid, node=node, assigned_demand_kg=kg,
-                             service_time_s=service, covered_demand_ids=covered))
-    return out
+                                f"{stop_of[d]} and again under stop {s.id}")
+            stop_of[d] = s.id
+    return stops

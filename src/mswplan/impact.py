@@ -240,12 +240,9 @@ def write_factors(factors_by_class: dict[str, ImpactFactors], path: str) -> None
 
 def load_factors(path: str) -> dict[str, ImpactFactors]:
     out: dict[str, ImpactFactors] = {}
-    for row in _read_table(path, FACTOR_HEADER):
-        try:
-            cls, quantity = row[0], row[1]
-            per_km, per_stop = float(row[2]), float(row[3])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: bad factor row {row}") from exc
+    rows = _read_table(path, FACTOR_HEADER, "factor",
+                       lambda r: (r[0], r[1], float(r[2]), float(r[3])))
+    for cls, quantity, per_km, per_stop in rows:
         if quantity not in _QUANTITIES:
             raise DataError(f"{path}: unknown quantity {quantity!r}")
         try:

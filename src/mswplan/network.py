@@ -454,53 +454,44 @@ EDGE_HEADER = ["from_id", "to_id", "length_m", "speed_kmh"]
 TURN_HEADER = ["from_edge_index", "to_edge_index", "penalty_s"]
 
 
-def _read_table(path: str, header: list[str]) -> list[list[str]]:
+def _read_table(path: str, header: list[str], what: str, convert) -> list:
+    """``convert`` of each non-blank row of the UTF-8 CSV table at ``path``.
+
+    A file that cannot be read or decoded, a first row other than
+    ``header``, or a row ``convert`` fails on with a ValueError or an
+    IndexError is a DataError naming the path.
+    """
+    out = []
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = csv.reader(fh)
+            if next(rows, None) != header:
+                raise DataError(f"{path}: expected header {','.join(header)}")
+            for row in rows:
+                if row:
+                    try:
+                        out.append(convert(row))
+                    except (ValueError, IndexError) as exc:
+                        raise DataError(f"{path}: bad {what} row {row}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0] != header:
-        raise DataError(f"{path}: expected header {','.join(header)}")
-    return [r for r in rows[1:] if r]
+    return out
 
 
 def load_nodes(path: str) -> list[Node]:
-    out = []
-    for row in _read_table(path, NODE_HEADER):
-        try:
-            out.append(Node(id=int(row[0]), x_m=float(row[1]), y_m=float(row[2])))
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: bad node row {row}") from exc
-    return out
+    return _read_table(path, NODE_HEADER, "node",
+                       lambda r: Node(int(r[0]), float(r[1]), float(r[2])))
 
 
 def load_edges(path: str) -> list[Edge]:
-    out = []
-    for row in _read_table(path, EDGE_HEADER):
-        try:
-            out.append(
-                Edge(
-                    from_id=int(row[0]),
-                    to_id=int(row[1]),
-                    length_m=float(row[2]),
-                    speed_kmh=float(row[3]),
-                )
-            )
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: bad edge row {row}") from exc
-    return out
+    return _read_table(
+        path, EDGE_HEADER, "edge",
+        lambda r: Edge(int(r[0]), int(r[1]), float(r[2]), float(r[3])))
 
 
 def load_turn_penalties(path: str) -> dict[tuple[int, int], float]:
-    out: dict[tuple[int, int], float] = {}
-    for row in _read_table(path, TURN_HEADER):
-        try:
-            out[(int(row[0]), int(row[1]))] = float(row[2])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: bad turn-penalty row {row}") from exc
-    return out
+    return dict(_read_table(path, TURN_HEADER, "turn-penalty",
+                            lambda r: ((int(r[0]), int(r[1])), float(r[2]))))
 
 
 def load_network(

@@ -1,33 +1,39 @@
 """End-to-end scenario runs: ingest, cover, route, assess, emit.
 
-Configuration is a flat ``key=value`` text file with dotted section
-keys (``fleet.capacity_kg=4000``); a key it does not read, or a key
-given twice, is a configuration error. Relative paths are resolved
-against the config file's directory. The "existing" scenario is
-supplied as a summary block rather than re-solved: the incumbent
-system is observed, not optimized.
+Configuration is a flat UTF-8 ``key=value`` text file with dotted
+section keys (``fleet.capacity_kg=4000``); a key it does not read, or a
+key given twice, is a configuration error. One reader,
+:func:`read_fields`, turns such keys into a dataclass: the
+``coverage.*`` and ``fleet.*`` sections, the ``existing.*`` and
+``proposed.*`` summary blocks, ``compare`` summary files and ``synth``
+spec files. Each field's type decides how its text is parsed, and a key
+left out keeps the dataclass default, so every default is written once,
+on its field. The top-level keys map onto :class:`ScenarioConfig`
+fields through one table. Relative paths are resolved against the
+config file's directory. The "existing" scenario is supplied as a
+summary block rather than re-solved: the incumbent system is observed,
+not optimized.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields
 
 from . import coverage as cov
 from . import impact, network, vrp
-from .errors import ConfigError, PlannerError, StageError
+from .errors import ConfigError, InconsistentSummary, PlannerError, StageError
 from .geometry import route_geometry, write_geojson
-
-_SUMMARY_NUMERIC = [f.name for f in fields(impact.ScenarioSummary) if f.name != "name"]
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
-    """Read ``key=value`` lines; '#' starts a comment, blanks ignored."""
+    """Read UTF-8 ``key=value`` lines; '#' starts a comment, blanks ignored."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -49,65 +55,83 @@ def reject_unknown_keys(path: str, kv: dict[str, str], known) -> None:
         raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
 
 
-def _get_float(kv: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        value = float(kv[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {kv[key]!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r}: not a finite number: {kv[key]!r}")
-    return value
+#: Field annotation -> (parser of a key's text, what a bad text is not).
+#: A field of any other type takes the text as it is.
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "tuple[int, ...] | None": (
+        lambda text: tuple(int(t) for t in text.split(";")) if text else None,
+        "a ;-separated list of integers"),
+}
 
 
-def _get_int(kv: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in kv:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+def _field_values(kv: dict[str, str], cls, field_of: dict[str, str]) -> dict:
+    """``{field: value}`` parsed from the keys of ``kv`` that ``field_of``
+    maps to fields of ``cls``. A number must be finite, and a field
+    without a default needs its key; errors name the key."""
+    by_name = {f.name: f for f in fields(cls)}
+    values = {}
+    for key, name in field_of.items():
+        f = by_name[name]
+        if key not in kv:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing required key {key!r}")
+            continue
+        # a type, or its name under postponed annotations
+        parse, what = _PARSERS.get(getattr(f.type, "__name__", f.type), (str, ""))
+        try:
+            values[name] = value = parse(kv[key])
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: not {what}: {kv[key]!r}") from exc
+        # NaN, an infinity and an integer beyond the float range all fail
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"key {key!r}: not a finite number: {kv[key]!r}")
+    return values
+
+
+def read_fields(kv: dict[str, str], cls, prefix: str = ""):
+    """``cls`` built from the ``<prefix><field>`` keys of ``kv``.
+
+    An int or float field takes a finite number and any other field the
+    text (a tuple of node ids, ';'-separated). A field without a key
+    keeps its default. A ValueError from ``cls`` becomes a ConfigError;
+    the section classes start those messages with the field name, so
+    ``prefix`` makes them name the key.
+    """
+    values = _field_values(kv, cls, {prefix + f.name: f.name for f in fields(cls)})
     try:
-        return int(kv[key])
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {kv[key]!r}") from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+#: The values a summary takes for the keys a summary file may leave out
+#: although ScenarioSummary has no default for them.
+_SUMMARY_DEFAULTS = {"name": "scenario", "n_stops": "0"}
 
 
 def summary_from_mapping(kv: dict[str, str], prefix: str = "") -> impact.ScenarioSummary:
-    """Build a ScenarioSummary from flat keys like ``<prefix>total_km``."""
-    values = {}
-    for name in _SUMMARY_NUMERIC:
-        key = prefix + name
-        if name in ("n_trucks", "n_stops"):
-            values[name] = _get_int(kv, key, 0 if name == "n_stops" else None)
-        else:
-            default = 0.0 if name.endswith("_day") else None
-            values[name] = _get_float(kv, key, default)
+    """Build a ScenarioSummary from flat keys like ``<prefix>total_km``;
+    a summary that fails its consistency gate is a configuration error."""
+    defaults = {prefix + k: v for k, v in _SUMMARY_DEFAULTS.items()}
     try:
-        return impact.ScenarioSummary(name=kv.get(prefix + "name", "scenario"),
-                                      **values)
-    except PlannerError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise ConfigError(f"bad summary block {prefix!r}: {exc}") from exc
+        return read_fields(defaults | kv, impact.ScenarioSummary, prefix)
+    except InconsistentSummary as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_summary(path: str) -> impact.ScenarioSummary:
     kv = parse_kv_file(path)
-    reject_unknown_keys(path, kv, {"name", *_SUMMARY_NUMERIC})
+    reject_unknown_keys(path, kv, [f.name for f in fields(impact.ScenarioSummary)])
     return summary_from_mapping(kv)
 
 
 def write_summary(summary: impact.ScenarioSummary, path: str) -> None:
+    """Write the file :func:`load_summary` reads. ``str`` of a float is its
+    ``repr``, which reads back exactly."""
     with open(path, "w") as fh:
-        fh.write(f"name={summary.name}\n")
-        for name in _SUMMARY_NUMERIC:
-            value = getattr(summary, name)
-            if name in ("n_trucks", "n_stops"):
-                fh.write(f"{name}={value}\n")
-            else:
-                fh.write(f"{name}={value!r}\n")
+        fh.writelines(f"{f.name}={getattr(summary, f.name)}\n" for f in fields(summary))
 
 
 @dataclass
@@ -130,98 +154,62 @@ class ScenarioConfig:
     existing: impact.ScenarioSummary | None = None
     proposed_override: impact.ScenarioSummary | None = None
 
+    def __post_init__(self):
+        if not self.depot_max_snap_m >= 0:
+            raise ConfigError("key 'depot.max_snap_m': must be non-negative, "
+                              f"got {self.depot_max_snap_m}")
+        if not self.generation_rate_kg_unit_day > 0:
+            raise ConfigError("key 'generation_rate_kg_unit_day': must be "
+                              f"positive, got {self.generation_rate_kg_unit_day}")
+        if self.objective not in vrp.OBJECTIVES:
+            raise ConfigError(f"objective must be one of {vrp.OBJECTIVES}")
+
+
+#: Each top-level scenario key and the ScenarioConfig field it sets.
+_TOP_LEVEL_KEYS = {
+    "network.nodes": "nodes_path",
+    "network.edges": "edges_path",
+    "network.turns": "turns_path",
+    "buildings": "buildings_path",
+    "factors": "factors_path",
+    "depot.x_m": "depot_x_m",
+    "depot.y_m": "depot_y_m",
+    "depot.max_snap_m": "depot_max_snap_m",
+    "objective": "objective",
+    "seed": "seed",
+    "generation_rate_kg_unit_day": "generation_rate_kg_unit_day",
+    "scenario_name": "scenario_name",
+    "truck_class": "truck_class",
+}
 
 #: Every key ``load_scenario_config`` reads; any other key is an error.
-SCENARIO_KEYS = frozenset(
-    ["network.nodes", "network.edges", "network.turns", "buildings",
-     "depot.x_m", "depot.y_m", "depot.max_snap_m", "objective", "seed",
-     "generation_rate_kg_unit_day", "scenario_name", "factors", "truck_class"]
-    + [f"{section}.{f.name}" for section, cls in (
+SCENARIO_KEYS = frozenset(_TOP_LEVEL_KEYS).union(
+    f"{section}.{f.name}" for section, cls in (
         ("coverage", cov.CoverageConfig), ("fleet", vrp.FleetSpec),
         ("existing", impact.ScenarioSummary), ("proposed", impact.ScenarioSummary))
-       for f in fields(cls)]
-)
-
-
-def _candidate_nodes(text: str) -> tuple[int, ...] | None:
-    try:
-        return tuple(int(t) for t in text.split(";")) if text else None
-    except ValueError as exc:
-        raise ConfigError("coverage.candidate_nodes: expected ;-separated "
-                          "integers") from exc
-
-
-def _section(kv: dict[str, str], section: str, cls, **parsers):
-    """``cls`` from the ``<section>.<field>`` keys of ``kv``: a field without
-    a key keeps its default, a field without a parser is a number."""
-    values = {}
-    for f in fields(cls):
-        key = f"{section}.{f.name}"
-        if key in kv:
-            parse = parsers.get(f.name)
-            values[f.name] = parse(kv[key]) if parse else _get_float(kv, key)
-    # the messages of both classes start with the field name, so the
-    # section prefix makes them name the key
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
+    for f in fields(cls))
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
     kv = parse_kv_file(path)
     reject_unknown_keys(path, kv, SCENARIO_KEYS)
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(key: str, required: bool = True) -> str | None:
-        if key not in kv:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return None
-        p = kv[key]
-        full = p if os.path.isabs(p) else os.path.join(base, p)
-        if not os.path.exists(full):
-            raise ConfigError(f"key {key!r}: file not found: {full}")
-        return full
-
-    coverage_cfg = _section(kv, "coverage", cov.CoverageConfig, distance_mode=str,
-                            candidate_nodes=_candidate_nodes)
-    fleet = _section(kv, "fleet", vrp.FleetSpec)
-    max_snap = _get_float(kv, "depot.max_snap_m", 500.0)
-    if not max_snap >= 0:
-        raise ConfigError(
-            f"key 'depot.max_snap_m': must be non-negative, got {max_snap}")
-    rate = _get_float(kv, "generation_rate_kg_unit_day", 2.49)
-    if not rate > 0:
-        raise ConfigError(
-            f"key 'generation_rate_kg_unit_day': must be positive, got {rate}")
-    objective = kv.get("objective", "time")
-    if objective not in vrp.OBJECTIVES:
-        raise ConfigError(f"objective must be one of {vrp.OBJECTIVES}")
-    existing = None
-    if any(k.startswith("existing.") for k in kv):
-        existing = summary_from_mapping(kv, "existing.")
-    proposed_override = None
-    if any(k.startswith("proposed.") for k in kv):
-        proposed_override = summary_from_mapping(kv, "proposed.")
+    values = _field_values(kv, ScenarioConfig, _TOP_LEVEL_KEYS)
+    for key, name in _TOP_LEVEL_KEYS.items():
+        if name.endswith("_path") and name in values:
+            # joining keeps an absolute path as it is
+            values[name] = full = os.path.join(base, values[name])
+            if not os.path.exists(full):
+                raise ConfigError(f"key {key!r}: file not found: {full}")
+    existing, proposed = (
+        summary_from_mapping(kv, prefix) if any(k.startswith(prefix) for k in kv)
+        else None for prefix in ("existing.", "proposed."))
     return ScenarioConfig(
-        nodes_path=resolve("network.nodes"),
-        edges_path=resolve("network.edges"),
-        buildings_path=resolve("buildings"),
-        turns_path=resolve("network.turns", required=False),
-        depot_x_m=_get_float(kv, "depot.x_m"),
-        depot_y_m=_get_float(kv, "depot.y_m"),
-        depot_max_snap_m=max_snap,
-        coverage=coverage_cfg,
-        fleet=fleet,
-        objective=objective,
-        seed=_get_int(kv, "seed", 0),
-        generation_rate_kg_unit_day=rate,
-        scenario_name=kv.get("scenario_name", "proposed"),
-        factors_path=resolve("factors", required=False),
-        truck_class=kv.get("truck_class"),
+        coverage=read_fields(kv, cov.CoverageConfig, "coverage."),
+        fleet=read_fields(kv, vrp.FleetSpec, "fleet."),
         existing=existing,
-        proposed_override=proposed_override,
+        proposed_override=proposed,
+        **values,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -23,8 +24,8 @@ class SyntheticCitySpec:
     def __post_init__(self):
         if self.grid_x < 1 or self.grid_y < 1:
             raise ValueError("grid dimensions must be at least 1x1")
-        if self.block_m <= 0 or self.speed_kmh <= 0:
-            raise ValueError("block_m and speed_kmh must be positive")
+        if not (0 < self.block_m < math.inf and 0 < self.speed_kmh < math.inf):
+            raise ValueError("block_m and speed_kmh must be finite and positive")
         if self.buildings_per_block < 0 or self.units_per_building < 0:
             raise ValueError("densities must be non-negative")
 

@@ -377,3 +377,80 @@ def test_verify_stop_inconsistent_with_the_demands_exits_4(tmp_path, row,
     for message in messages:
         assert message in result.output
     assert "coverage OK" not in result.output
+
+
+def test_non_utf8_summary_or_table_is_a_typed_error(tmp_path):
+    summary = tmp_path / "summary.cfg"
+    with open(demo_path("summaries", "proposed.cfg"), "rb") as fh:
+        summary.write_bytes(fh.read() + b"# \xff\n")
+    result = CliRunner().invoke(
+        main, ["compare", demo_path("summaries", "existing.cfg"), str(summary)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"cannot read {summary}: 'utf-8' codec" in result.output
+
+    buildings = tmp_path / "buildings.csv"
+    with open(demo_path("four_stops", "buildings.csv"), "rb") as fh:
+        buildings.write_bytes(fh.read() + b"999,0.0,0.0,8\xff\n")
+    result = CliRunner().invoke(
+        main, ["verify", os.path.join(GOLDEN, "stops.csv"), str(buildings),
+               demo_path("four_stops")])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"cannot read {buildings}: 'utf-8' codec" in result.output
+
+
+@pytest.mark.parametrize("line", ["block_m=nan", "speed_kmh=inf",
+                                  "block_m=-inf"])
+def test_synth_non_finite_spec_number_exits_2(tmp_path, line):
+    spec = tmp_path / "city.cfg"
+    spec.write_text(f"seed=5\n{line}\n")
+    result = CliRunner().invoke(
+        main, ["synth", str(spec), "--out", str(tmp_path / "city")])
+    assert result.exit_code == 2, result.output
+    key = line.split("=")[0]
+    assert f"key {key!r}: not a finite number" in result.output
+    assert not (tmp_path / "city").exists()
+
+
+def test_compare_inconsistent_summary_exits_2(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    with open(demo_path("summaries", "proposed.cfg")) as fh:
+        bad.write_text(fh.read().replace("total_km=3347", "total_km=-3347"))
+    result = CliRunner().invoke(
+        main, ["compare", demo_path("summaries", "existing.cfg"), str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "door-to-door: total_km is negative" in result.output
+
+
+def test_verify_rate_default_is_the_scenario_default(monkeypatch):
+    import importlib
+
+    import mswplan.cli as cli
+    from mswplan.pipeline import ScenarioConfig
+
+    def rate_default():
+        return next(p.default for p in cli.verify.params if p.name == "rate")
+
+    assert rate_default() == ScenarioConfig.generation_rate_kg_unit_day
+    # the option reads the field default when the module is built, so a
+    # changed default reaches it without a second literal
+    monkeypatch.setattr(ScenarioConfig, "generation_rate_kg_unit_day", 3.25)
+    try:
+        importlib.reload(cli)
+        assert rate_default() == 3.25
+    finally:
+        monkeypatch.undo()
+        importlib.reload(cli)
+
+
+def test_count_beyond_the_float_range_exits_2(tmp_path):
+    huge = "1" + "0" * 400
+    bad = tmp_path / "huge.cfg"
+    with open(demo_path("summaries", "proposed.cfg")) as fh:
+        bad.write_text(fh.read().replace("n_trucks=50", f"n_trucks={huge}"))
+    result = CliRunner().invoke(
+        main, ["compare", demo_path("summaries", "existing.cfg"), str(bad)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "'n_trucks': not a finite number" in result.output

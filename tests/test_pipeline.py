@@ -2,12 +2,16 @@ import json
 import math
 import os
 
+from dataclasses import dataclass
+
 import pytest
 
+from mswplan.coverage import CoverageConfig
 from mswplan.errors import ConfigError, NoNodeWithinRange, StageError
 from mswplan.impact import ScenarioSummary
 from mswplan.pipeline import (
     SCENARIO_KEYS,
+    ScenarioConfig,
     load_scenario_config,
     load_summary,
     run_pipeline,
@@ -135,6 +139,55 @@ def test_unknown_config_keys_rejected(tmp_path):
 def test_removed_fleet_keys_rejected(tmp_path, key):
     with pytest.raises(ConfigError, match=key):
         load_scenario_config(four_stops_config(tmp_path, f"{key}=600\n"))
+
+
+def test_minimal_config_takes_the_scenario_config_defaults(tmp_path, monkeypatch):
+    import mswplan.pipeline as pipeline
+
+    path = four_stops_config(tmp_path)  # the required keys only
+    cfg = load_scenario_config(path)
+    assert cfg == ScenarioConfig(cfg.nodes_path, cfg.edges_path,
+                                 cfg.buildings_path, 0.0, -2000.0,
+                                 CoverageConfig(), FleetSpec())
+
+    # the loader passes no value for a key it was not given, so a default
+    # changed on the class is the loader's default too
+    @dataclass
+    class Shifted(ScenarioConfig):
+        objective: str = "distance"
+        seed: int = 42
+        generation_rate_kg_unit_day: float = 3.25
+        depot_max_snap_m: float = 75.0
+        scenario_name: str = "shifted"
+
+    monkeypatch.setattr(pipeline, "ScenarioConfig", Shifted)
+    shifted = load_scenario_config(path)
+    assert (shifted.objective, shifted.seed, shifted.generation_rate_kg_unit_day,
+            shifted.depot_max_snap_m, shifted.scenario_name) == \
+        ("distance", 42, 3.25, 75.0, "shifted")
+
+
+def test_candidate_nodes_key_reads_a_list_of_node_ids(tmp_path):
+    cfg = load_scenario_config(four_stops_config(
+        tmp_path, "coverage.candidate_nodes=1;5;9\n"))
+    assert cfg.coverage.candidate_nodes == (1, 5, 9)
+    with pytest.raises(ConfigError, match="coverage.candidate_nodes"):
+        load_scenario_config(four_stops_config(
+            tmp_path, "coverage.candidate_nodes=1;x\n"))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("depot_max_snap_m", -5.0, "'depot.max_snap_m': must be non-negative"),
+    ("generation_rate_kg_unit_day", 0.0,
+     "'generation_rate_kg_unit_day': must be positive"),
+    ("generation_rate_kg_unit_day", math.nan,
+     "'generation_rate_kg_unit_day': must be positive"),
+    ("objective", "fastest", "objective must be one of"),
+])
+def test_scenario_config_checks_its_values(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig("n.csv", "e.csv", "b.csv", 0.0, 0.0, CoverageConfig(),
+                       FleetSpec(), **{field: value})
 
 
 def test_readme_config_block_lists_the_keys_the_loader_reads():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mswplan.network import RoadNetwork, UNREACHABLE, cost_matrix, load_network
@@ -58,3 +60,10 @@ def test_bad_spec_rejected():
         SyntheticCitySpec(grid_x=0)
     with pytest.raises(ValueError):
         SyntheticCitySpec(block_m=-10)
+
+
+@pytest.mark.parametrize("field", ["block_m", "speed_kmh"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_spec_needs_finite_positive_block_and_speed(field, value):
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        SyntheticCitySpec(**{field: value})

@@ -189,7 +189,7 @@ def test_delta_descent_matches_full_recompute_on_a_grid_city(objective):
         SyntheticCitySpec(seed=3, grid_x=5, grid_y=5))
     net = network.RoadNetwork(nodes, edges)
     depot = network.snap(net, (0.0, 0.0), 1000.0)
-    stops = place_stops(net, aggregate_demand(buildings), CoverageConfig())
+    stops = place_stops(net, aggregate_demand(buildings, 2.49), CoverageConfig())
     matrix_nodes = sorted({depot} | {s.node for s in stops})
     matrix = network.cost_matrix(net, matrix_nodes, matrix_nodes, objective)
     ctx = _Ctx(matrix, stops, Depot(depot), FleetSpec(capacity_kg=1500.0),
