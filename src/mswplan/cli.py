@@ -20,6 +20,7 @@ from .errors import (
     InfeasibleStop,
     NegativeUnits,
     NoNodeWithinRange,
+    NonpositiveBaseline,
     PlannerError,
     ShiftTooShort,
     StageError,
@@ -37,6 +38,8 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_DATA = 4
 
+#: A zero baseline comes from a summary the user supplied: configuration.
+_CONFIG = (ConfigError, NonpositiveBaseline)
 _INFEASIBLE = (UncoverableDemand, InfeasibleStop, UnreachableStop,
                ShiftTooShort, Unreachable, TooLarge)
 _DATA = (DataError, UnknownNode, NoNodeWithinRange, NegativeUnits)
@@ -45,7 +48,7 @@ _DATA = (DataError, UnknownNode, NoNodeWithinRange, NegativeUnits)
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, StageError):
         return _exit_code(exc.cause)
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, _CONFIG):
         return EXIT_CONFIG
     if isinstance(exc, _INFEASIBLE):
         return EXIT_INFEASIBLE

@@ -94,11 +94,12 @@ def _stop_distances(
     Returns ``{candidate: {demand id: meters}}`` holding only the demands
     within ``radius_m`` (plus ``_RADIUS_TOL_M``), in demand input order.
     Network mode: directed shortest-path meters from the candidate to the
-    demand's snapped node. Each demand snaps once per call, and each
-    candidate's search stops at the radius, which is exact because no
-    distance beyond it is ever compared; it holds only the nodes it
-    settled within the radius. Euclidean mode: straight line
-    from the candidate node to the demand coordinates.
+    demand's snapped node. The network keeps each snap's answer, so the
+    audit's call reads the nodes that stop placement snapped to, and
+    each candidate's search stops at the radius, which is exact because
+    no distance beyond it is ever compared; it holds only the nodes it
+    settled within the radius. Euclidean mode: straight line from the
+    candidate node to the demand coordinates.
     """
     reach = cfg.radius_m + _RADIUS_TOL_M
     dists: dict[int, dict[int, float]] = {}
@@ -144,6 +145,14 @@ def place_stops(
     uncovered and may trigger another stop, possibly at the same node.
     When every coverable demand left has zero mass, so no candidate
     gains, the smallest-id candidate covering one of them opens.
+
+    Gains are cached (the lazy greedy of Minoux 1978, in an exact form):
+    a candidate's gain changes only when a demand in its radius is
+    covered, so after each round only the candidates of the demands just
+    taken are re-summed, by the same expression over the same demands in
+    the same order, and every gain is the float a full re-sum would give.
+    The pick is the first candidate, in candidate order, of the largest
+    positive gain, which is what a strict-greater scan picks.
     """
     candidates = sorted(cfg.candidate_nodes) if cfg.candidate_nodes else net.node_ids
     if not candidates:
@@ -152,14 +161,20 @@ def place_stops(
     by_id = {d.id: d for d in demands}
 
     uncovered = {d.id for d in demands}
+
+    def gain(c: int) -> float:
+        return sum(by_id[i].waste_kg_day for i in within[c] if i in uncovered)
+
+    gains = [gain(c) for c in candidates]
+    # demand id -> positions of the candidates whose radius holds it
+    covering: dict[int, list[int]] = {}
+    for k, c in enumerate(candidates):
+        for i in within[c]:
+            covering.setdefault(i, []).append(k)
     stops: list[StopPoint] = []
     while uncovered:
-        best_node = None
-        best_gain = 0.0
-        for c in candidates:
-            gain = sum(by_id[i].waste_kg_day for i in within[c] if i in uncovered)
-            if gain > best_gain:
-                best_gain, best_node = gain, c
+        best_gain = max(gains)
+        best_node = candidates[gains.index(best_gain)] if best_gain > 0 else None
         if best_node is None:
             # only zero-mass demands are coverable: gains cannot rank them
             best_node = next(
@@ -204,6 +219,8 @@ def place_stops(
             )
         )
         uncovered.difference_update(taken)
+        for k in {k for i in taken for k in covering[i]}:
+            gains[k] = gain(candidates[k])
     return stops
 
 

@@ -66,6 +66,10 @@ class ScenarioSummary:
         for name in numeric:
             if getattr(self, name) < 0:
                 raise InconsistentSummary(f"{self.name}: {name} is negative")
+        if self.n_trucks == 0 and (self.total_km > 0 or self.total_time_h > 0):
+            raise InconsistentSummary(
+                f"{self.name}: no trucks, but total_km {self.total_km} and "
+                f"total_time_h {self.total_time_h}")
         for total, avg, label in (
             (self.total_km, self.avg_route_km, "distance"),
             (self.total_time_h, self.avg_route_h, "route time"),
@@ -239,12 +243,19 @@ def write_factors(factors_by_class: dict[str, ImpactFactors], path: str) -> None
 
 
 def load_factors(path: str) -> dict[str, ImpactFactors]:
+    """Factors per truck class; a (class, quantity) row given twice is a
+    DataError."""
     out: dict[str, ImpactFactors] = {}
     rows = _read_table(path, FACTOR_HEADER, "factor",
                        lambda r: (r[0], r[1], float(r[2]), float(r[3])))
+    seen: set[tuple[str, str]] = set()
     for cls, quantity, per_km, per_stop in rows:
         if quantity not in _QUANTITIES:
             raise DataError(f"{path}: unknown quantity {quantity!r}")
+        if (cls, quantity) in seen:
+            raise DataError(f"{path}: class {cls!r} {quantity} appears more "
+                            "than once")
+        seen.add((cls, quantity))
         try:
             out[cls] = replace(out.get(cls, ImpactFactors()),
                                **{f"{quantity}_per_km": per_km,

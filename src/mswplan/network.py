@@ -14,7 +14,10 @@ numbers its nodes by position in id order and builds, once, per-node
 out-edge rows and per-edge successor rows that carry the turn
 penalties, so the kernel's state lives in lists indexed by position or
 edge. :func:`snap` looks points up in a bucket grid each network builds
-once.
+once. Most points are answered from one cached list per grid cell that
+holds the nodes of the cell and its eight neighbours, and the grid keeps
+its answer for each point, so a plan snaps each demand point once
+although stop placement and the coverage audit both ask for it.
 """
 
 from __future__ import annotations
@@ -359,7 +362,11 @@ class _NodeGrid:
     Square cells are anchored at the lower-left corner of the nodes'
     bounding box. The side is the larger of sqrt(area / nodes) and
     (longer side / nodes), so the grid spans about 3n cells at most, even
-    when the box is flat.
+    when the box is flat. Built once per network, it fills two caches as
+    it is read: per grid cell, the nodes of that cell and its eight
+    neighbours, and per point looked up, the ``(distance, id)`` answer.
+    Both only ever gain entries whose value is fixed by the nodes, so the
+    grid stays safe to share.
     """
 
     def __init__(self, nodes: list[Node]):
@@ -378,6 +385,9 @@ class _NodeGrid:
                 (nd.x_m, nd.y_m, nd.id))
         self.nx = 1 + max(ix for ix, _ in self.cells)
         self.ny = 1 + max(iy for _, iy in self.cells)
+        # cell -> nodes of rings 0 and 1 around it; point -> (distance, id)
+        self._near: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+        self._answers: dict[tuple[float, float], tuple[float, int]] = {}
 
     def _cell(self, x: float, y: float) -> tuple[int, int]:
         return int((x - self.x0) // self.side), int((y - self.y0) // self.side)
@@ -406,14 +416,34 @@ class _NodeGrid:
         ring r every unread node is more than r cell sides away, so the
         search ends once that exceeds the best distance plus the tie
         tolerance; among nodes within the tolerance of the best, the
-        smaller id wins.
+        smaller id wins. For a point whose cell lies inside the grid,
+        rings 0 and 1 are read from one cached list, and the loop goes on
+        from ring 2 only if its test after ring 1 does not end it. The
+        answer for each point is kept, so a point looked up again costs
+        one dict lookup.
         """
+        answer = self._answers.get((px, py))
+        if answer is None:
+            answer = self._answers[px, py] = self._nearest(px, py)
+        return answer
+
+    def _nearest(self, px: float, py: float) -> tuple[float, int]:
         cx, cy = self._cell(px, py)
-        r = max(-cx, cx - self.nx + 1, -cy, cy - self.ny + 1, 0)
         last = max(cx, self.nx - 1 - cx, cy, self.ny - 1 - cy)
         slack = 1e-12 * (abs(px) + abs(py) + self.magnitude)
-        seen: list[tuple[float, int]] = []
-        best = math.inf
+        if 0 <= cx < self.nx and 0 <= cy < self.ny:
+            near = self._near.get((cx, cy))
+            if near is None:
+                near = self._near[cx, cy] = [
+                    *self.ring(cx, cy, 0), *self.ring(cx, cy, 1)]
+            seen = [(math.hypot(x - px, y - py), nid) for x, y, nid in near]
+            best = min((d for d, _ in seen), default=math.inf)
+            # rings 0 and 1 are read: the loop's test after ring 1 decides
+            # whether the search goes on to ring 2
+            r = 2 if self.side - slack <= best + _SNAP_TIE_M else last + 1
+        else:
+            seen, best = [], math.inf
+            r = max(-cx, cx - self.nx + 1, -cy, cy - self.ny + 1)
         while r <= last:
             for x, y, nid in self.ring(cx, cy, r):
                 d = math.hypot(x - px, y - py)
@@ -430,9 +460,12 @@ def snap(net: RoadNetwork, point: tuple[float, float], max_dist_m: float) -> int
 
     Reads the network's bucket grid, not every node, and returns what a
     scan of every node would: the node at the least ``math.hypot``
-    distance, the smaller id among nodes within ``_SNAP_TIE_M`` of it. A
-    node exactly ``max_dist_m`` away still snaps; beyond it,
-    NoNodeWithinRange gives the distance to the nearest node.
+    distance, the smaller id among nodes within ``_SNAP_TIE_M`` of it.
+    The grid keeps its answer for each point, so snapping a point again,
+    as the coverage audit does after stop placement, searches nothing;
+    the finiteness check and the ``max_dist_m`` limit still apply on
+    every call. A node exactly ``max_dist_m`` away still snaps; beyond
+    it, NoNodeWithinRange gives the distance to the nearest node.
     """
     if net._grid is None:
         raise UnknownNode("network has no nodes")
@@ -490,8 +523,16 @@ def load_edges(path: str) -> list[Edge]:
 
 
 def load_turn_penalties(path: str) -> dict[tuple[int, int], float]:
-    return dict(_read_table(path, TURN_HEADER, "turn-penalty",
-                            lambda r: ((int(r[0]), int(r[1])), float(r[2]))))
+    """``{(from_edge_index, to_edge_index): penalty_s}``; a pair given
+    twice is a DataError."""
+    out: dict[tuple[int, int], float] = {}
+    for pair, pen in _read_table(path, TURN_HEADER, "turn-penalty",
+                                 lambda r: ((int(r[0]), int(r[1])), float(r[2]))):
+        if pair in out:
+            raise DataError(f"{path}: turn penalty {pair[0]},{pair[1]} "
+                            "appears more than once")
+        out[pair] = pen
+    return out
 
 
 def load_network(

@@ -706,7 +706,13 @@ class RouteMetrics:
 
 
 def route_metrics(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> RouteMetrics:
-    """Aggregate distance/time per truck and overall; averages per truck."""
+    """Aggregate distance/time per truck and overall; averages per truck.
+
+    When ``matrix`` is in the plan's metric, each trip's drive time is
+    first re-summed from ``matrix.time_s``, depot -> stops -> depot, by
+    node id and apart from the solver's tables; a trip that disagrees is
+    a ValueError.
+    """
     per_truck = []
     for tid, trips in plan.trucks:
         per_truck.append(
@@ -718,10 +724,17 @@ def route_metrics(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> Rout
             )
         )
     if matrix.metric == plan.objective:
-        ctx = _Ctx(matrix, list(plan.stops.values()), Depot(plan.depot_node),
-                   fleet, plan.objective)
+        row = {nid: i for i, nid in enumerate(matrix.origins)}
+        col = {nid: i for i, nid in enumerate(matrix.destinations)}
         for t in plan.all_trips():
-            recomputed = ctx.drive_time(t.stop_ids)
+            nodes = ([plan.depot_node] + [plan.stop_node(s) for s in t.stop_ids]
+                     + [plan.depot_node])
+            try:
+                recomputed = sum(matrix.time_s[row[a]][col[b]]
+                                 for a, b in zip(nodes, nodes[1:]))
+            except KeyError as exc:
+                raise UnknownNode(
+                    f"node {exc.args[0]} missing from the cost matrix") from None
             if not math.isclose(recomputed, t.drive_time_s, rel_tol=1e-9,
                                 abs_tol=1e-6):
                 raise ValueError(

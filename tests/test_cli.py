@@ -454,3 +454,36 @@ def test_count_beyond_the_float_range_exits_2(tmp_path):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "'n_trucks': not a finite number" in result.output
+
+
+def edited_existing_summary(tmp_path, **values) -> str:
+    """A copy of the demo's existing summary with ``values`` replaced."""
+    lines = []
+    with open(demo_path("summaries", "existing.cfg")) as fh:
+        for line in fh:
+            key = line.split("=")[0]
+            lines.append(f"{key}={values[key]}\n" if key in values else line)
+    path = tmp_path / "existing.cfg"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+def test_compare_zero_baseline_exits_2(tmp_path):
+    zero = edited_existing_summary(tmp_path, avg_route_h=0, total_time_h=0)
+    result = CliRunner().invoke(
+        main, ["compare", zero, demo_path("summaries", "proposed.cfg")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "baseline must be positive, got 0.0" in result.output
+
+
+@pytest.mark.parametrize("values", [{"total_km": 1756, "avg_route_km": 0,
+                                     "total_time_h": 0, "avg_route_h": 0},
+                                    {"total_km": 0, "avg_route_km": 0}])
+def test_compare_summary_with_totals_but_no_trucks_exits_2(tmp_path, values):
+    bad = edited_existing_summary(tmp_path, n_trucks=0, **values)
+    result = CliRunner().invoke(
+        main, ["compare", bad, demo_path("summaries", "proposed.cfg")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "dumpster-collection: no trucks, but total_km" in result.output

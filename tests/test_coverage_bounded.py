@@ -8,10 +8,14 @@ radii at exact multiples of the block length (so distances land exactly
 on the radius), one-way streets, edges longer than the block, parts of
 the network no search reaches, zero-unit and overweight buildings,
 buildings off the network, candidate subsets, and both distance modes.
+The greedy's cached gains are held to the reference's full re-sums on
+cities where zero-mass demands are left last and load-cap leftovers
+reopen stops at the same node.
 """
 
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -175,3 +179,76 @@ def test_bounded_coverage_matches_the_reference_on_synthetic_cities(mode):
             assert stops == ref.place_stops(net, demands, cfg)
             assert (verify_coverage(stops, demands, net, cfg)
                     == ref.verify_coverage(stops, demands, net, cfg))
+
+
+def place_stops_in_time(net, demands, cfg, seconds: float = 20.0):
+    """``place_stops``, failing with TimeoutError after ``seconds``.
+
+    Each round must cover a demand; a gain left stale makes the greedy
+    reopen a stop that covers nothing, forever, so a fault in the gain
+    cache fails here instead of hanging the suite.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"place_stops ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return place_stops(net, demands, cfg)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def line_city(n: int):
+    """``n`` nodes 100 m apart on a two-way street along the x axis."""
+    nodes = [Node(i, 100.0 * i, 0.0) for i in range(n)]
+    edges = [Edge(a, b, 100.0, 40.0) for i in range(n - 1)
+             for a, b in ((i, i + 1), (i + 1, i))]
+    return RoadNetwork(nodes, edges)
+
+
+@pytest.mark.parametrize("mode", ["network", "euclidean"])
+def test_cached_gains_open_the_zero_mass_leftovers_by_candidate_id(mode):
+    net = line_city(5)
+    # after demand 1 is taken every gain is 0: the rest open by fallback
+    demands = aggregate_demand([(1, 0.0, 0.0, 10), (2, 200.0, 0.0, 0),
+                                (3, 400.0, 0.0, 0)], 2.49)
+    cfg = CoverageConfig(radius_m=150.0, distance_mode=mode)
+    stops = place_stops_in_time(net, demands, cfg)
+    assert stops == ref.place_stops(net, demands, cfg)
+    assert [(s.node, s.covered_demand_ids) for s in stops] == [
+        (0, [1]), (1, [2]), (3, [3])]
+
+
+@pytest.mark.parametrize("mode", ["network", "euclidean"])
+def test_cached_gains_reopen_a_stop_at_the_same_node_for_a_leftover(mode):
+    net = line_city(3)
+    # five 99.6 kg demands on node 0 and a 149.4 kg one on node 2 under a
+    # 250 kg cap: node 1 covers all six and opens first; the four left on
+    # node 0 then tie between nodes 0 and 1, and node 0 opens twice
+    rows = [(0, 200.0, 0.0, 60)] + [(i, 0.0, 0.0, 40) for i in range(1, 6)]
+    demands = aggregate_demand(rows, 2.49)
+    cfg = CoverageConfig(radius_m=150.0, distance_mode=mode,
+                         max_stop_load_kg=250.0)
+    stops = place_stops_in_time(net, demands, cfg)
+    assert stops == ref.place_stops(net, demands, cfg)
+    assert [(s.node, s.covered_demand_ids) for s in stops] == [
+        (1, [0, 1]), (0, [2, 3]), (0, [4, 5])]
+
+
+@DIFFERENTIAL
+@given(seed=st.integers(0, 2**32 - 1),
+       mode=st.sampled_from(("network", "euclidean")))
+def test_cached_gains_match_the_reference_with_zero_mass_and_leftovers(seed,
+                                                                      mode):
+    rng = random.Random(seed)
+    net, rows, block = random_city(rng)
+    # mostly zero-mass demands, and caps that leave leftovers at a node
+    rows = [(bid, x, y, rng.choice((0, 0, 0, 20, 40))) for bid, x, y, _ in rows]
+    demands = aggregate_demand(rows, 2.49)
+    cfg = CoverageConfig(radius_m=rng.choice((1, 1.5, 2)) * block,
+                         distance_mode=mode,
+                         max_stop_load_kg=rng.choice((50.0, 100.0, 150.0)))
+    assert (outcome(place_stops_in_time, net, demands, cfg)
+            == outcome(ref.place_stops, net, demands, cfg))

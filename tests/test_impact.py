@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 
 from mswplan.errors import (
+    DataError,
     InconsistentSummary,
     NegativeInput,
     NonpositiveBaseline,
@@ -275,3 +277,21 @@ def test_per_class_factors_differ_between_truck_classes():
     light = calibrate_factors(DOOR_TO_DOOR)
     assert not math.isclose(heavy.energy_mj_per_km, light.energy_mj_per_km,
                             rel_tol=0.05)
+
+
+def test_repeated_factor_row_rejected_naming_class_and_quantity(tmp_path):
+    path = tmp_path / "factors.csv"
+    path.write_text("class,quantity,per_km,per_stop\n"
+                    "4t,energy_mj,3.0,0.5\n4t,co_g,1.0,0.0\n"
+                    "18t,energy_mj,9.0,0.5\n4t,energy_mj,4.0,0.5\n")
+    with pytest.raises(DataError, match=rf"{re.escape(str(path))}: class '4t' "
+                       r"energy_mj appears more than once"):
+        load_factors(str(path))
+
+
+def test_summary_without_trucks_rejects_positive_totals():
+    with pytest.raises(InconsistentSummary, match="no trucks"):
+        ScenarioSummary("none", 0, 4000, 100, 900, 0, 1756, 0, 0)
+    with pytest.raises(InconsistentSummary, match="no trucks"):
+        ScenarioSummary("none", 0, 4000, 100, 900, 0, 0, 0, 84.6)
+    ScenarioSummary("idle", 0, 4000, 0, 0, 0, 0, 0, 0)

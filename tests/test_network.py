@@ -289,6 +289,9 @@ def layout_points(rng, layout: str) -> list[tuple[float, float]]:
     if layout == "line":  # zero-height (or zero-width) bounding box
         flat = [(rng.randint(-20, 20) * 10.0, -7.5) for _ in range(n)]
         return flat if rng.random() < 0.5 else [(y, x) for x, y in flat]
+    if layout == "strip":  # narrower than one cell: a grid one cell wide
+        thin = [(rng.uniform(0, 2), rng.uniform(-900, 900)) for _ in range(n)]
+        return thin if rng.random() < 0.5 else [(y, x) for x, y in thin]
     if layout == "stacked":  # a few points, each shared by several nodes
         spots = [(rng.uniform(-900, -100), rng.uniform(-900, -100))
                  for _ in range(3)]
@@ -297,9 +300,23 @@ def layout_points(rng, layout: str) -> list[tuple[float, float]]:
             for _ in range(n)]
 
 
+def border_query(rng, net: RoadNetwork) -> tuple[float, float]:
+    """A point on a cell border of the network's snap grid, in or just
+    outside it: one coordinate, or both, an exact multiple of the side."""
+    grid = net._grid
+    x = grid.x0 + rng.randint(-2, grid.nx + 1) * grid.side
+    y = grid.y0 + rng.randint(-2, grid.ny + 1) * grid.side
+    if rng.random() < 0.3:
+        x += rng.uniform(0, grid.side)
+    elif rng.random() < 0.4:
+        y += rng.uniform(0, grid.side)
+    return x, y
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       layout=st.sampled_from(("scatter", "lattice", "line", "stacked", "one")))
+       layout=st.sampled_from(("scatter", "lattice", "line", "strip",
+                               "stacked", "one")))
 def test_grid_snap_matches_a_scan_of_every_node(seed, layout):
     rng = random.Random(seed)
     points = layout_points(rng, layout)
@@ -308,22 +325,50 @@ def test_grid_snap_matches_a_scan_of_every_node(seed, layout):
     for _ in range(25):
         kind = rng.random()
         x, y = rng.choice(points)
-        if kind < 0.2:
+        if kind < 0.15:
             query = (x, y)
-        elif kind < 0.4:  # midway between two nodes
+        elif kind < 0.3:  # midway between two nodes
             x2, y2 = rng.choice(points)
             query = ((x + x2) / 2, (y + y2) / 2)
-        elif kind < 0.8:
+        elif kind < 0.45:
+            query = border_query(rng, net)
+        elif kind < 0.75:
             query = (x + rng.uniform(-300, 300), y + rng.uniform(-300, 300))
+        elif kind < 0.85:  # just outside the bounding box
+            query = rng.choice((
+                (min(p[0] for p in points) - rng.uniform(0, 200), y),
+                (x, max(p[1] for p in points) + rng.uniform(0, 200))))
         else:  # far outside the bounding box
             far = rng.choice((1e4, 1e6, 1e9))
             query = (x + far * rng.choice((-1, 1)), y + rng.uniform(-far, far))
         nearest = min(math.hypot(px - query[0], py - query[1])
                       for px, py in points)
-        for max_dist in (nearest, math.nextafter(nearest, 0.0),
+        # the grid keeps its answer for the point after the first call;
+        # each later call, a tighter limit included, must still see the limit
+        for max_dist in (math.inf, nearest, math.nextafter(nearest, 0.0),
                          rng.uniform(0, 2 * nearest), math.inf):
             assert (scan_outcome(snap, net, query, max_dist)
                     == scan_outcome(reference_snap, net, query, max_dist))
+
+
+def test_snapping_a_point_again_applies_the_new_limit():
+    net = triangle()
+    assert snap(net, (1200, 600), 1000) == 2
+    with pytest.raises(NoNodeWithinRange, match="nearest node is 600.0 m away"):
+        snap(net, (1200, 600), 599.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        snap(net, (math.inf, 600), 1000)
+
+
+def test_grid_snap_returns_ring_one_only_when_no_farther_node_can_win():
+    # ten nodes on a 1000 m line: cells 100 m wide, one cell tall. The
+    # point's cell (5) is empty, the node at 400 m in ring 1 is 222 m off,
+    # and the node at 700 m in ring 2 is 141 m off, so it wins
+    xs = (0, 50, 100, 150, 200, 250, 400, 700, 900, 1000)
+    net = RoadNetwork([Node(i, float(x), 0.0) for i, x in enumerate(xs)], [])
+    assert (net._grid.side, net._grid.nx, net._grid.ny) == (100.0, 11, 1)
+    point = (599.0, 99.0)
+    assert snap(net, point, 500.0) == reference_snap(net, point, 500.0) == 7
 
 
 def test_grid_snap_picks_the_smaller_id_among_stacked_nodes():
@@ -449,4 +494,14 @@ def test_nan_turn_penalty_rejected_naming_the_edges(tmp_path):
     turns = tmp_path / "turns.csv"
     turns.write_text("from_edge_index,to_edge_index,penalty_s\n0,1,nan\n")
     with pytest.raises(DataError, match=r"turn penalty \(0,1\) must be finite"):
+        load_network(nodes, edges, str(turns))
+
+
+def test_repeated_turn_penalty_pair_rejected_naming_the_pair(tmp_path):
+    nodes, edges = write_two_node_network(tmp_path, "1,2,100,40\n2,1,100,40\n")
+    turns = tmp_path / "turns.csv"
+    turns.write_text("from_edge_index,to_edge_index,penalty_s\n"
+                     "0,1,60\n1,0,60\n0,1,5\n")
+    with pytest.raises(DataError, match=rf"{re.escape(str(turns))}: turn "
+                       r"penalty 0,1 appears more than once"):
         load_network(nodes, edges, str(turns))

@@ -9,6 +9,7 @@ from mswplan.errors import (
     InfeasibleStop,
     ShiftTooShort,
     TooLarge,
+    UnknownNode,
     UnreachableStop,
 )
 from mswplan.network import CostMatrix
@@ -419,3 +420,24 @@ def test_metrics_totals_are_sums_of_per_truck_values():
         assert metrics.avg_route_time_s == pytest.approx(
             metrics.total_work_s / metrics.fleet_size
         )
+
+
+def test_metrics_reject_a_trip_whose_drive_time_disagrees_with_the_matrix():
+    m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
+    stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
+    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
+    route_metrics(plan, m, FleetSpec())
+    trip = plan.all_trips()[0]
+    trip.drive_time_s += 1.0
+    with pytest.raises(ValueError, match="plan drive time 541.0 disagrees with "
+                       r"the matrix \(540.0\)"):
+        route_metrics(plan, m, FleetSpec())
+
+
+def test_metrics_reject_a_trip_through_a_node_the_matrix_lacks():
+    m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
+    stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
+    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
+    plan.stops[2] = make_stop(2, 7, 500.0)
+    with pytest.raises(UnknownNode, match="node 7 missing from the cost matrix"):
+        route_metrics(plan, m, FleetSpec())
