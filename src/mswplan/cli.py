@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible instance,
-4 data error.
+4 data error, 5 internal error (a cause of none of those kinds, such as
+a broken planner invariant or an unexpected exception inside a stage).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     PlannerError,
     ShiftTooShort,
     StageError,
-    TooLarge,
     UncoverableDemand,
     UnknownNode,
     Unreachable,
@@ -37,11 +37,12 @@ from .pipeline import (ScenarioConfig, load_scenario_config, load_summary,
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_DATA = 4
+EXIT_INTERNAL = 5
 
 #: A zero baseline comes from a summary the user supplied: configuration.
 _CONFIG = (ConfigError, NonpositiveBaseline)
 _INFEASIBLE = (UncoverableDemand, InfeasibleStop, UnreachableStop,
-               ShiftTooShort, Unreachable, TooLarge)
+               ShiftTooShort, Unreachable)
 _DATA = (DataError, UnknownNode, NoNodeWithinRange, NegativeUnits)
 
 
@@ -54,7 +55,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_INFEASIBLE
     if isinstance(exc, _DATA):
         return EXIT_DATA
-    return EXIT_DATA
+    return EXIT_INTERNAL
 
 
 def _fail(exc: Exception) -> None:

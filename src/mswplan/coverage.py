@@ -14,7 +14,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError, NegativeUnits, NoNodeWithinRange, UncoverableDemand
+from .errors import (DataError, NegativeUnits, NoNodeWithinRange, PlannerError,
+                     UncoverableDemand)
 from .network import RoadNetwork, _read_table, _search, snap
 
 log = logging.getLogger(__name__)
@@ -112,8 +113,10 @@ def _stop_distances(
                 if meters <= reach:
                     table[d.id] = meters
         return dists
-    # per node position, the input positions of the demands snapped to it
+    # per node position, the input positions of the demands snapped to it;
+    # per input position, the node position it snapped to
     at_node: list[list[int]] = [[] for _ in range(net.n_nodes)]
+    node_of: list[int] = []
     for pos, d in enumerate(demands):
         try:
             node = snap(net, (d.x_m, d.y_m), cfg.radius_m)
@@ -122,15 +125,18 @@ def _stop_distances(
                 f"demand {d.id} does not snap to the network within "
                 f"{cfg.radius_m} m"
             ) from exc
-        at_node[net._pos[node]].append(pos)
+        node_of.append(net._pos[node])
+        at_node[node_of[-1]].append(pos)
+    ids = [d.id for d in demands]
     for c in candidates:
         net.node(c)  # UnknownNode for a candidate off the network
         # a distance search is a node search: lengths by node position
         res = _search(net, c, "distance", reach)
         meters = res._len
-        reached = sorted((pos, meters[p]) for p in res._order
-                         for pos in at_node[p])
-        dists[c] = {demands[pos].id: m for pos, m in reached}
+        # one pass over the settled order; sorting positions restores the
+        # input order
+        reached = sorted([pos for p in res._order for pos in at_node[p]])
+        dists[c] = {ids[pos]: meters[node_of[pos]] for pos in reached}
     return dists
 
 
@@ -153,6 +159,10 @@ def place_stops(
     the same order, and every gain is the float a full re-sum would give.
     The pick is the first candidate, in candidate order, of the largest
     positive gain, which is what a strict-greater scan picks.
+
+    A round always takes a demand when the gains and tables agree; one
+    that takes none would repeat forever, so it raises PlannerError
+    naming the picked node.
     """
     candidates = sorted(cfg.candidate_nodes) if cfg.candidate_nodes else net.node_ids
     if not candidates:
@@ -208,6 +218,9 @@ def place_stops(
             if load + w <= cfg.max_stop_load_kg:
                 taken.append(i)
                 load += w
+        if not taken:
+            raise PlannerError(f"the stop picked at node {best_node} covers no "
+                               "uncovered demand")
         stops.append(
             StopPoint(
                 id=len(stops),

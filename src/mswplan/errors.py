@@ -47,10 +47,6 @@ class ShiftTooShort(PlannerError):
     """A mandatory trip cannot fit inside the working shift."""
 
 
-class TooLarge(PlannerError):
-    """Instance exceeds the size limit of the exhaustive solver."""
-
-
 # --- impact ---
 
 class NegativeInput(PlannerError):
@@ -76,7 +72,8 @@ class ConfigError(PlannerError):
 
 
 class DataError(PlannerError):
-    """An input table could not be parsed or violates its schema."""
+    """An input table could not be parsed or violates its schema, or an
+    output file could not be written."""
 
 
 class StageError(PlannerError):

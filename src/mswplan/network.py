@@ -5,11 +5,14 @@ workers. Costs come in two metrics: travel time in seconds (edge length
 divided by edge speed, plus optional turn penalties) and distance in
 meters (turn penalties ignored). Ties in the search are broken toward
 the smaller node id so identical inputs always yield identical paths.
-One Dijkstra kernel, :func:`_search`, runs every search: over nodes, or
-over arriving edges when turn penalties change the time metric. It runs
-in :func:`cost_matrix`, once per origin, and in coverage's distance
-tables, which stop each search at the service radius;
-``CostMatrix.path`` reads paths back from the kept ones. Each network
+One Dijkstra kernel, :func:`_search`, runs every search, with one loop
+per state kind: nodes by time, nodes by distance, or arriving edges when
+turn penalties change the time metric. Each state holds its metric's
+value and the other metric's, no more. It runs in :func:`cost_matrix`,
+once per origin, and in coverage's distance tables, which bound each
+search by the service radius: a bounded search starts every state's
+value just above the bound, so it never pushes a state beyond it.
+``CostMatrix.path`` reads paths back from the kept searches. Each network
 numbers its nodes by position in id order and builds, once, per-node
 out-edge rows and per-edge successor rows that carry the turn
 penalties, so the kernel's state lives in lists indexed by position or
@@ -196,9 +199,11 @@ class _SearchResult:
     and ``_order`` lists the settled positions in settle order.
     ``_parent`` maps an edge to the arriving edge of the path it was last
     relaxed from, so :meth:`path_to` walks back from a node's arriving
-    edge to the source in either search mode. ``_len`` and ``_time`` are
-    the kernel's state values: indexed by node position in a node search,
-    by edge (the source in the last slot) in an edge-state search, and
+    edge to the source in either search mode. The kernel keeps two value
+    arrays, ``best`` (the search metric's own value) and ``other`` (the
+    other metric along the same path); ``_len`` and ``_time`` name them
+    by metric. They are indexed by node position in a node search, by
+    edge (the source in the last slot) in an edge-state search, and
     ``_key[p]`` names node position p's state in them. ``cost``,
     ``length_m`` and ``time_s`` read them into dicts over the settled
     node ids. :func:`cost_matrix` keeps only ``_arrive`` and ``_parent``.
@@ -209,10 +214,11 @@ class _SearchResult:
 
     def __init__(self, net: RoadNetwork, source: int, metric: str,
                  arrive: list[int | None], parent: list[int], order: list[int],
-                 len_k: list[float], time_k: list[float], key):
+                 best: list[float], other: list[float], key):
         self.source, self.metric, self._net = source, metric, net
         self._arrive, self._parent, self._order = arrive, parent, order
-        self._len, self._time, self._key = len_k, time_k, key
+        self._len, self._time = (other, best) if metric == "time" else (best, other)
+        self._key = key
 
     @property
     def cost(self) -> dict[int, float]:
@@ -257,56 +263,88 @@ def _search(net: RoadNetwork, source: int, metric: str,
     arriving edge), -1 for the source; positions follow the sorted ids,
     so ties pop the smaller id. A state is pushed again only at a
     strictly lower cost, so an entry costing more than its state's best
-    is stale. A node's answer is its first settled state (minimum cost,
-    then smaller node id, then smaller edge index). Each pop relaxes the
-    rows ``net._succ`` holds for its arriving edge, with the turn
-    penalties already in them, or the source's ``net._rows``.
+    is stale, and a node state settles at its one live pop. A node's
+    answer is its first settled state (minimum cost, then smaller node
+    id, then smaller edge index).
 
-    The search stops at the first pop that costs more than ``bound``, so
-    it settles exactly the nodes within the bound, with the values and in
-    the heap order of the unbounded search.
+    Each state kind has its own loop, picked once per call:
+    - arriving-edge states by time relax the rows ``net._succ`` holds for
+      the popped edge, the turn penalties already in them;
+    - node states by time relax ``net._rows``: no turn has a penalty;
+    - node states by distance relax ``net._succ`` too, because the time
+      they report along the chosen path includes its turn penalties.
+    ``best`` holds the metric's own value per state and ``other`` the
+    other metric's along the same path, so the time of a time search is
+    ``best`` itself, as is the length of a distance search.
+
+    ``best`` starts every state at the float just above ``bound`` (a
+    non-negative number or inf), so a push needs a cost within the bound
+    and nothing beyond it is ever pushed. The search settles exactly the
+    nodes within the bound, with the values and in the heap order of the
+    unbounded search.
     """
-    by_edge = metric == "time" and net.has_turn_penalties
-    by_time = metric == "time"
     rows, succ = net._rows, net._succ
     n_nodes = len(rows)
     src = net._pos[source]
     arrive: list[int | None] = [None] * n_nodes
     parent = [-1] * len(net.edges)
     order: list[int] = []
-    # best cost pushed, and the length and time of that path, per state;
+    by_edge = metric == "time" and net.has_turn_penalties
     # in an edge-state search the last slot, index -1, is the source's
     n = len(net.edges) + 1 if by_edge else n_nodes
-    best, len_k, time_k = [math.inf] * n, [0.0] * n, [0.0] * n
+    best = [math.nextafter(bound, math.inf)] * n
+    other = [0.0] * n
     best[-1 if by_edge else src] = 0.0
     heap: list[tuple[float, int, int]] = [(0.0, src, -1)]
-    while heap:
-        cost_u, u, ei = heapq.heappop(heap)
-        if cost_u > bound:
-            break
-        key = ei if by_edge else u
-        if cost_u > best[key]:
-            continue
-        len_u, time_u = len_k[key], time_k[key]
-        if arrive[u] is None:
+    pop, push = heapq.heappop, heapq.heappush
+    if by_edge:
+        while heap:
+            cost_u, u, ei = pop(heap)
+            if cost_u > best[ei]:
+                continue
+            if arrive[u] is None:
+                arrive[u] = ei
+                order.append(u)
+            len_u = other[ei]
+            for fi, v, len_f, time_f, pen in (rows[u] if ei == -1 else succ[ei]):
+                nc = cost_u + pen + time_f
+                if nc < best[fi]:
+                    best[fi] = nc
+                    other[fi] = len_u + len_f
+                    parent[fi] = ei
+                    push(heap, (nc, v, fi))
+    elif metric == "time":
+        while heap:
+            cost_u, u, ei = pop(heap)
+            if cost_u > best[u]:
+                continue
             arrive[u] = ei
             order.append(u)
-        for fi, v, len_f, time_f, pen in (rows[u] if ei == -1 else succ[ei]):
-            if by_edge:
-                k = fi
-                nc = cost_u + pen + time_f
-            else:
-                k = v
-                nc = cost_u + (time_f if by_time else len_f)
-            if nc < best[k]:
-                best[k] = nc
-                len_k[k] = len_u + len_f
-                # physical drive time along the chosen path, turns included
-                time_k[k] = nc if by_edge else time_u + time_f + pen
-                parent[fi] = ei
-                heapq.heappush(heap, (nc, v, fi))
-    return _SearchResult(net, source, metric, arrive, parent, order, len_k,
-                         time_k, arrive if by_edge else range(n_nodes))
+            len_u = other[u]
+            for fi, v, len_f, time_f, _ in rows[u]:
+                nc = cost_u + time_f
+                if nc < best[v]:
+                    best[v] = nc
+                    other[v] = len_u + len_f
+                    parent[fi] = ei
+                    push(heap, (nc, v, fi))
+    else:
+        while heap:
+            cost_u, u, ei = pop(heap)
+            if cost_u > best[u]:
+                continue
+            arrive[u] = ei
+            order.append(u)
+            time_u = other[u]
+            for fi, v, len_f, time_f, pen in (rows[u] if ei == -1 else succ[ei]):
+                nc = cost_u + len_f
+                if nc < best[v]:
+                    best[v] = nc
+                    other[v] = time_u + time_f + pen
+                    parent[fi] = ei
+                    push(heap, (nc, v, fi))
+    return _SearchResult(net, source, metric, arrive, parent, order, best,
+                         other, arrive if by_edge else range(n_nodes))
 
 
 def shortest_path(

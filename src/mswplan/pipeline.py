@@ -24,7 +24,8 @@ from dataclasses import MISSING, dataclass, fields
 
 from . import coverage as cov
 from . import impact, network, vrp
-from .errors import ConfigError, InconsistentSummary, PlannerError, StageError
+from .errors import (ConfigError, DataError, InconsistentSummary, PlannerError,
+                     StageError)
 from .geometry import route_geometry, write_geojson
 
 
@@ -330,7 +331,6 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
         report = _stage("impact/compare", impact.compare_scenarios,
                         cfg.existing, proposed)
 
-    os.makedirs(out_dir, exist_ok=True)
     files = {
         "stops": os.path.join(out_dir, "stops.csv"),
         "plan": os.path.join(out_dir, "plan.csv"),
@@ -339,17 +339,21 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
     }
 
     def emit() -> None:
-        cov.write_stops(stops, files["stops"])
-        vrp.write_plan(plan, files["plan"])
-        write_geojson(route_geometry(plan, net, matrix), files["routes"])
-        write_summary(summary, files["summary"])
-        if report is not None:
-            files["comparison_table"] = os.path.join(out_dir, "comparison.csv")
-            files["comparison_text"] = os.path.join(out_dir, "comparison.txt")
-            with open(files["comparison_table"], "w") as fh:
-                fh.write(impact.format_comparison_table(report))
-            with open(files["comparison_text"], "w") as fh:
-                fh.write(impact.format_comparison_text(report))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            cov.write_stops(stops, files["stops"])
+            vrp.write_plan(plan, files["plan"])
+            write_geojson(route_geometry(plan, net, matrix), files["routes"])
+            write_summary(summary, files["summary"])
+            if report is not None:
+                files["comparison_table"] = os.path.join(out_dir, "comparison.csv")
+                files["comparison_text"] = os.path.join(out_dir, "comparison.txt")
+                with open(files["comparison_table"], "w") as fh:
+                    fh.write(impact.format_comparison_table(report))
+                with open(files["comparison_text"], "w") as fh:
+                    fh.write(impact.format_comparison_text(report))
+        except OSError as exc:
+            raise DataError(f"cannot write the outputs to {out_dir}: {exc}") from exc
 
     _stage("emit", emit)
     return PipelineResult(

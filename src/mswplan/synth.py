@@ -8,6 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .coverage import write_buildings
+from .errors import DataError
 from .network import Edge, Node, write_edges, write_nodes
 
 
@@ -74,15 +75,21 @@ def gen_synthetic_city(
 
 
 def write_city(spec: SyntheticCitySpec, out_dir: str) -> dict[str, str]:
-    """Write nodes.csv / edges.csv / buildings.csv; returns their paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write nodes.csv / edges.csv / buildings.csv; returns their paths.
+
+    A directory or file that cannot be written is a DataError.
+    """
     nodes, edges, buildings = gen_synthetic_city(spec)
     paths = {
         "nodes": os.path.join(out_dir, "nodes.csv"),
         "edges": os.path.join(out_dir, "edges.csv"),
         "buildings": os.path.join(out_dir, "buildings.csv"),
     }
-    write_nodes(nodes, paths["nodes"])
-    write_edges(edges, paths["edges"])
-    write_buildings(buildings, paths["buildings"])
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        write_nodes(nodes, paths["nodes"])
+        write_edges(edges, paths["edges"])
+        write_buildings(buildings, paths["buildings"])
+    except OSError as exc:
+        raise DataError(f"cannot write the city to {out_dir}: {exc}") from exc
     return paths

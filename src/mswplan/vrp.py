@@ -4,9 +4,8 @@ Construction is Clarke-Wright savings, polished by 2-opt (within trips)
 and Or-opt (segments of 1-2 stops relocated within or across trips),
 plus a few seeded random-insertion restarts; the best candidate wins by
 (cost, restart index). Trips are then packed onto trucks first-fit-
-decreasing against the working shift. A full enumeration solver over
-partitions and orderings doubles as the optimality oracle for small
-instances.
+decreasing against the working shift. The full-enumeration optimality
+oracle for small instances lives with the tests.
 
 The objective is total drive cost (seconds or meters) over all trips.
 Per-stop service time is constant for a fixed stop set and depot unload
@@ -37,13 +36,11 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from itertools import permutations
 
 from .coverage import StopPoint
 from .errors import (
     InfeasibleStop,
     ShiftTooShort,
-    TooLarge,
     UnknownNode,
     UnreachableStop,
 )
@@ -593,67 +590,6 @@ def solve_vrp(
         cost = sum(ctx.drive_cost(s) for s in seqs)
         if cost < best_cost - _EPS:
             best_seqs, best_cost = seqs, cost
-    return _pack_plan(ctx, best_seqs)
-
-
-def _set_partitions(items: list[int]):
-    """All partitions of items into non-empty blocks, deterministic order."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield [[first]] + sub
-        for k in range(len(sub)):
-            yield sub[:k] + [[first] + sub[k]] + sub[k + 1:]
-
-
-def brute_force_vrp(
-    matrix: CostMatrix,
-    stops: list[StopPoint],
-    depot: Depot,
-    fleet: FleetSpec,
-    objective: str = "time",
-) -> RoutePlan:
-    """Exact optimum by enumerating stop partitions and orderings.
-
-    Only meant as a test oracle; refuses more than 8 stops.
-    """
-    if len(stops) > 8:
-        raise TooLarge(f"{len(stops)} stops exceed the 8-stop oracle limit")
-    ctx = _Ctx(matrix, stops, depot, fleet, objective)
-    _validate_instance(ctx)
-    ids = sorted(ctx.stops)
-    best_seqs: list[list[int]] | None = None
-    best_cost = math.inf
-    for partition in _set_partitions(ids):
-        total = 0.0
-        orders: list[list[int]] = []
-        feasible = True
-        for block in partition:
-            if not ctx.load_ok(block):
-                feasible = False
-                break
-            block_best: list[int] | None = None
-            block_cost = math.inf
-            for perm in permutations(block):
-                seq = list(perm)
-                if not ctx.shift_ok(seq):
-                    continue
-                c = ctx.drive_cost(seq)
-                if c < block_cost:
-                    block_cost, block_best = c, seq
-            if block_best is None:
-                feasible = False
-                break
-            total += block_cost
-            orders.append(block_best)
-            if total >= best_cost:
-                feasible = False
-                break
-        if feasible and total < best_cost:
-            best_cost, best_seqs = total, orders
-    assert best_seqs is not None  # singleton partition is always feasible
     return _pack_plan(ctx, best_seqs)
 
 

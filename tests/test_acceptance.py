@@ -20,6 +20,7 @@ from helpers import (
     min_cost_by_enumeration,
     random_graph,
 )
+from vrp_oracle import brute_force_vrp
 from mswplan.coverage import (
     CoverageConfig,
     aggregate_demand,
@@ -43,7 +44,7 @@ from mswplan.network import (
 )
 from mswplan.pipeline import load_scenario_config, run_pipeline
 from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
-from mswplan.vrp import Depot, FleetSpec, Trip, brute_force_vrp, size_fleet, solve_vrp
+from mswplan.vrp import Depot, FleetSpec, Trip, size_fleet, solve_vrp
 
 DEMO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "demo"))
 

@@ -4,6 +4,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from mswplan import vrp
 from mswplan.cli import main
 
 DEMO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "demo"))
@@ -72,6 +73,41 @@ def test_plan_far_depot_exits_4(tmp_path):
     result = CliRunner().invoke(main, ["plan", str(cfg), "--out", str(tmp_path)])
     assert result.exit_code == 4
     assert "network/snap" in result.output
+
+
+def test_plan_unclassified_stage_failure_exits_5(tmp_path, monkeypatch):
+    # a cause of no known kind is an internal error, not a data error
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver state corrupted")
+
+    monkeypatch.setattr(vrp, "solve_vrp", broken)
+    result = CliRunner().invoke(
+        main, ["plan", demo_path("four_stops", "scenario.cfg"), "--out", str(tmp_path)])
+    assert result.exit_code == 5, result.output
+    assert "stage vrp/solve" in result.output
+    assert "solver state corrupted" in result.output
+
+
+def test_plan_unwritable_out_dir_exits_4(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file where the output directory should go\n")
+    result = CliRunner().invoke(
+        main, ["plan", demo_path("four_stops", "scenario.cfg"),
+               "--out", str(blocker / "out")])
+    assert result.exit_code == 4, result.output
+    assert "stage emit" in result.output
+    assert "cannot write the outputs" in result.output
+
+
+def test_synth_unwritable_out_dir_exits_4(tmp_path):
+    spec = tmp_path / "city.cfg"
+    spec.write_text("seed=5\ngrid_x=2\ngrid_y=2\n")
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file where the city directory should go\n")
+    result = CliRunner().invoke(main, ["synth", str(spec), "--out",
+                                       str(blocker / "city")])
+    assert result.exit_code == 4, result.output
+    assert "cannot write the city" in result.output
 
 
 @pytest.mark.parametrize("bad_row, message", [

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverage_reference as ref
+from mswplan import coverage
 from mswplan.coverage import (
     _RADIUS_TOL_M,
     CoverageConfig,
@@ -31,6 +32,7 @@ from mswplan.coverage import (
     place_stops,
     verify_coverage,
 )
+from mswplan.errors import PlannerError
 from mswplan.network import Edge, Node, RoadNetwork
 from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
 
@@ -235,6 +237,33 @@ def test_cached_gains_reopen_a_stop_at_the_same_node_for_a_leftover(mode):
     assert stops == ref.place_stops(net, demands, cfg)
     assert [(s.node, s.covered_demand_ids) for s in stops] == [
         (1, [0, 1]), (0, [2, 3]), (0, [4, 5])]
+
+
+class VanishingTables(dict):
+    """Distance tables whose entry for a candidate reads as empty from its
+    third read on: the first gain sum and the covering index see it, the
+    round that picks the candidate does not."""
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.reads: dict[int, int] = {}
+
+    def __getitem__(self, c):
+        self.reads[c] = self.reads.get(c, 0) + 1
+        return super().__getitem__(c) if self.reads[c] <= 2 else {}
+
+
+@pytest.mark.parametrize("mode", ["network", "euclidean"])
+def test_a_round_that_takes_no_demand_raises(monkeypatch, mode):
+    real = coverage._stop_distances
+    monkeypatch.setattr(coverage, "_stop_distances",
+                        lambda *args: VanishingTables(real(*args)))
+    net = line_city(3)
+    # only node 2 covers the demand; its round finds nothing left to take
+    demands = aggregate_demand([(1, 200.0, 0.0, 10)], 2.49)
+    cfg = CoverageConfig(radius_m=50.0, distance_mode=mode)
+    with pytest.raises(PlannerError, match="node 2 covers no uncovered demand"):
+        place_stops_in_time(net, demands, cfg)
 
 
 @DIFFERENTIAL

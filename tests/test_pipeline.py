@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from vrp_oracle import brute_force_vrp
 from mswplan.coverage import CoverageConfig
 from mswplan.errors import ConfigError, NoNodeWithinRange, StageError
 from mswplan.impact import ScenarioSummary
@@ -17,7 +18,7 @@ from mswplan.pipeline import (
     run_pipeline,
     write_summary,
 )
-from mswplan.vrp import Depot, FleetSpec, brute_force_vrp
+from mswplan.vrp import Depot, FleetSpec
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
 

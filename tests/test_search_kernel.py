@@ -1,11 +1,14 @@
 """The single search kernel against the two it replaced, and against networkx.
 
-``mswplan.network._search`` runs one Dijkstra loop over node states, or
-over arriving-edge states when turn penalties change the time metric.
-The differential tests hold it to the verbatim node and edge-state
-kernels in ``network_reference.py``: the same settled nodes, with
-bit-identical cost, length and time, and the same paths. The graphs are
-built to tie: integer lengths and speeds that give integer times,
+``mswplan.network._search`` runs one Dijkstra loop per state kind: node
+states by time, node states by distance, and arriving-edge states when
+turn penalties change the time metric. The differential tests hold it
+to the verbatim node and edge-state kernels in ``network_reference.py``:
+the same settled nodes, with bit-identical cost, length and time, and
+the same paths. The deterministic tests pin what those examples find
+only by chance: the turn penalties in a distance search's time, no push
+past a bound, and the bound itself settling. The graphs are built to
+tie: integer lengths and speeds that give integer times,
 parallel edges, self-loops, turn tables of zeros (which leave the node
 search in charge) and positive penalties. The oracle tests check
 ``cost_matrix`` against networkx, which shares no code with either.
@@ -13,6 +16,7 @@ Both oracles read turn penalties from the dicts the tests build the
 networks from, never from the network's own tables.
 """
 
+import heapq
 import math
 import random
 
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 
 from helpers import random_graph
 from network_reference import reference_search
+from mswplan import network
 from mswplan.errors import Unreachable
 from mswplan.network import (
     METRICS,
@@ -177,6 +182,76 @@ def test_kept_matrix_searches_hold_only_their_path_links(metric):
         assert held == {"source", "metric", "_net", "_arrive", "_parent"}
         assert len(search._arrive) == net.n_nodes
         assert len(search._parent) == len(net.edges)
+
+
+def test_distance_search_time_includes_the_turns_it_takes():
+    net, pens = turned_grid_city(4)
+    edge_of = {(e.from_id, e.to_id): ei for ei, e in enumerate(net.edges)}
+    assert len(edge_of) == len(net.edges)  # a node pair names its edge
+    turned = 0
+    for source in net.node_ids:
+        res = _search(net, source, "distance")
+        for target, time_s in res.time_s.items():
+            path = res.path_to(target)
+            edges = [edge_of[a, b] for a, b in zip(path, path[1:])]
+            # the kernel's sum: each edge's time, then the turn onto it
+            want, plain, prev = 0.0, 0.0, None
+            for ei in edges:
+                pen = 0.0 if prev is None else pens.get((prev, ei), 0.0)
+                want = want + net.edges[ei].travel_time_s + pen
+                plain += net.edges[ei].travel_time_s
+                prev = ei
+            assert time_s == want
+            turned += want > plain
+    assert turned > 0
+
+
+def bounded_grid(turns: bool) -> RoadNetwork:
+    """A 4x4 grid city, with its U-turn and bend penalties if ``turns``."""
+    net, _ = turned_grid_city(4)
+    return net if turns else RoadNetwork(
+        [net.node(i) for i in net.node_ids], list(net.edges))
+
+
+@pytest.mark.parametrize("metric, turns", [("time", False), ("time", True),
+                                           ("distance", True)])
+def test_bounded_search_pushes_nothing_past_its_bound(monkeypatch, metric,
+                                                      turns):
+    net = bounded_grid(turns)
+    source = net.node_ids[0]
+    values = sorted(_search(net, source, metric).cost.values())
+    bound = values[len(values) // 2]
+    pushed: list[float] = []
+    real_push = heapq.heappush
+
+    def recording_push(heap, entry):
+        pushed.append(entry[0])
+        real_push(heap, entry)
+
+    monkeypatch.setattr(network.heapq, "heappush", recording_push)
+    _search(net, source, metric)
+    assert max(pushed) > bound  # the unbounded search does push past it
+    pushed.clear()
+    res = _search(net, source, metric, bound)
+    assert pushed and max(pushed) <= bound
+    assert max(res.cost.values()) == bound
+
+
+@pytest.mark.parametrize("metric, turns", [("time", False), ("time", True),
+                                           ("distance", False)])
+def test_node_exactly_at_the_bound_settles_and_one_step_beyond_does_not(metric,
+                                                                        turns):
+    # 100 m at 36 km/h: each edge is 100 m and 10 s, so node 2 sits at
+    # exactly 200 m and 20 s; the only penalty is a U-turn off the path
+    nodes = [Node(i, 100.0 * i, 0.0) for i in range(4)]
+    edges = [Edge(a, b, 100.0, 36.0) for i in range(3)
+             for a, b in ((i, i + 1), (i + 1, i))]
+    net = RoadNetwork(nodes, edges, {(0, 1): 60.0} if turns else None)
+    assert net.has_turn_penalties == turns
+    at = 200.0 if metric == "distance" else 20.0
+    assert _search(net, 0, metric, at).cost == {0: 0.0, 1: at / 2, 2: at}
+    assert _search(net, 0, metric, math.nextafter(at, 0.0)).cost == {
+        0: 0.0, 1: at / 2}
 
 
 def networkx_costs(net: RoadNetwork, source: int, metric: str,
