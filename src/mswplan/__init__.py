@@ -45,8 +45,6 @@ from .vrp import (
     FleetSpec,
     RoutePlan,
     Trip,
-    clarke_wright,
-    improve_local,
     route_metrics,
     size_fleet,
     solve_vrp,
@@ -65,7 +63,7 @@ __all__ = [
     "cost_matrix", "shortest_path", "snap",
     "ScenarioConfig", "load_scenario_config", "run_pipeline",
     "SyntheticCitySpec", "gen_synthetic_city",
-    "Depot", "FleetSpec", "RoutePlan", "Trip", "clarke_wright",
-    "improve_local", "route_metrics", "size_fleet", "solve_vrp",
+    "Depot", "FleetSpec", "RoutePlan", "Trip", "route_metrics",
+    "size_fleet", "solve_vrp",
     "__version__",
 ]

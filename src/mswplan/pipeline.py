@@ -310,7 +310,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
     if planned_ids != sorted(s.id for s in stops):
         raise StageError("vrp/solve",
                          PlannerError("plan does not cover each stop exactly once"))
-    metrics = _stage("vrp/metrics", vrp.route_metrics, plan, matrix, cfg.fleet)
+    metrics = _stage("vrp/metrics", vrp.route_metrics, plan, matrix)
 
     factors = None
     if cfg.factors_path:

@@ -26,7 +26,9 @@ full-trip comparison and feasibility checks, so the search accepts
 exactly the moves, in the same scan order, that pricing every candidate
 in full would (see ``_improve_seqs``). One pricer, ``_insertion_deltas``,
 prices both the Or-opt insertions and the insertion positions of the
-restarts.
+restarts, whose shift checks are filtered the same way. The descents
+of a solve share one memory of per-trip data, and of trips and trip
+pairs shown to have no improving move, so none decides a fact twice.
 """
 
 from __future__ import annotations
@@ -166,6 +168,21 @@ class _Ctx:
         self.time, self.length = ([[table[r][c] for c in dst] for r in src]
                                   for table in (matrix.time_s, matrix.length_m))
         self.cost = self.time if objective == "time" else self.length
+        # the search memory of every descent on this instance: trip contents
+        # -> scan data, and the facts proven by ids (see _improve_seqs)
+        self.scanned: dict[tuple[int, ...], tuple] = {}
+        self.no_two_opt: set[int] = set()
+        self.no_or_opt: set[tuple[int, int]] = set()
+
+    def scan(self, seq: list[int]):
+        """A trip's contents id, ``tour``, cost and load, built once per contents."""
+        key = tuple(seq)
+        data = self.scanned.get(key)
+        if data is None:
+            idx, legs = self.tour(seq)
+            data = self.scanned[key] = (len(self.scanned), idx, legs, sum(legs),
+                                        self.load(seq))
+        return data
 
     def _legs(self, table, seq: list[int]):
         at = self.at
@@ -252,25 +269,10 @@ def _seq_feasible(ctx: _Ctx, seq: list[int]) -> bool:
     return ctx.load_ok(seq) and ctx.shift_ok(seq)
 
 
-def clarke_wright(
-    matrix: CostMatrix,
-    stops: list[StopPoint],
-    depot: Depot,
-    fleet: FleetSpec,
-    objective: str = "time",
-) -> list[Trip]:
-    """Savings construction: merge routes in descending s(i,j) order.
-
-    s(i,j) = c(depot,i) + c(j,depot) - c(i,j); a merge joins the route
-    ending at i to the route starting at j when capacity and shift
-    allow. Ties are broken by (i, j) id order.
-    """
-    ctx = _Ctx(matrix, stops, depot, fleet, objective)
-    _validate_instance(ctx)
-    return [ctx.build_trip(seq) for seq in _clarke_wright_seqs(ctx)]
-
-
 def _clarke_wright_seqs(ctx: _Ctx) -> list[list[int]]:
+    """Savings construction: for s(i,j) = c(depot,i) + c(j,depot) - c(i,j)
+    > 0, in descending order with ties by (i, j), join the route ending at
+    i to the route starting at j when capacity and shift allow."""
     ids = sorted(ctx.stops)
     routes: dict[int, list[int]] = {sid: [sid] for sid in ids}
     head_of = {sid: sid for sid in ids}  # stop -> route id where it is first
@@ -284,11 +286,10 @@ def _clarke_wright_seqs(ctx: _Ctx) -> list[list[int]]:
         for j in ids:
             if i == j:
                 continue
-            s = out_i + to_depot[j] - line_i[at[j]]
-            savings.append((s, i, j))
-    savings.sort(key=lambda t: (-t[0], t[1], t[2]))
-    for s, i, j in savings:
-        if s <= 0:
+            savings.append((-(out_i + to_depot[j] - line_i[at[j]]), i, j))
+    savings.sort()
+    for neg_s, i, j in savings:
+        if neg_s >= 0:
             break
         ra = tail_of.get(i)
         rb = head_of.get(j)
@@ -313,27 +314,50 @@ def _canonical(seqs: list[list[int]]) -> list[list[int]]:
 
 def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int]) -> list[list[int]]:
     """Put each stop of ``order`` at its cheapest feasible position, priced
-    as a one-stop Or-opt segment, or alone in a new trip."""
-    cost = ctx.cost
+    as a one-stop Or-opt segment, or alone in a new trip.
+
+    A position that beats the best so far gets its duration estimated:
+    the trip's, plus the stop's service time, plus the drive time change
+    from 3 lookups into ``ctx.time`` (not the cost table under the
+    distance objective). An estimate beyond a rounding slack from
+    ``shift_s + _EPS``, either side, decides; only one within it runs
+    ``shift_ok``, so each position gets ``shift_ok``'s verdict.
+    """
+    cost, time_s = ctx.cost, ctx.time
+    limit = ctx.fleet.shift_s + _EPS
     seqs: list[list[int]] = []
+    trips: list[tuple] = []  # per trip: its tour's idx and legs, its duration
     for sid in order:
         best: tuple[float, int, int] | None = None
         at_s = ctx.at[sid]
+        from_s, service = time_s[at_s], ctx.stops[sid].service_time_s
         for ti, seq in enumerate(seqs):
             # the load is an fsum, correctly rounded: the same at every position
             if not ctx.load_ok(seq + [sid]):
                 continue
-            deltas = _insertion_deltas(cost, *ctx.tour(seq), at_s, cost[at_s], 0.0)
+            idx, legs, duration = trips[ti]
+            base = duration + service
+            deltas = _insertion_deltas(cost, idx, legs, at_s, cost[at_s], 0.0)
             for pos, delta in enumerate(deltas):
                 if best is not None and delta >= best[0]:
                     continue
-                if ctx.shift_ok(seq[:pos] + [sid] + seq[pos:]):
-                    best = (delta, ti, pos)
+                line, b = time_s[idx[pos]], idx[pos + 1]
+                t_in, t_out, t_cut = line[at_s], from_s[b], line[b]
+                gap = base + (t_in + t_out - t_cut) - limit
+                # as in _delta_limit: (legs + 8) x the terms' magnitudes
+                slack = _ROUND * (len(seq) + 10) * (base + t_in + t_out + t_cut)
+                if gap > slack or (gap >= -slack and not ctx.shift_ok(
+                        seq[:pos] + [sid] + seq[pos:])):
+                    continue
+                best = (delta, ti, pos)
         if best is None:
-            seqs.append([sid])
+            ti, new = len(seqs), [sid]
+            seqs.append(new)
+            trips.append(())
         else:
             _, ti, pos = best
-            seqs[ti] = seqs[ti][:pos] + [sid] + seqs[ti][pos:]
+            new = seqs[ti] = seqs[ti][:pos] + [sid] + seqs[ti][pos:]
+        trips[ti] = (*ctx.tour(new), ctx.duration(new))
     return seqs
 
 
@@ -405,11 +429,12 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
     first move that lowers the drive cost and keeps the changed trips
     feasible. Scans repeat until none improves or ``max_moves`` ran.
 
-    Candidates are priced by delta evaluation. At the start of a scan
-    every trip gets its table positions and leg costs (``_Ctx.tour``),
-    its cost (their sum, as ``_Ctx.drive_cost`` takes it), its load and
-    the reverse-minus-forward prefix sums of ``_flip_prefix``; the
-    costs are asymmetric, so a reversed segment changes its inner arcs.
+    Candidates are priced by delta evaluation. ``_Ctx.scan`` gives each
+    trip its table positions and leg costs (``_Ctx.tour``), its cost
+    (their sum, as ``_Ctx.drive_cost`` takes it) and its load; a trip
+    the 2-opt loop prices also gets the reverse-minus-forward prefix
+    sums of ``_flip_prefix``, as costs are asymmetric and a reversed
+    segment changes its inner arcs.
     A 2-opt delta then costs 4 lookups and a prefix difference, an
     Or-opt delta 6 lookups.
 
@@ -425,8 +450,16 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
     that costs over twice the incumbent fails both tests), so no move the
     full test would accept is filtered out. Likewise a target trip that
     the segment's load overfills beyond rounding, which ``load_ok``
-    rejects at every insert position, is skipped whole. Accepted moves,
-    scan order and result are those of pricing every candidate in full.
+    rejects at every insert position, is skipped whole.
+
+    Tours, costs, loads, shift checks, delta limits and the load-based
+    target skip depend only on the instance and the contents of the trips
+    involved, so the memory on ``ctx`` is exact for every descent on it:
+    trip data is built once per contents, and a scan skips trips whose
+    2-opt loop once ended without a move, and the Or-opt (source, target)
+    pairs recorded when a whole loop of that source ended without a move.
+    Accepted moves, scan order and result are those of pricing every
+    candidate in full.
     """
     seqs = [list(s) for s in seqs if s]
     cost = ctx.cost
@@ -437,9 +470,9 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
     def try_two_opt(tours) -> bool:
         for t, seq in enumerate(seqs):
             n = len(seq)
-            if n < 2:
+            key, idx, legs, base, _ = tours[t]
+            if n < 2 or key in ctx.no_two_opt:
                 continue
-            idx, legs, base = tours[t]
             flip = _flip_prefix(cost, idx, legs)
             # the cost bound covers the trip driven both ways
             lim = _delta_limit(n + 1, 2 * base + flip[-1])
@@ -454,30 +487,36 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                     if ctx.drive_cost(cand) < base - _EPS and ctx.shift_ok(cand):
                         seqs[t] = cand
                         return True
+            ctx.no_two_opt.add(key)
         return False
 
-    def try_or_opt(tours, loads) -> bool:
+    def try_or_opt(tours) -> bool:
         for a, seq_a in enumerate(seqs):
-            idx, legs, cost_a_old = tours[a]
+            key_a, idx, legs, cost_a_old, _ = tours[a]
+            # the targets not yet shown to take no improving segment of a
+            open_b = [b for b, data in enumerate(tours)
+                      if (key_a, data[0]) not in ctx.no_or_opt]
+            if not open_b:
+                continue
             n_a = len(seq_a)
             lim_a = _delta_limit(n_a + 1, cost_a_old)
             demand_a = [ctx.stops[s].assigned_demand_kg for s in seq_a]
             for seg_len in (1, 2):
                 for p in range(n_a - seg_len + 1):
                     seg = seq_a[p:p + seg_len]
-                    rest_a = seq_a[:p] + seq_a[p + seg_len:]
+                    rest_a = None  # seq_a without seg, built once a target needs it
                     seg_load = sum(demand_a[p:p + seg_len])
                     # trips the segment would overfill beyond rounding fail
                     # load_ok at every insert position
-                    targets = [b for b, load_b in enumerate(loads)
-                               if b == a or load_b + seg_load <= max_load]
+                    targets = [b for b in open_b
+                               if b == a or tours[b][4] + seg_load <= max_load]
                     first = idx[p + 1]
                     from_last = cost[idx[p + seg_len]]
                     removal = _removal_delta(cost, idx, legs, p, seg_len)
                     cost_a_new = None
                     for b in targets:
                         if b == a:
-                            if not rest_a:
+                            if n_a == seg_len:
                                 continue
                             deltas = _insertion_deltas(
                                 cost, *_without(cost, idx, legs, p, seg_len),
@@ -487,6 +526,7 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                             for q, delta in enumerate(deltas):
                                 if delta >= lim_a or q == p:
                                     continue
+                                rest_a = rest_a or seq_a[:p] + seq_a[p + seg_len:]
                                 cand = rest_a[:q] + seg + rest_a[q:]
                                 if (ctx.drive_cost(cand) < cost_a_old - _EPS
                                         and ctx.shift_ok(cand)):
@@ -494,7 +534,7 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                                     return True
                         else:
                             seq_b = seqs[b]
-                            idx_b, legs_b, cost_b_old = tours[b]
+                            _, idx_b, legs_b, cost_b_old, _ = tours[b]
                             lim = _delta_limit(n_a + len(seq_b) + 2,
                                                cost_a_old + cost_b_old)
                             deltas = _insertion_deltas(
@@ -506,6 +546,7 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                                     continue
                                 cand_b = seq_b[:q] + seg + seq_b[q:]
                                 if cost_a_new is None:
+                                    rest_a = rest_a or seq_a[:p] + seq_a[p + seg_len:]
                                     cost_a_new = ctx.drive_cost(rest_a) if rest_a else 0.0
                                 delta = (cost_a_new + ctx.drive_cost(cand_b)
                                          - cost_a_old - cost_b_old)
@@ -518,15 +559,12 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                                 seqs[a] = rest_a
                                 seqs[b] = cand_b
                                 return True
+            ctx.no_or_opt.update((key_a, tours[b][0]) for b in open_b)
         return False
 
     while moves < max_moves:
-        tours = []
-        for seq in seqs:
-            idx, legs = ctx.tour(seq)
-            tours.append((idx, legs, sum(legs)))
-        loads = [ctx.load(seq) for seq in seqs]
-        if try_two_opt(tours) or try_or_opt(tours, loads):
+        tours = [ctx.scan(seq) for seq in seqs]
+        if try_two_opt(tours) or try_or_opt(tours):
             moves += 1
             seqs = [s for s in seqs if s]
             continue
@@ -544,23 +582,6 @@ def _pack_plan(ctx: _Ctx, seqs: list[list[int]]) -> RoutePlan:
         depot_node=ctx.depot,
         stops=dict(ctx.stops),
     )
-
-
-def improve_local(
-    plan: RoutePlan,
-    matrix: CostMatrix,
-    fleet: FleetSpec,
-    objective: str = "time",
-) -> RoutePlan:
-    """Descend with 2-opt/Or-opt until no move improves (or budget ends).
-
-    Deterministic: moves are scanned in trip/position order.
-    """
-    ctx = _Ctx(matrix, list(plan.stops.values()), Depot(plan.depot_node),
-               fleet, objective)
-    _validate_instance(ctx)
-    seqs = [list(t.stop_ids) for t in plan.all_trips()]
-    return _pack_plan(ctx, _improve_seqs(ctx, seqs, MAX_MOVES))
 
 
 def solve_vrp(
@@ -641,7 +662,7 @@ class RouteMetrics:
     avg_route_time_s: float
 
 
-def route_metrics(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> RouteMetrics:
+def route_metrics(plan: RoutePlan, matrix: CostMatrix) -> RouteMetrics:
     """Aggregate distance/time per truck and overall; averages per truck.
 
     When ``matrix`` is in the plan's metric, each trip's drive time is

@@ -14,18 +14,41 @@ from mswplan.errors import (
 )
 from mswplan.network import CostMatrix
 from mswplan.vrp import (
+    MAX_MOVES,
     Depot,
     FleetSpec,
     RoutePlan,
     Trip,
-    clarke_wright,
-    improve_local,
+    _clarke_wright_seqs,
+    _Ctx,
+    _improve_seqs,
+    _pack_plan,
+    _validate_instance,
     route_metrics,
     size_fleet,
     solve_vrp,
 )
 
 DEPOT = Depot(0)
+
+
+def instance(matrix: CostMatrix, stops, fleet: FleetSpec) -> _Ctx:
+    ctx = _Ctx(matrix, stops, DEPOT, fleet, "time")
+    _validate_instance(ctx)
+    return ctx
+
+
+def savings_trips(matrix: CostMatrix, stops, fleet: FleetSpec) -> list[Trip]:
+    """The savings construction alone, as trips."""
+    ctx = instance(matrix, stops, fleet)
+    return [ctx.build_trip(seq) for seq in _clarke_wright_seqs(ctx)]
+
+
+def descend(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> RoutePlan:
+    """``plan`` after one local-search descent, packed onto trucks."""
+    ctx = instance(matrix, list(plan.stops.values()), fleet)
+    seqs = [list(t.stop_ids) for t in plan.all_trips()]
+    return _pack_plan(ctx, _improve_seqs(ctx, seqs, MAX_MOVES))
 
 
 def explicit_matrix(costs: dict[tuple[int, int], float],
@@ -105,7 +128,7 @@ def test_nine_stops_need_two_trips():
 def test_savings_merge_when_tour_is_cheaper():
     m = explicit_matrix({(0, 1): 10.0, (0, 2): 10.0, (1, 2): 5.0})
     stops = [make_stop(1, 1, 500.0, service_s=60), make_stop(2, 2, 500.0, service_s=60)]
-    trips = clarke_wright(m, stops, DEPOT, FleetSpec(), "time")
+    trips = savings_trips(m, stops, FleetSpec())
     assert len(trips) == 1
     # merged tour 10+5+10 beats two out-and-backs 20+20
     assert trips[0].drive_time_s == pytest.approx(25.0)
@@ -115,14 +138,13 @@ def test_capacity_vetoes_merge():
     m = explicit_matrix({(0, 1): 10.0, (0, 2): 10.0, (1, 2): 5.0})
     stops = [make_stop(1, 1, 2500.0, service_s=60),
              make_stop(2, 2, 2500.0, service_s=60)]
-    trips = clarke_wright(m, stops, DEPOT, FleetSpec(capacity_kg=4000), "time")
+    trips = savings_trips(m, stops, FleetSpec(capacity_kg=4000))
     assert len(trips) == 2
 
 
 def test_single_stop_construction():
     m = explicit_matrix({(0, 1): 10.0})
-    trips = clarke_wright(m, [make_stop(1, 1, 100.0, service_s=60)],
-                          DEPOT, FleetSpec(), "time")
+    trips = savings_trips(m, [make_stop(1, 1, 100.0, service_s=60)], FleetSpec())
     assert len(trips) == 1
     assert trips[0].stop_ids == [1]
     assert trips[0].drive_time_s == pytest.approx(20.0)
@@ -165,7 +187,7 @@ def test_local_search_uncrosses_a_tour():
     crossed = manual_plan(m, stops, [[2, 1, 4, 3]], fleet)
     best = best_single_tour_cost(m, stops, DEPOT)
     assert crossed.cost > best + 1e-9
-    improved = improve_local(crossed, m, fleet, "time")
+    improved = descend(crossed, m, fleet)
     assert improved.cost < crossed.cost - 1e-9
     assert improved.cost == pytest.approx(best)
 
@@ -177,7 +199,7 @@ def test_local_search_is_a_fixed_point_on_optimal_plans():
              make_stop(2, 2, 100.0, service_s=60)]
     fleet = FleetSpec()
     plan = manual_plan(m, stops, [[1, 2]], fleet)
-    improved = improve_local(plan, m, fleet, "time")
+    improved = descend(plan, m, fleet)
     assert improved.cost == pytest.approx(plan.cost)
     assert [t.stop_ids for t in improved.all_trips()] == [[1, 2]]
 
@@ -190,7 +212,7 @@ def test_relocation_respects_capacity():
              make_stop(2, 2, 3000.0, service_s=60)]
     fleet = FleetSpec(capacity_kg=4000)
     plan = manual_plan(m, stops, [[1], [2]], fleet)
-    improved = improve_local(plan, m, fleet, "time")
+    improved = descend(plan, m, fleet)
     assert sorted(tuple(t.stop_ids) for t in improved.all_trips()) == [(1,), (2,)]
     assert improved.cost == pytest.approx(plan.cost)
 
@@ -369,7 +391,7 @@ def test_trip_time_decomposition():
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
     plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
-    metrics = route_metrics(plan, m, FleetSpec())
+    metrics = route_metrics(plan, m)
     assert metrics.n_trips == 1
     trip = plan.all_trips()[0]
     assert trip.drive_time_s == pytest.approx(540.0)
@@ -397,7 +419,7 @@ def test_local_search_never_increases_cost():
         cut = rng.randint(1, len(ids))
         seqs = [seq for seq in (ids[:cut], ids[cut:]) if seq]
         plan = manual_plan(m, stops, seqs, fleet)
-        improved = improve_local(plan, m, fleet, "time")
+        improved = descend(plan, m, fleet)
         assert improved.cost <= plan.cost + 1e-9
 
 
@@ -408,7 +430,7 @@ def test_metrics_totals_are_sums_of_per_truck_values():
     stops = [make_stop(s.id, s.node, s.assigned_demand_kg, service_s=600.0)
              for s in stops]
     plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
-    metrics = route_metrics(plan, m, fleet)
+    metrics = route_metrics(plan, m)
     assert metrics.total_work_s == pytest.approx(
         sum(t.work_s for t in metrics.per_truck)
     )
@@ -425,12 +447,12 @@ def test_metrics_reject_a_trip_whose_drive_time_disagrees_with_the_matrix():
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
     plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
-    route_metrics(plan, m, FleetSpec())
+    route_metrics(plan, m)
     trip = plan.all_trips()[0]
     trip.drive_time_s += 1.0
     with pytest.raises(ValueError, match="plan drive time 541.0 disagrees with "
                        r"the matrix \(540.0\)"):
-        route_metrics(plan, m, FleetSpec())
+        route_metrics(plan, m)
 
 
 def test_metrics_reject_a_trip_through_a_node_the_matrix_lacks():
@@ -439,4 +461,4 @@ def test_metrics_reject_a_trip_through_a_node_the_matrix_lacks():
     plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
     plan.stops[2] = make_stop(2, 7, 500.0)
     with pytest.raises(UnknownNode, match="node 7 missing from the cost matrix"):
-        route_metrics(plan, m, FleetSpec())
+        route_metrics(plan, m)

@@ -24,6 +24,8 @@ from mswplan.coverage import CoverageConfig, aggregate_demand, place_stops
 from mswplan.network import CostMatrix
 from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
 from mswplan.vrp import (
+    MAX_MOVES,
+    RESTARTS,
     Depot,
     FleetSpec,
     _cheapest_insertion_seqs,
@@ -32,6 +34,7 @@ from mswplan.vrp import (
     _flip_prefix,
     _improve_seqs,
     _insertion_deltas,
+    _pack_plan,
     _removal_delta,
     _reversal_deltas,
     _without,
@@ -160,6 +163,113 @@ def test_delta_descent_matches_full_recompute(seed, n_stops, n_nodes, objective,
     expected = improve_seqs_reference(full_recompute(ctx, matrix),
                                       [list(s) for s in seqs], max_moves)
     assert _improve_seqs(ctx, [list(s) for s in seqs], max_moves) == expected
+
+
+def fresh_reference(ctx: _Ctx, matrix: CostMatrix) -> _Ctx:
+    """A full-recompute context on a new instance of ``ctx``'s inputs, so
+    it shares no search memory with ``ctx``."""
+    return full_recompute(_Ctx(matrix, list(ctx.stops.values()), Depot(ctx.depot),
+                               ctx.fleet, ctx.objective), matrix)
+
+
+@DETERMINISTIC
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_stops=st.integers(1, 12),
+    n_nodes=st.integers(1, 8),
+    objective=st.sampled_from(vrp.OBJECTIVES),
+    style=st.sampled_from(("tenths", "eps", "uniform")),
+    max_moves=st.sampled_from((1, 2, 10_000)),
+)
+def test_descents_sharing_one_instance_match_fresh_full_recompute(
+        seed, n_stops, n_nodes, objective, style, max_moves):
+    # one _Ctx, so one search memory, for every descent: what an earlier
+    # descent proved must hold for the trips of a later one
+    ctx, ids, matrix = random_instance(seed, n_stops, n_nodes, objective, style)
+    rng = random.Random(seed)
+    starts = [starting_seqs(ctx, ids, rng, start) for start in
+              ("savings", "insertion", "insertion", "insertion", "chunks")]
+    starts.append(rng.choice(starts))
+    for seqs in starts:
+        expected = improve_seqs_reference(fresh_reference(ctx, matrix),
+                                          [list(s) for s in seqs], max_moves)
+        assert _improve_seqs(ctx, [list(s) for s in seqs], max_moves) == expected
+
+
+def reference_solve(ref: _Ctx, seed: int) -> list[list[int]]:
+    """The restarts of ``solve_vrp``, composed from the reference steps."""
+    best = improve_seqs_reference(ref, savings_reference(ref), MAX_MOVES)
+    best_cost = sum(ref.drive_cost(s) for s in best)
+    for r in range(1, RESTARTS):
+        order = sorted(ref.stops)
+        random.Random(seed * 1_000_003 + r).shuffle(order)
+        seqs = improve_seqs_reference(ref, insertion_reference(ref, order), MAX_MOVES)
+        cost = sum(ref.drive_cost(s) for s in seqs)
+        if cost < best_cost - vrp._EPS:
+            best, best_cost = seqs, cost
+    return best
+
+
+@DETERMINISTIC
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_stops=st.integers(1, 12),
+    n_nodes=st.integers(1, 8),
+    objective=st.sampled_from(vrp.OBJECTIVES),
+    style=st.sampled_from(("tenths", "eps", "uniform")),
+    solve_seed=st.integers(0, 1000),
+)
+def test_solve_matches_a_reference_solve(seed, n_stops, n_nodes, objective, style,
+                                         solve_seed):
+    ctx, _, matrix = random_instance(seed, n_stops, n_nodes, objective, style)
+    ref = fresh_reference(ctx, matrix)
+    plan = vrp.solve_vrp(matrix, list(ctx.stops.values()), Depot(ctx.depot),
+                         ctx.fleet, objective, solve_seed)
+    assert plan == _pack_plan(ref, reference_solve(ref, solve_seed))
+
+
+def shift_with_limit(target: float) -> float:
+    """A shift whose ``shift_s + _EPS`` rounds to exactly ``target``."""
+    shift = target - vrp._EPS
+    while shift + vrp._EPS < target:
+        shift = math.nextafter(shift, math.inf)
+    while shift + vrp._EPS > target:
+        shift = math.nextafter(shift, -math.inf)
+    assert shift + vrp._EPS == target
+    return shift
+
+
+# Times in tenths of a second (t_01, t_10, t_12, t_20, service 1,
+# service 2, unload) whose sums round differently in different orders:
+# the duration of trip [1, 2] summed in full, and the same duration
+# estimated from trip [1] plus the change of inserting stop 2, differ in
+# the last bits. The first estimate lies above the full sum, the second
+# more than one float below it.
+ROUNDING_APART = [(3, 2, 5, 2, 8, 7, 4), (9, 6, 3, 7, 8, 8, 3)]
+
+
+@pytest.mark.parametrize("objective", vrp.OBJECTIVES)
+@pytest.mark.parametrize("tenths", ROUNDING_APART)
+@pytest.mark.parametrize("fits", [True, False])
+def test_insertion_at_the_shift_limit_gets_the_full_sum_verdict(objective, tenths,
+                                                                fits):
+    t01, t10, t12, t20, s1, s2, unload = (k * 0.1 for k in tenths)
+    # inserting 2 before 1 costs more and takes far longer
+    time_s = ((0.0, t01, 0.1), (t10, 0.0, t12), (t20, 9.0, 0.0))
+    length_m = tuple(tuple(100 * t for t in line) for line in time_s)
+    matrix = CostMatrix(origins=(0, 1, 2), destinations=(0, 1, 2),
+                        metric=objective, length_m=length_m, time_s=time_s)
+    stops = [make_stop(1, 1, 1.0, service_s=s1), make_stop(2, 2, 1.0, service_s=s2)]
+    probe = _Ctx(matrix, stops, Depot(0), FleetSpec(unload_s=unload), objective)
+    merged = probe.duration([1, 2])
+    # the shift ends exactly at the merged trip's end, or one float before it
+    target = merged if fits else math.nextafter(merged, -math.inf)
+    fleet = FleetSpec(unload_s=unload, shift_s=shift_with_limit(target))
+    ctx = _Ctx(matrix, stops, Depot(0), fleet, objective)
+    _validate_instance(ctx)
+    expected = [[1, 2]] if fits else [[1], [2]]
+    assert insertion_reference(full_recompute(ctx, matrix), [1, 2]) == expected
+    assert _cheapest_insertion_seqs(ctx, [1, 2]) == expected
 
 
 @DIFFERENTIAL
