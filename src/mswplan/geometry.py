@@ -41,6 +41,6 @@ def route_geometry(plan: RoutePlan, net: RoadNetwork, matrix: CostMatrix) -> dic
 
 
 def write_geojson(collection: dict, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w") as fh:
-        json.dump(collection, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n")

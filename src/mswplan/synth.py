@@ -12,6 +12,11 @@ from .errors import DataError
 from .network import Edge, Node, write_edges, write_nodes
 
 
+#: The largest city a spec may ask for; a 34x34 grid (1225 nodes, 8092
+#: buildings) already takes seconds to plan.
+MAX_NODES, MAX_BUILDINGS = 100_000, 1_000_000
+
+
 @dataclass(frozen=True)
 class SyntheticCitySpec:
     seed: int = 0
@@ -29,6 +34,12 @@ class SyntheticCitySpec:
             raise ValueError("block_m and speed_kmh must be finite and positive")
         if self.buildings_per_block < 0 or self.units_per_building < 0:
             raise ValueError("densities must be non-negative")
+        nodes = (self.grid_x + 1) * (self.grid_y + 1)
+        buildings = self.grid_x * self.grid_y * self.buildings_per_block
+        if nodes > MAX_NODES or buildings > MAX_BUILDINGS:
+            raise ValueError(
+                f"grid_x, grid_y and buildings_per_block give {nodes} nodes and "
+                f"{buildings} buildings, more than {MAX_NODES} or {MAX_BUILDINGS}")
 
 
 def gen_synthetic_city(

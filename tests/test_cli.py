@@ -449,6 +449,23 @@ def test_synth_non_finite_spec_number_exits_2(tmp_path, line):
     assert not (tmp_path / "city").exists()
 
 
+@pytest.mark.parametrize("lines, sizes", [
+    ("grid_x=1000000000\ngrid_y=1000000000\n",
+     "1000000002000000001 nodes and 7000000000000000000 buildings"),
+    ("grid_x=100\ngrid_y=100\nbuildings_per_block=1000\n",
+     "10201 nodes and 10000000 buildings"),
+])
+def test_synth_spec_beyond_the_ceiling_exits_2(tmp_path, lines, sizes):
+    spec = tmp_path / "city.cfg"
+    spec.write_text(f"seed=5\n{lines}")
+    result = CliRunner().invoke(
+        main, ["synth", str(spec), "--out", str(tmp_path / "city")])
+    assert result.exit_code == 2, result.output
+    assert f"error: grid_x, grid_y and buildings_per_block give {sizes}" \
+        in result.output
+    assert not (tmp_path / "city").exists()
+
+
 def test_compare_inconsistent_summary_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     with open(demo_path("summaries", "proposed.cfg")) as fh:

@@ -1,21 +1,23 @@
 """The single search kernel against the two it replaced, and against networkx.
 
-``mswplan.network._search`` runs one Dijkstra loop per state kind: node
-states by time, node states by distance, and arriving-edge states when
-turn penalties change the time metric. The differential tests hold it
-to the verbatim node and edge-state kernels in ``network_reference.py``:
-the same settled nodes, with bit-identical cost, length and time, and
-the same paths. The deterministic tests pin what those examples find
-only by chance: the turn penalties in a distance search's time, no push
-past a bound, and the bound itself settling. The graphs are built to
-tie: integer lengths and speeds that give integer times,
-parallel edges, self-loops, turn tables of zeros (which leave the node
-search in charge) and positive penalties. The oracle tests check
-``cost_matrix`` against networkx, which shares no code with either.
-Both oracles read turn penalties from the dicts the tests build the
-networks from, never from the network's own tables.
+``mswplan.network._search`` runs two Dijkstra loops: node states by
+either metric, and arriving-edge states when turn penalties change the
+time metric. The differential tests hold it to the verbatim node and
+edge-state kernels in ``network_reference.py``: the same settled nodes,
+with bit-identical cost, length and time, and the same paths, also on
+turn tables made to let the edge-state gate prune. The deterministic
+tests pin what those examples find only by chance: the turn penalties in
+a distance search's time, matrix cells that equal forward re-sums along
+their paths, fewer pushes with the gate, no push past a bound, and the
+bound itself settling. The graphs are built to tie: integer lengths and
+speeds that give integer times, parallel edges, self-loops, turn tables
+of zeros (which leave the node search in charge) and positive penalties.
+The oracle tests check ``cost_matrix`` against networkx, which shares no
+code with either. Both oracles read turn penalties from the dicts the
+tests build the networks from, never from the network's own tables.
 """
 
+import copy
 import heapq
 import math
 import random
@@ -110,11 +112,55 @@ def test_single_kernel_matches_the_node_and_edge_state_kernels(seed, lengths,
                 assert_same_search(net, pens, source, metric, bound)
 
 
-def turned_grid_city(grid: int) -> tuple[RoadNetwork, dict]:
+def gate_graph(rng: random.Random, lengths: str) -> tuple[RoadNetwork, dict]:
+    """A tie-rich graph (self-loops, parallel edges) with a turn table
+    that makes the edge-state gate prune, and that table.
+
+    Penalties reach several edge times, most U-turns carry one, and about
+    a quarter of the edges have no turn rows at all, so their largest
+    penalty is 0.0.
+    """
+    plain, _ = tie_rich_graph(rng, lengths, "none")
+    edges = list(plain.edges)
+    top = max((e.travel_time_s for e in edges), default=1.0)
+    bare = {ei for ei in range(len(edges)) if rng.random() < 0.25}
+    pens: dict[tuple[int, int], float] = {}
+    for ei, e in enumerate(edges):
+        for fi, f in enumerate(edges):
+            if ei in bare or e.to_id != f.from_id:
+                continue
+            if rng.random() < (0.9 if f.to_id == e.from_id else 0.5):
+                pens[(ei, fi)] = (5.0 * rng.randint(0, 24) if lengths == "integer"
+                                  else rng.uniform(0.0, 4.0) * top)
+    return RoadNetwork([plain.node(i) for i in plain.node_ids], edges,
+                       pens), pens
+
+
+@DIFFERENTIAL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.sampled_from(("integer", "uniform")),
+)
+def test_gated_kernel_matches_the_reference_on_pruning_turn_tables(seed,
+                                                                   lengths):
+    rng = random.Random(seed)
+    net, pens = gate_graph(rng, lengths)
+    for metric in METRICS:
+        for source in net.node_ids:
+            values = sorted(reference_search(net, pens, source,
+                                             metric).cost.values())
+            bounds = (0.0, rng.choice(values),
+                      rng.uniform(0.0, 2 * values[-1]), math.inf)
+            for bound in bounds:
+                assert_same_search(net, pens, source, metric, bound)
+
+
+def turned_grid_city(grid: int, **spec) -> tuple[RoadNetwork, dict]:
     """A synthetic grid city with a 60 s U-turn and a 10 s bend penalty,
-    and those penalties."""
+    and those penalties; ``spec`` overrides more SyntheticCitySpec
+    fields."""
     nodes, edges, _ = gen_synthetic_city(
-        SyntheticCitySpec(seed=3, grid_x=grid, grid_y=grid))
+        SyntheticCitySpec(seed=3, grid_x=grid, grid_y=grid, **spec))
     xy = {n.id: (n.x_m, n.y_m) for n in nodes}
     pens = {}
     for ei, e in enumerate(edges):
@@ -182,6 +228,83 @@ def test_kept_matrix_searches_hold_only_their_path_links(metric):
         assert held == {"source", "metric", "_net", "_arrive", "_parent"}
         assert len(search._arrive) == net.n_nodes
         assert len(search._parent) == len(net.edges)
+
+
+def test_gate_pushes_fewer_entries_with_the_same_answers(monkeypatch):
+    net, _ = turned_grid_city(6)
+    # the same network with every gate open, but the source's (0.0)
+    ungated = copy.copy(net)
+    ungated._hi = [math.inf] * len(net.edges)
+    pushes = 0
+    real_push = heapq.heappush
+
+    def counting_push(heap, entry):
+        nonlocal pushes
+        pushes += 1
+        real_push(heap, entry)
+
+    monkeypatch.setattr(network.heapq, "heappush", counting_push)
+    counts, answers = [], []
+    for n in (net, ungated):
+        pushes = 0
+        runs = [_search(n, s, "time") for s in net.node_ids]
+        counts.append(pushes)
+        answers.append([(r.cost, r.length_m, r.time_s,
+                         [r.path_to(t) for t in net.node_ids]) for r in runs])
+    assert answers[0] == answers[1]
+    assert counts[0] < counts[1]
+
+
+def matrix_grids():
+    """(network, penalties) of turned and plain grid cities, with round
+    and with skewed block lengths and speeds (sums that round)."""
+    for spec in ({}, {"block_m": 211.1, "speed_kmh": 37.0}):
+        net, pens = turned_grid_city(6, **spec)
+        yield net, pens
+        yield RoadNetwork([net.node(i) for i in net.node_ids],
+                          list(net.edges)), {}
+
+
+def resum(net: RoadNetwork, pens: dict, edge_of: dict, path: list[int],
+          metric: str) -> tuple[float, float]:
+    """(length, time) re-summed forward along ``path``, whose node pairs
+    ``edge_of`` names the edges of, in the kernel's order: a time search
+    adds cost + pen + time, the time of a distance search acc + time +
+    pen."""
+    length = time = 0.0
+    prev = None
+    for x, y in zip(path, path[1:]):
+        ei = edge_of[x, y]
+        pen = 0.0 if prev is None else pens.get((prev, ei), 0.0)
+        length = length + net.edges[ei].length_m
+        if metric == "time":
+            time = time + pen + net.edges[ei].travel_time_s
+        else:
+            time = time + net.edges[ei].travel_time_s + pen
+        prev = ei
+    return length, time
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_matrix_cells_are_sums_along_their_paths(metric):
+    # the metric searched, the other one a matrix search carries and the
+    # one a bounded search sums when read all equal a forward re-sum
+    for net, pens in matrix_grids():
+        edge_of = {(e.from_id, e.to_id): ei for ei, e in enumerate(net.edges)}
+        assert len(edge_of) == len(net.edges)  # a node pair names its edge
+        ids = net.node_ids
+        m = cost_matrix(net, ids, ids, metric)
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                assert m.cost[i][j] != UNREACHABLE
+                assert (m.length_m[i][j], m.time_s[i][j]) == resum(
+                    net, pens, edge_of, m.path(a, b), metric)
+            bound = sorted(m.cost[i])[len(ids) // 2]
+            res = _search(net, a, metric, bound)
+            assert len(res.cost) > 1
+            for b in res.cost:
+                assert (res.length_m[b], res.time_s[b]) == resum(
+                    net, pens, edge_of, res.path_to(b), metric)
 
 
 def test_distance_search_time_includes_the_turns_it_takes():

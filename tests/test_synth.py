@@ -3,7 +3,8 @@ import math
 import pytest
 
 from mswplan.network import RoadNetwork, UNREACHABLE, cost_matrix, load_network
-from mswplan.synth import SyntheticCitySpec, gen_synthetic_city, write_city
+from mswplan.synth import (MAX_BUILDINGS, MAX_NODES, SyntheticCitySpec,
+                          gen_synthetic_city, write_city)
 
 
 def test_two_by_two_grid_combinatorics():
@@ -67,3 +68,29 @@ def test_bad_spec_rejected():
 def test_spec_needs_finite_positive_block_and_speed(field, value):
     with pytest.raises(ValueError, match="must be finite and positive"):
         SyntheticCitySpec(**{field: value})
+
+
+def test_spec_at_the_ceilings_is_accepted():
+    # built only, never generated
+    side = math.isqrt(MAX_NODES) - 1
+    assert (side + 1) ** 2 <= MAX_NODES
+    SyntheticCitySpec(grid_x=side, grid_y=side,
+                      buildings_per_block=MAX_BUILDINGS // side ** 2)
+    SyntheticCitySpec(grid_x=MAX_NODES // 2 - 1, grid_y=1,
+                      buildings_per_block=0)
+
+
+@pytest.mark.parametrize("grid_x, grid_y", [(10**9, 10**9),
+                                            (MAX_NODES // 2, 1),
+                                            (1, MAX_NODES)])
+def test_spec_beyond_the_node_ceiling_is_rejected(grid_x, grid_y):
+    with pytest.raises(ValueError, match=r"^grid_x, grid_y and buildings_per_block "
+                                         r"give \d+ nodes and 0 buildings"):
+        SyntheticCitySpec(grid_x=grid_x, grid_y=grid_y, buildings_per_block=0)
+
+
+def test_spec_beyond_the_building_ceiling_is_rejected():
+    side = 100
+    per_block = MAX_BUILDINGS // side ** 2 + 1
+    with pytest.raises(ValueError, match=r"give 10201 nodes and 1010000 buildings"):
+        SyntheticCitySpec(grid_x=side, grid_y=side, buildings_per_block=per_block)
