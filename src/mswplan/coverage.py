@@ -9,13 +9,14 @@ demand heavier than the cap gets its own flagged stop.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from dataclasses import dataclass, field
 
 from .errors import (DataError, NegativeUnits, NoNodeWithinRange, PlannerError,
                      UncoverableDemand)
-from .network import RoadNetwork, _read_table, _search, _write_table, snap
+from .network import RoadNetwork, _read_table, _search, snap
 
 log = logging.getLogger(__name__)
 
@@ -131,7 +132,7 @@ def _stop_distances(
         net.node(c)  # UnknownNode for a candidate off the network
         # a distance search is a node search: lengths by node position
         res = _search(net, c, "distance", reach)
-        meters = res._best
+        meters = res._len
         # one pass over the settled order; sorting positions restores the
         # input order
         reached = sorted([pos for p in res._order for pos in at_node[p]])
@@ -311,14 +312,27 @@ def load_buildings(path: str) -> list[tuple[int, float, float, int]]:
 
 
 def write_buildings(rows: list[tuple[int, float, float, int]], path: str) -> None:
-    _write_table(path, BUILDING_HEADER,
-                 ([bid, repr(x), repr(y), units] for bid, x, y, units in rows))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(BUILDING_HEADER)
+        for bid, x, y, units in rows:
+            w.writerow([bid, repr(x), repr(y), units])
 
 
 def write_stops(stops: list[StopPoint], path: str) -> None:
-    _write_table(path, STOP_HEADER, (
-        [s.id, s.node, repr(s.assigned_demand_kg), repr(s.service_time_s),
-         ";".join(str(i) for i in s.covered_demand_ids)] for s in stops))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(STOP_HEADER)
+        for s in stops:
+            w.writerow(
+                [
+                    s.id,
+                    s.node,
+                    repr(s.assigned_demand_kg),
+                    repr(s.service_time_s),
+                    ";".join(str(i) for i in s.covered_demand_ids),
+                ]
+            )
 
 
 def load_stops(path: str) -> list[StopPoint]:

@@ -10,6 +10,7 @@ when formatting a report.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
@@ -21,7 +22,7 @@ from .errors import (
     NonpositiveBaseline,
     ZeroDistance,
 )
-from .network import _read_table, _write_table
+from .network import _read_table
 
 _CONSISTENCY_TOL = 0.05  # totals vs n_trucks * average
 
@@ -226,9 +227,19 @@ _QUANTITIES = ("energy_mj", "co_g", "co2_g", "nox_g")
 
 
 def write_factors(factors_by_class: dict[str, ImpactFactors], path: str) -> None:
-    _write_table(path, FACTOR_HEADER, (
-        [cls, q, repr(getattr(f, f"{q}_per_km")), repr(getattr(f, f"{q}_per_stop"))]
-        for cls, f in sorted(factors_by_class.items()) for q in _QUANTITIES))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(FACTOR_HEADER)
+        for cls in sorted(factors_by_class):
+            f = factors_by_class[cls]
+            rows = [
+                ("energy_mj", f.energy_mj_per_km, f.energy_mj_per_stop),
+                ("co_g", f.co_g_per_km, f.co_g_per_stop),
+                ("co2_g", f.co2_g_per_km, f.co2_g_per_stop),
+                ("nox_g", f.nox_g_per_km, f.nox_g_per_stop),
+            ]
+            for quantity, per_km, per_stop in rows:
+                w.writerow([cls, quantity, repr(per_km), repr(per_stop)])
 
 
 def load_factors(path: str) -> dict[str, ImpactFactors]:

@@ -6,13 +6,13 @@ divided by edge speed, plus optional turn penalties) and distance in
 meters (turn penalties ignored). Ties in the search are broken toward
 the smaller node id so identical inputs always yield identical paths.
 One Dijkstra kernel, :func:`_search`, runs every search with two loops:
-nodes, or arriving edges when turn penalties change the time metric; it
-pushes no arriving edge that can win no relaxation. An unbounded search
-over nodes carries the other metric; the others sum it along the kept
-paths when read. It runs in :func:`cost_matrix`, once per origin, and in
-coverage's distance tables, which bound each search by the service
-radius: it starts every state's value just above the bound, so it never
-pushes a state beyond it.
+nodes by either metric, or arriving edges when turn penalties change the
+time metric, where it pushes no arrival that can win no relaxation. Each
+state holds its metric's value and the other metric's, no more. It runs
+in :func:`cost_matrix`, once per origin, and in coverage's distance
+tables, which bound each search by the service radius: a bounded search
+starts every state's value just above the bound, so it never pushes a
+state beyond it.
 ``CostMatrix.path`` reads paths back from the kept searches. Each network
 numbers its nodes by position in id order and builds, once, per-node
 out-edge rows and per-edge successor rows that carry the turn
@@ -197,79 +197,54 @@ class CostMatrix:
 class _SearchResult:
     """Single-source search output, stored by node position.
 
-    ``_arrive[p]`` is the edge node position p first settled by (-1 at
-    the source, None while unsettled), ``_order`` the settled positions
-    in settle order; ``_parent`` maps an edge to the arriving edge of the
-    path it was last relaxed from, so :meth:`path_to` walks back from a
-    node's arriving edge. ``_best`` holds the search metric per state and
-    ``_key[p]`` names node position p's state. ``_other`` holds the other
-    metric an unbounded node search carried, or else its sums so far by
-    the edge a path ends with (0.0 at -1, UNREACHABLE at None).
-    :func:`cost_matrix` keeps only ``_arrive`` and ``_parent``.
+    ``_arrive[p]`` is the edge by which the path node position p was
+    first settled on arrived (-1 at the source, None while unsettled),
+    and ``_order`` lists the settled positions in settle order.
+    ``_parent`` maps an edge to the arriving edge of the path it was last
+    relaxed from, so :meth:`path_to` walks back from a node's arriving
+    edge to the source in either search mode. The kernel keeps two value
+    arrays, ``best`` (the search metric's own value) and ``other`` (the
+    other metric along the same path); ``_len`` and ``_time`` name them
+    by metric. They are indexed by node position in a node search, by
+    edge (the source in the last slot) in an edge-state search, and
+    ``_key[p]`` names node position p's state in them. ``cost``,
+    ``length_m`` and ``time_s`` read them into dicts over the settled
+    node ids. :func:`cost_matrix` keeps only ``_arrive`` and ``_parent``.
     """
 
     __slots__ = ("source", "metric", "_net", "_arrive", "_parent", "_order",
-                 "_best", "_key", "_other")
+                 "_len", "_time", "_key")
 
     def __init__(self, net: RoadNetwork, source: int, metric: str,
                  arrive: list[int | None], parent: list[int], order: list[int],
-                 best: list[float], key, kept: list[float] | None):
+                 best: list[float], other: list[float], key):
         self.source, self.metric, self._net = source, metric, net
         self._arrive, self._parent, self._order = arrive, parent, order
-        self._best, self._key = best, key
-        self._other = {-1: 0.0, None: UNREACHABLE} if kept is None else kept
+        self._len, self._time = (other, best) if metric == "time" else (best, other)
+        self._key = key
 
     @property
     def cost(self) -> dict[int, float]:
         """Per-node optimal value in the search metric."""
-        return self._by_id(self.metric)
+        return self.time_s if self.metric == "time" else self.length_m
 
     @property
     def length_m(self) -> dict[int, float]:
-        return self._by_id("distance")
+        return self._by_id(self._len)
 
     @property
     def time_s(self) -> dict[int, float]:
-        return self._by_id("time")
+        return self._by_id(self._time)
 
-    def _by_id(self, metric: str) -> dict[int, float]:
-        ids, order = self._net._ids, self._order
-        return {ids[p]: x for p, x in zip(order, self._row(metric, order))}
+    def _by_id(self, values: list[float]) -> dict[int, float]:
+        ids, key = self._net._ids, self._key
+        return {ids[p]: values[key[p]] for p in self._order}
 
-    def _row(self, metric: str, cols: list[int]) -> tuple[float, ...]:
-        """``metric`` at node positions ``cols``, UNREACHABLE if unsettled.
-
-        The other metric, unless the search carried it, is summed along
-        the kept path (each improving relaxation set a state's value and
-        parent together) from its last edge that has a sum, in the kernel's
-        order: ``acc + length``, or ``acc + time + pen`` (the turn onto the
-        edge) for the time of a distance search.
-        """
-        arrive, known = self._arrive, self._other
-        if metric == self.metric or isinstance(known, list):
-            values = self._best if metric == self.metric else known
-            key = self._key
-            return tuple(UNREACHABLE if arrive[p] is None else values[key[p]]
-                         for p in cols)
-        parent, net, out = self._parent, self._net, []
-        first = net._rows[net._pos[self.source]]
-        for p in cols:
-            chain, ei = [], arrive[p]
-            while ei not in known:
-                chain.append(ei)
-                ei = parent[ei]
-            acc = known[ei]
-            for fi in reversed(chain):
-                if self.metric == "time":
-                    acc = known[fi] = acc + net._edges[fi].length_m
-                    continue
-                for row in first if ei == -1 else net._succ[ei]:
-                    if row[0] == fi:
-                        break
-                acc = known[fi] = acc + row[3] + row[4]
-                ei = fi
-            out.append(acc)
-        return tuple(out)
+    def _row(self, values: list[float], cols: list[int]) -> tuple[float, ...]:
+        """``values`` at node positions ``cols``, UNREACHABLE if unsettled."""
+        arrive, key = self._arrive, self._key
+        return tuple(UNREACHABLE if arrive[p] is None else values[key[p]]
+                     for p in cols)
 
     def path_to(self, target: int) -> list[int]:
         edge_seq: list[int] = []
@@ -294,15 +269,14 @@ def _search(net: RoadNetwork, source: int, metric: str,
     is stale. A node's answer is its first settled state (minimum cost,
     then smaller node id, then smaller edge index).
 
-    ``best`` keeps the metric's own value per state. Both loops relax the
-    rows ``net._succ`` holds for the popped edge, turn penalties in them
+    There are two loops, one per state kind. Both relax the rows
+    ``net._succ`` holds for the popped edge, turn penalties in them
     (``net._rows`` at the source, whose out-edges the edge-state loop
-    relaxes before it starts); node states read the metric's column. An
-    unbounded node search, a matrix row, carries the other metric in
-    ``kept``, adding the penalty too (0.0 in a time search over nodes):
-    the matrix reads it at many nodes. The edge-state search (some 15
-    pushes per kept path edge) and a bounded one (coverage reads no other
-    metric) leave it to be summed along the kept paths when it is read.
+    relaxes before it starts). ``best`` holds the metric's own value per
+    state and ``other`` the other metric's along the same path. The node
+    loop reads the metric's column of the rows and adds the penalty slot
+    to ``other``: the time a distance search reports keeps the turns of
+    its path, and in a time search over nodes every penalty is 0.0.
 
     The edge-state loop pushes no arrival that cannot win. When node u
     first settles, by edge e' at cost c', ``gate[u]`` becomes
@@ -323,17 +297,17 @@ def _search(net: RoadNetwork, source: int, metric: str,
     arrive: list[int | None] = [None] * n_nodes
     parent = [-1] * len(net.edges)
     by_edge = metric == "time" and net.has_turn_penalties
-    kept = [0.0] * n_nodes if bound == math.inf and not by_edge else None
     # per node, or per edge and the source in the last slot, index -1
-    best = [math.nextafter(bound, math.inf)] * (len(parent) + 1 if by_edge else n_nodes)
+    n = len(parent) + 1 if by_edge else n_nodes
+    best, other = [math.nextafter(bound, math.inf)] * n, [0.0] * n
     pop, push = heapq.heappop, heapq.heappush
     if by_edge:
         hi, gate = net._hi, [math.inf] * n_nodes
         best[-1] = gate[src] = 0.0
         arrive[src], order, heap = -1, [src], []
-        for fi, v, _, nc, _ in rows[src]:  # 0.0 + 0.0 + time_f is time_f
+        for fi, v, len_f, nc, _ in rows[src]:  # 0.0 + 0.0 + time_f is time_f
             if nc < best[fi] and nc < gate[v]:
-                best[fi] = nc
+                best[fi], other[fi] = nc, len_f
                 push(heap, (nc, v, fi))
         while heap:
             cost_u, u, ei = pop(heap)
@@ -343,10 +317,12 @@ def _search(net: RoadNetwork, source: int, metric: str,
                 arrive[u] = ei
                 order.append(u)
                 gate[u] = cost_u + hi[ei]
-            for fi, v, _, time_f, pen in succ[ei]:
+            len_u = other[ei]
+            for fi, v, len_f, time_f, pen in succ[ei]:
                 nc = cost_u + pen + time_f
                 if nc < best[fi] and nc < gate[v]:
                     best[fi] = nc
+                    other[fi] = len_u + len_f
                     parent[fi] = ei
                     push(heap, (nc, v, fi))
     else:
@@ -358,17 +334,17 @@ def _search(net: RoadNetwork, source: int, metric: str,
                 continue
             arrive[u] = ei
             order.append(u)
+            other_u = other[u]
             for row in rows[u] if ei == -1 else succ[ei]:
                 nc = cost_u + row[col]
                 v = row[1]
                 if nc < best[v]:
                     best[v] = nc
-                    if kept:
-                        kept[v] = kept[u] + row[ocol] + row[4]
+                    other[v] = other_u + row[ocol] + row[4]
                     parent[row[0]] = ei
                     push(heap, (nc, v, row[0]))
     return _SearchResult(net, source, metric, arrive, parent, order, best,
-                         arrive if by_edge else range(n_nodes), kept)
+                         other, arrive if by_edge else range(n_nodes))
 
 
 def shortest_path(
@@ -392,8 +368,7 @@ def cost_matrix(
 ) -> CostMatrix:
     """Many-to-many drive times and lengths via one search per origin.
 
-    Paths are optimal in ``metric``; the other metric is summed along
-    the paths to the destinations only. The matrix keeps each origin's
+    Paths are optimal in ``metric``; the matrix keeps each origin's
     search, cut to its arriving and parent edges, so
     :meth:`CostMatrix.path` can read them back. Unreachable pairs get
     the UNREACHABLE marker rather than raising, so partially connected
@@ -412,8 +387,8 @@ def cost_matrix(
         if o in searches:
             continue
         res = searches[o] = _search(net, o, metric)
-        lengths[o], times[o] = res._row("distance", cols), res._row("time", cols)
-        res._order = res._best = res._key = res._other = None
+        lengths[o], times[o] = res._row(res._len, cols), res._row(res._time, cols)
+        res._order = res._len = res._time = res._key = None
     return CostMatrix(tuple(origins), tuple(destinations), metric,
                       tuple(lengths[o] for o in origins),
                       tuple(times[o] for o in origins), _searches=searches)
@@ -574,14 +549,6 @@ def _read_table(path: str, header: list[str], what: str, convert) -> list:
     return out
 
 
-def _write_table(path: str, header: list[str], rows) -> None:
-    """Write ``header``, then ``rows``, as CSV lines ended by a bare newline."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def load_nodes(path: str) -> list[Node]:
     return _read_table(path, NODE_HEADER, "node",
                        lambda r: Node(int(r[0]), float(r[1]), float(r[2])))
@@ -617,10 +584,16 @@ def load_network(
 
 
 def write_nodes(nodes: list[Node], path: str) -> None:
-    _write_table(path, NODE_HEADER,
-                 ([n.id, repr(n.x_m), repr(n.y_m)] for n in nodes))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(NODE_HEADER)
+        for n in nodes:
+            w.writerow([n.id, repr(n.x_m), repr(n.y_m)])
 
 
 def write_edges(edges: list[Edge], path: str) -> None:
-    _write_table(path, EDGE_HEADER, ([e.from_id, e.to_id, repr(e.length_m),
-                                      repr(e.speed_kmh)] for e in edges))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(EDGE_HEADER)
+        for e in edges:
+            w.writerow([e.from_id, e.to_id, repr(e.length_m), repr(e.speed_kmh)])

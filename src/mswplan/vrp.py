@@ -33,6 +33,7 @@ pairs shown to have no improving move, so none decides a fact twice.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 import sys
@@ -45,7 +46,7 @@ from .errors import (
     UnknownNode,
     UnreachableStop,
 )
-from .network import CostMatrix, _write_table
+from .network import CostMatrix
 
 _EPS = 1e-9
 #: Rounding slack of delta evaluation per summed leg, relative to the
@@ -716,8 +717,20 @@ PLAN_HEADER = ["truck_id", "trip_index", "stop_sequence", "load_kg",
 
 
 def write_plan(plan: RoutePlan, path: str) -> None:
-    _write_table(path, PLAN_HEADER, (
-        [tid, k, ";".join(str(s) for s in t.stop_ids), repr(t.load_kg),
-         repr(t.distance_m), repr(t.drive_time_s), repr(t.service_time_s),
-         repr(t.unload_s)]
-        for tid, trips in plan.trucks for k, t in enumerate(trips, start=1)))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(PLAN_HEADER)
+        for tid, trips in plan.trucks:
+            for k, t in enumerate(trips, start=1):
+                w.writerow(
+                    [
+                        tid,
+                        k,
+                        ";".join(str(s) for s in t.stop_ids),
+                        repr(t.load_kg),
+                        repr(t.distance_m),
+                        repr(t.drive_time_s),
+                        repr(t.service_time_s),
+                        repr(t.unload_s),
+                    ]
+                )

@@ -287,8 +287,8 @@ def resum(net: RoadNetwork, pens: dict, edge_of: dict, path: list[int],
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_matrix_cells_are_sums_along_their_paths(metric):
-    # the metric searched, the other one a matrix search carries and the
-    # one a bounded search sums when read all equal a forward re-sum
+    # the metric searched and the other one, in matrix cells and in a
+    # search bounded at the row's median, all equal a forward re-sum
     for net, pens in matrix_grids():
         edge_of = {(e.from_id, e.to_id): ei for ei, e in enumerate(net.edges)}
         assert len(edge_of) == len(net.edges)  # a node pair names its edge
