@@ -26,7 +26,6 @@ from .impact import (
     emissions,
     energy_consumption,
     percent_improvement,
-    time_consumption,
 )
 from .network import (
     UNREACHABLE,
@@ -48,6 +47,7 @@ from .vrp import (
     route_metrics,
     size_fleet,
     solve_vrp,
+    verify_plan,
 )
 
 __version__ = "0.1.0"
@@ -58,12 +58,12 @@ __all__ = [
     "aggregate_demand", "place_stops", "verify_coverage",
     "ComparisonReport", "ImpactFactors", "ScenarioSummary",
     "calibrate_factors", "compare_scenarios", "emissions",
-    "energy_consumption", "percent_improvement", "time_consumption",
+    "energy_consumption", "percent_improvement",
     "UNREACHABLE", "CostMatrix", "Edge", "Node", "RoadNetwork",
     "cost_matrix", "shortest_path", "snap",
     "ScenarioConfig", "load_scenario_config", "run_pipeline",
     "SyntheticCitySpec", "gen_synthetic_city",
     "Depot", "FleetSpec", "RoutePlan", "Trip", "route_metrics",
-    "size_fleet", "solve_vrp",
+    "size_fleet", "solve_vrp", "verify_plan",
     "__version__",
 ]

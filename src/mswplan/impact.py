@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 from .errors import (
@@ -83,9 +82,6 @@ class ScenarioSummary:
                     )
 
 
-TimeBreakdown = namedtuple("TimeBreakdown", "drive_h service_h unload_h total_h")
-
-
 def energy_consumption(total_km: float, n_stop_visits: float,
                        factors: ImpactFactors) -> float:
     if total_km < 0 or n_stop_visits < 0:
@@ -103,15 +99,6 @@ def emissions(total_km: float, n_stop_visits: float,
         factors.co2_g_per_km * total_km + factors.co2_g_per_stop * n_stop_visits,
         factors.nox_g_per_km * total_km + factors.nox_g_per_stop * n_stop_visits,
     )
-
-
-def time_consumption(drive_s: float, service_s: float, unload_s: float) -> TimeBreakdown:
-    """Hours per day, decomposed into driving, collecting, and unloading."""
-    if min(drive_s, service_s, unload_s) < 0:
-        raise NegativeInput("time components must be >= 0")
-    drive_h, service_h, unload_h = drive_s / 3600, service_s / 3600, unload_s / 3600
-    return TimeBreakdown(drive_h, service_h, unload_h,
-                         drive_h + service_h + unload_h)
 
 
 def calibrate_factors(summary: ScenarioSummary) -> ImpactFactors:
@@ -243,8 +230,8 @@ def write_factors(factors_by_class: dict[str, ImpactFactors], path: str) -> None
 
 
 def load_factors(path: str) -> dict[str, ImpactFactors]:
-    """Factors per truck class; a (class, quantity) row given twice is a
-    DataError."""
+    """Factors per truck class; a table with no rows, or a (class,
+    quantity) row given twice, is a DataError."""
     out: dict[str, ImpactFactors] = {}
     rows = _read_table(path, FACTOR_HEADER, "factor",
                        lambda r: (r[0], r[1], float(r[2]), float(r[3])))
@@ -262,4 +249,6 @@ def load_factors(path: str) -> dict[str, ImpactFactors]:
                                   f"{quantity}_per_stop": per_stop})
         except NegativeInput as exc:
             raise DataError(f"{path}: class {cls!r} {quantity}: {exc}") from exc
+    if not out:
+        raise DataError(f"{path}: no factor rows")
     return out

@@ -306,23 +306,19 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
                     matrix_nodes, matrix_nodes, cfg.objective)
     plan = _stage("vrp/solve", vrp.solve_vrp, matrix, stops,
                   vrp.Depot(depot_node), cfg.fleet, cfg.objective, cfg.seed)
-    planned_ids = sorted(s for t in plan.all_trips() for s in t.stop_ids)
-    if planned_ids != sorted(s.id for s in stops):
-        raise StageError("vrp/solve",
-                         PlannerError("plan does not cover each stop exactly once"))
-    metrics = _stage("vrp/metrics", vrp.route_metrics, plan, matrix)
+    _stage("vrp/solve", vrp.verify_plan, plan, matrix, cfg.fleet)
+    metrics = _stage("vrp/metrics", vrp.route_metrics, plan)
 
     factors = None
     if cfg.factors_path:
         table = _stage("impact/summary", impact.load_factors, cfg.factors_path)
-        cls = cfg.truck_class or (sorted(table)[0] if table else None)
-        if cls is not None:
-            if cls not in table:
-                raise StageError(
-                    "impact/summary",
-                    ConfigError(f"truck_class {cls!r} not in factors file"),
-                )
-            factors = table[cls]
+        cls = cfg.truck_class or min(table)
+        if cls not in table:
+            raise StageError(
+                "impact/summary",
+                ConfigError(f"truck_class {cls!r} not in factors file"),
+            )
+        factors = table[cls]
     summary = _stage("impact/summary", summary_from_plan, cfg.scenario_name,
                      plan, metrics, cfg.fleet, stops, factors)
     report = None

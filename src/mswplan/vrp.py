@@ -29,6 +29,9 @@ prices both the Or-opt insertions and the insertion positions of the
 restarts, whose shift checks are filtered the same way. The descents
 of a solve share one memory of per-trip data, and of trips and trip
 pairs shown to have no improving move, so none decides a fact twice.
+
+``verify_plan`` audits a finished plan by node id, apart from the
+solver's tables: stops, loads, drive times, lengths and shifts.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from .coverage import StopPoint
 from .errors import (
     InfeasibleStop,
+    PlannerError,
     ShiftTooShort,
     UnknownNode,
     UnreachableStop,
@@ -152,7 +156,11 @@ class _Ctx:
         self.fleet = fleet
         self.objective = objective
         self.depot = depot.node
-        self.stops = {s.id: s for s in stops}
+        self.stops: dict[int, StopPoint] = {}
+        for s in stops:
+            if s.id in self.stops:
+                raise ValueError(f"stop id {s.id} appears more than once")
+            self.stops[s.id] = s
         # table positions: 0 is the depot, then each distinct stop node in id
         # order; one position indexes a stop both as origin and destination
         self.nodes = [self.depot] + sorted({s.node for s in stops} - {self.depot})
@@ -643,68 +651,72 @@ def size_fleet(trips: list[Trip], shift_s: float) -> dict[int, list[int]]:
     return {tid + 1: sorted(idxs) for tid, idxs in enumerate(bins)}
 
 
-@dataclass
-class TruckMetrics:
-    truck_id: int
-    n_trips: int
-    distance_m: float
-    work_s: float
+def verify_plan(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> None:
+    """Audit ``plan`` apart from the solver's tables.
+
+    Each stop of ``plan.stops`` is planned exactly once. Per trip, the
+    load re-summed from the stops' demands equals ``load_kg`` and is
+    within capacity, and ``drive_time_s`` and ``distance_m`` equal their
+    re-sums from ``matrix.time_s`` and ``matrix.length_m``, depot ->
+    stops -> depot, looked up by node id. Per truck, the trips fit the
+    shift. A fault is a PlannerError naming the truck, the trip and the
+    check; a node the matrix lacks is an UnknownNode.
+    """
+    row = {nid: i for i, nid in enumerate(matrix.origins)}
+    col = {nid: i for i, nid in enumerate(matrix.destinations)}
+    unplanned = set(plan.stops)
+    for tid, trips in plan.trucks:
+        for k, t in enumerate(trips, start=1):
+            where = f"truck {tid} trip {k}"
+            for sid in t.stop_ids:
+                if sid not in unplanned:
+                    raise PlannerError(f"{where}: stop {sid} is " + (
+                        "planned more than once" if sid in plan.stops
+                        else "not a stop of the plan"))
+                unplanned.remove(sid)
+            load = math.fsum(plan.stops[s].assigned_demand_kg for s in t.stop_ids)
+            nodes = ([plan.depot_node] + [plan.stop_node(s) for s in t.stop_ids]
+                     + [plan.depot_node])
+            try:
+                cells = [(row[a], col[b]) for a, b in zip(nodes, nodes[1:])]
+            except KeyError as exc:
+                raise UnknownNode(f"{where}: node {exc.args[0]} missing from "
+                                  "the cost matrix") from None
+            for what, value, resum in (
+                    ("load_kg", t.load_kg, load),
+                    ("drive_time_s", t.drive_time_s,
+                     sum(matrix.time_s[r][c] for r, c in cells)),
+                    ("distance_m", t.distance_m,
+                     sum(matrix.length_m[r][c] for r, c in cells))):
+                if not math.isclose(value, resum, rel_tol=1e-9, abs_tol=1e-6):
+                    raise PlannerError(f"{where}: {what} {value} disagrees "
+                                       f"with its re-sum {resum}")
+            if load > fleet.capacity_kg + _EPS:
+                raise PlannerError(f"{where}: load {load} kg exceeds the "
+                                   f"{fleet.capacity_kg} kg capacity")
+        work = sum(t.total_time_s for t in trips)
+        if work > fleet.shift_s + _EPS:
+            raise PlannerError(f"truck {tid}: trips take {work} s, longer than "
+                               f"the {fleet.shift_s} s shift")
+    if unplanned:
+        raise PlannerError(f"stops {sorted(unplanned)} are not planned")
 
 
 @dataclass
 class RouteMetrics:
-    per_truck: list[TruckMetrics]
-    fleet_size: int
-    n_trips: int
     total_distance_m: float
     total_work_s: float
     avg_route_distance_m: float  # per truck, Table-style averages
     avg_route_time_s: float
 
 
-def route_metrics(plan: RoutePlan, matrix: CostMatrix) -> RouteMetrics:
-    """Aggregate distance/time per truck and overall; averages per truck.
-
-    When ``matrix`` is in the plan's metric, each trip's drive time is
-    first re-summed from ``matrix.time_s``, depot -> stops -> depot, by
-    node id and apart from the solver's tables; a trip that disagrees is
-    a ValueError.
-    """
-    per_truck = []
-    for tid, trips in plan.trucks:
-        per_truck.append(
-            TruckMetrics(
-                truck_id=tid,
-                n_trips=len(trips),
-                distance_m=sum(t.distance_m for t in trips),
-                work_s=sum(t.total_time_s for t in trips),
-            )
-        )
-    if matrix.metric == plan.objective:
-        row = {nid: i for i, nid in enumerate(matrix.origins)}
-        col = {nid: i for i, nid in enumerate(matrix.destinations)}
-        for t in plan.all_trips():
-            nodes = ([plan.depot_node] + [plan.stop_node(s) for s in t.stop_ids]
-                     + [plan.depot_node])
-            try:
-                recomputed = sum(matrix.time_s[row[a]][col[b]]
-                                 for a, b in zip(nodes, nodes[1:]))
-            except KeyError as exc:
-                raise UnknownNode(
-                    f"node {exc.args[0]} missing from the cost matrix") from None
-            if not math.isclose(recomputed, t.drive_time_s, rel_tol=1e-9,
-                                abs_tol=1e-6):
-                raise ValueError(
-                    f"plan drive time {t.drive_time_s} disagrees with the "
-                    f"matrix ({recomputed}) for trip {t.stop_ids}"
-                )
-    fleet_size = sum(1 for m in per_truck if m.n_trips)
-    total_distance = sum(m.distance_m for m in per_truck)
-    total_work = sum(m.work_s for m in per_truck)
+def route_metrics(plan: RoutePlan) -> RouteMetrics:
+    """Aggregate distance/time per truck and overall; averages per truck."""
+    # per truck, then over trucks: the summation order summary.cfg was written in
+    total_distance = sum(sum(t.distance_m for t in trips) for _, trips in plan.trucks)
+    total_work = sum(sum(t.total_time_s for t in trips) for _, trips in plan.trucks)
+    fleet_size = plan.fleet_size
     return RouteMetrics(
-        per_truck=per_truck,
-        fleet_size=fleet_size,
-        n_trips=sum(m.n_trips for m in per_truck),
         total_distance_m=total_distance,
         total_work_s=total_work,
         avg_route_distance_m=total_distance / fleet_size if fleet_size else 0.0,

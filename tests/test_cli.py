@@ -6,6 +6,8 @@ from click.testing import CliRunner
 
 from mswplan import vrp
 from mswplan.cli import main
+from mswplan.errors import StageError
+from mswplan.pipeline import load_scenario_config, run_pipeline
 
 DEMO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "demo"))
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -86,6 +88,26 @@ def test_plan_unclassified_stage_failure_exits_5(tmp_path, monkeypatch):
     assert result.exit_code == 5, result.output
     assert "stage vrp/solve" in result.output
     assert "solver state corrupted" in result.output
+
+
+def test_plan_that_drops_a_stop_fails_its_audit_with_exit_5(tmp_path, monkeypatch):
+    solve = vrp.solve_vrp
+
+    def dropping(matrix, stops, *args):
+        plan = solve(matrix, stops[1:], *args)
+        plan.stops = {s.id: s for s in stops}
+        return plan
+
+    monkeypatch.setattr(vrp, "solve_vrp", dropping)
+    cfg = load_scenario_config(demo_path("four_stops", "scenario.cfg"))
+    with pytest.raises(StageError) as info:
+        run_pipeline(cfg, str(tmp_path / "lib"))
+    assert info.value.stage == "vrp/solve"
+    result = CliRunner().invoke(
+        main, ["plan", demo_path("four_stops", "scenario.cfg"), "--out", str(tmp_path)])
+    assert result.exit_code == 5, result.output
+    assert "stage vrp/solve: stops [0] are not planned" in result.output
+    assert not (tmp_path / "plan.csv").exists()
 
 
 def test_plan_unwritable_out_dir_exits_4(tmp_path):
@@ -238,6 +260,21 @@ def test_plan_config_number_of_wrong_sign_exits_2(tmp_path, key, value, message)
     assert message in result.output
     assert "stage" not in result.output
     assert not (tmp_path / "stops.csv").exists()
+
+
+def test_plan_header_only_factors_file_exits_4(tmp_path):
+    for name in ("scenario.cfg", "nodes.csv", "edges.csv", "buildings.csv"):
+        shutil.copy(demo_path("four_stops", name), tmp_path / name)
+    factors = tmp_path / "factors.csv"
+    factors.write_text("class,quantity,per_km,per_stop\n")
+    with open(tmp_path / "scenario.cfg", "a") as fh:
+        fh.write("factors=factors.csv\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["plan", str(tmp_path / "scenario.cfg"), "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{factors}: no factor rows" in result.output
+    assert not (out / "summary.cfg").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

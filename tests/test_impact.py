@@ -23,7 +23,6 @@ from mswplan.impact import (
     format_comparison_text,
     load_factors,
     percent_improvement,
-    time_consumption,
     write_factors,
 )
 
@@ -83,8 +82,6 @@ def test_negative_inputs_rejected():
         emissions(0, -1, f)
     with pytest.raises(NegativeInput):
         ImpactFactors(co_g_per_km=-0.1)
-    with pytest.raises(NegativeInput):
-        time_consumption(-1, 0, 0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -103,13 +100,6 @@ def test_emission_totals_from_calibrated_factors():
     _, _, nox_p = emissions(3347, 0, f_proposed)
     assert nox_p == pytest.approx(210, rel=0.005)
     assert emissions(0, 0, f_existing) == (0.0, 0.0, 0.0)
-
-
-def test_time_consumption_decomposition():
-    tb = time_consumption(3600, 7200, 1800)
-    assert tb.total_h == pytest.approx(tb.drive_h + tb.service_h + tb.unload_h)
-    assert tb.total_h == pytest.approx(3.5)
-    assert time_consumption(0, 0, 0).total_h == 0.0
 
 
 def test_published_time_totals_are_consistent():

@@ -325,7 +325,7 @@ def test_empty_plan_products():
     assert brute_force_vrp(m, [], Depot(0), FleetSpec(), "time") == plan
     assert plan.fleet_size == 0
     assert plan.cost == 0.0
-    metrics = route_metrics(plan, m)
+    metrics = route_metrics(plan)
     assert metrics.total_work_s == 0.0
     assert metrics.avg_route_time_s == 0.0
     net = RoadNetwork([Node(0, 0, 0), Node(1, 10, 0)], [Edge(0, 1, 10, 40)])

@@ -8,6 +8,7 @@ from helpers import make_stop, matrix_from_points, min_bins_exhaustive
 from vrp_oracle import brute_force_vrp
 from mswplan.errors import (
     InfeasibleStop,
+    PlannerError,
     ShiftTooShort,
     UnknownNode,
     UnreachableStop,
@@ -27,6 +28,7 @@ from mswplan.vrp import (
     route_metrics,
     size_fleet,
     solve_vrp,
+    verify_plan,
 )
 
 DEPOT = Depot(0)
@@ -391,8 +393,8 @@ def test_trip_time_decomposition():
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
     plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
-    metrics = route_metrics(plan, m)
-    assert metrics.n_trips == 1
+    metrics = route_metrics(plan)
+    assert plan.n_trips == 1
     trip = plan.all_trips()[0]
     assert trip.drive_time_s == pytest.approx(540.0)
     assert trip.service_time_s == pytest.approx(3600.0)
@@ -430,35 +432,96 @@ def test_metrics_totals_are_sums_of_per_truck_values():
     stops = [make_stop(s.id, s.node, s.assigned_demand_kg, service_s=600.0)
              for s in stops]
     plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
-    metrics = route_metrics(plan, m)
-    assert metrics.total_work_s == pytest.approx(
-        sum(t.work_s for t in metrics.per_truck)
-    )
-    assert metrics.total_distance_m == pytest.approx(
-        sum(t.distance_m for t in metrics.per_truck)
-    )
-    if metrics.fleet_size:
-        assert metrics.avg_route_time_s == pytest.approx(
-            metrics.total_work_s / metrics.fleet_size
-        )
+    assert plan.fleet_size
+    metrics = route_metrics(plan)
+    trips = plan.all_trips()
+    assert metrics.total_work_s == pytest.approx(sum(t.total_time_s for t in trips))
+    assert metrics.total_distance_m == pytest.approx(sum(t.distance_m for t in trips))
+    assert metrics.avg_route_time_s == pytest.approx(
+        metrics.total_work_s / plan.fleet_size)
+    assert metrics.avg_route_distance_m == pytest.approx(
+        metrics.total_distance_m / plan.fleet_size)
 
 
 def test_metrics_reject_a_trip_whose_drive_time_disagrees_with_the_matrix():
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
-    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
-    route_metrics(plan, m)
+    fleet = FleetSpec()
+    plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
+    verify_plan(plan, m, fleet)
     trip = plan.all_trips()[0]
     trip.drive_time_s += 1.0
-    with pytest.raises(ValueError, match="plan drive time 541.0 disagrees with "
-                       r"the matrix \(540.0\)"):
-        route_metrics(plan, m)
+    with pytest.raises(PlannerError, match="truck 1 trip 1: drive_time_s 541.0 "
+                       "disagrees with its re-sum 540.0"):
+        verify_plan(plan, m, fleet)
 
 
 def test_metrics_reject_a_trip_through_a_node_the_matrix_lacks():
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
-    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
+    fleet = FleetSpec()
+    plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
     plan.stops[2] = make_stop(2, 7, 500.0)
-    with pytest.raises(UnknownNode, match="node 7 missing from the cost matrix"):
-        route_metrics(plan, m)
+    with pytest.raises(UnknownNode, match="truck 1 trip 1: node 7 missing from "
+                       "the cost matrix"):
+        verify_plan(plan, m, fleet)
+
+
+def _merge_trucks(plan, ctx):
+    plan.trucks = [(1, plan.all_trips())]
+
+
+def _merge_trips(plan, ctx):
+    seq = [s for t in plan.all_trips() for s in t.stop_ids]
+    plan.trucks = [(1, [ctx.build_trip(seq)])]
+
+
+def _rebuild_last_trip(change):
+    def mutate(plan, ctx):
+        first, last = plan.all_trips()[0], plan.trucks[-1][1][-1]
+        plan.trucks[-1][1][-1] = ctx.build_trip(change(last.stop_ids, first.stop_ids))
+    return mutate
+
+
+def _add_one(field):
+    def mutate(plan, ctx):
+        trip = plan.all_trips()[0]
+        setattr(trip, field, getattr(trip, field) + 1.0)
+    return mutate
+
+
+def _forget_stop(plan, ctx):
+    del plan.stops[plan.all_trips()[0].stop_ids[0]]
+
+
+@pytest.mark.parametrize("mutate, fault", [
+    (_add_one("distance_m"), r"truck 1 trip 1: distance_m \d+\.\d+ disagrees with "
+     r"its re-sum \d+\.\d+"),
+    (_add_one("load_kg"), r"truck 1 trip 1: load_kg 3001.0 disagrees with its re-sum "
+     r"3000.0"),
+    (_merge_trips, r"truck 1 trip 1: load 6000.0 kg exceeds the 4000.0 kg capacity"),
+    (_merge_trucks, r"truck 1: trips take \d+\.\d+ s, longer than the 6000.0 s shift"),
+    (_rebuild_last_trip(lambda last, first: last[:-1]), r"stops \[\d\] are not planned"),
+    (_rebuild_last_trip(lambda last, first: last + first[:1]),
+     r"truck 2 trip 1: stop \d is planned more than once"),
+    (_forget_stop, r"truck 1 trip 1: stop \d is not a stop of the plan"),
+], ids=["length", "load_kg", "load", "shift", "dropped", "repeated", "unknown_stop"])
+def test_verify_plan_names_each_fault(mutate, fault):
+    # two stops fill a truck, one trip fills a shift: two trucks of one trip
+    m = matrix_from_points({0: (0.0, 0.0), 1: (1000.0, 0.0), 2: (1000.0, 500.0),
+                            3: (-1000.0, 0.0), 4: (-1000.0, 500.0)})
+    stops = [make_stop(i, i, 1500.0) for i in range(1, 5)]
+    fleet = FleetSpec(shift_s=6000.0)
+    plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
+    assert [len(trips) for _, trips in plan.trucks] == [1, 1]
+    verify_plan(plan, m, fleet)
+    mutate(plan, _Ctx(m, stops, DEPOT, fleet, "time"))
+    with pytest.raises(PlannerError, match=fault):
+        verify_plan(plan, m, fleet)
+
+
+def test_repeated_stop_id_rejected():
+    m = matrix_from_points({0: (0.0, 0.0), 1: (1000.0, 0.0), 2: (0.0, 1000.0)})
+    stops = [make_stop(1, 1, 100.0), make_stop(1, 2, 200.0)]
+    with pytest.raises(ValueError, match="stop id 1 appears more than once"):
+        solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
