@@ -7,12 +7,14 @@ meters (turn penalties ignored). Ties in the search are broken toward
 the smaller node id so identical inputs always yield identical paths.
 One Dijkstra kernel, :func:`_search`, runs every search with two loops:
 nodes by either metric, or arriving edges when turn penalties change the
-time metric, where it pushes no arrival that can win no relaxation. Each
-state holds its metric's value and the other metric's, no more. It runs
-in :func:`cost_matrix`, once per origin, and in coverage's distance
-tables, which bound each search by the service radius: a bounded search
-starts every state's value just above the bound, so it never pushes a
-state beyond it.
+time metric, where it pushes no arrival that can win no relaxation:
+none that loses every turn to the edge that settled its node (the gate),
+and none at a settled node whose turns can all improve no state (the
+turn check). Each state holds its metric's value and the other
+metric's, no more. It runs in :func:`cost_matrix`, once per origin, and
+in coverage's distance tables, which bound each search by the service
+radius: a bounded search starts every state's value just above the
+bound, so it never pushes a state beyond it.
 ``CostMatrix.path`` reads paths back from the kept searches. Each network
 numbers its nodes by position in id order and builds, once, per-node
 out-edge rows and per-edge successor rows that carry the turn
@@ -287,6 +289,21 @@ def _search(net: RoadNetwork, source: int, metric: str,
     every relaxation to e', ties included, and u has settled. Not pushing
     it changes no answer, path or settle order.
 
+    Nor does it push an arrival f at a settled node v, costing nc, that
+    passes the gate unless a turn off f can still win: some successor row
+    (g, w) of f with c2 = nc + pen(f, g) + time(g) below both ``best[g]``
+    and ``gate[w]``. During a search ``best`` and ``gate`` only decrease,
+    and a pop of f relaxes its turns with the same arithmetic, so if the
+    test fails when f would be pushed, the pop would relax nothing, and f
+    cannot settle v. Such an f is neither pushed nor written to ``best``,
+    ``other`` or ``parent``. A later arrival at f costing nc or more
+    fails the same test, as rounding is monotone, and an earlier entry of
+    f still in the heap costs more and relaxes nothing when popped; one
+    costing less is tested afresh. Heap entries are distinct, so leaving
+    some out keeps the pop order of the rest: no answer, path or settle
+    order changes. The gate, one comparison, filters first; the check
+    reads f's rows only for arrivals that pass it.
+
     ``best`` starts every state at the float just above ``bound`` (a
     non-negative number or inf), so a push needs a cost within the bound
     and nothing beyond it is ever pushed: the search settles exactly the
@@ -321,6 +338,13 @@ def _search(net: RoadNetwork, source: int, metric: str,
             for fi, v, len_f, time_f, pen in succ[ei]:
                 nc = cost_u + pen + time_f
                 if nc < best[fi] and nc < gate[v]:
+                    if arrive[v] is not None:  # push fi only if a turn can win
+                        for gi, w, _, t_g, p_g in succ[fi]:
+                            c2 = nc + p_g + t_g
+                            if c2 < best[gi] and c2 < gate[w]:
+                                break
+                        else:
+                            continue
                     best[fi] = nc
                     other[fi] = len_u + len_f
                     parent[fi] = ei

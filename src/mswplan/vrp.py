@@ -654,13 +654,15 @@ def size_fleet(trips: list[Trip], shift_s: float) -> dict[int, list[int]]:
 def verify_plan(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> None:
     """Audit ``plan`` apart from the solver's tables.
 
-    Each stop of ``plan.stops`` is planned exactly once. Per trip, the
-    load re-summed from the stops' demands equals ``load_kg`` and is
-    within capacity, and ``drive_time_s`` and ``distance_m`` equal their
-    re-sums from ``matrix.time_s`` and ``matrix.length_m``, depot ->
-    stops -> depot, looked up by node id. Per truck, the trips fit the
-    shift. A fault is a PlannerError naming the truck, the trip and the
-    check; a node the matrix lacks is an UnknownNode.
+    Each stop of ``plan.stops`` is planned exactly once. Per trip, which
+    visits at least one stop, the load re-summed from the stops' demands
+    equals ``load_kg`` and is within capacity, ``service_time_s`` equals
+    the stops' service times summed in visit order, ``unload_s`` is the
+    fleet's, and ``drive_time_s`` and ``distance_m`` equal their re-sums
+    from ``matrix.time_s`` and ``matrix.length_m``, depot -> stops ->
+    depot, looked up by node id. Per truck, the trips fit the shift. A
+    fault is a PlannerError naming the truck, the trip and the check; a
+    node the matrix lacks is an UnknownNode.
     """
     row = {nid: i for i, nid in enumerate(matrix.origins)}
     col = {nid: i for i, nid in enumerate(matrix.destinations)}
@@ -668,6 +670,8 @@ def verify_plan(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> None:
     for tid, trips in plan.trucks:
         for k, t in enumerate(trips, start=1):
             where = f"truck {tid} trip {k}"
+            if not t.stop_ids:
+                raise PlannerError(f"{where}: visits no stops")
             for sid in t.stop_ids:
                 if sid not in unplanned:
                     raise PlannerError(f"{where}: stop {sid} is " + (
@@ -684,6 +688,8 @@ def verify_plan(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> None:
                                   "the cost matrix") from None
             for what, value, resum in (
                     ("load_kg", t.load_kg, load),
+                    ("service_time_s", t.service_time_s,
+                     sum(plan.stops[s].service_time_s for s in t.stop_ids)),
                     ("drive_time_s", t.drive_time_s,
                      sum(matrix.time_s[r][c] for r, c in cells)),
                     ("distance_m", t.distance_m,
@@ -691,6 +697,9 @@ def verify_plan(plan: RoutePlan, matrix: CostMatrix, fleet: FleetSpec) -> None:
                 if not math.isclose(value, resum, rel_tol=1e-9, abs_tol=1e-6):
                     raise PlannerError(f"{where}: {what} {value} disagrees "
                                        f"with its re-sum {resum}")
+            if t.unload_s != fleet.unload_s:
+                raise PlannerError(f"{where}: unload_s {t.unload_s} is not the "
+                                   f"fleet's {fleet.unload_s} s")
             if load > fleet.capacity_kg + _EPS:
                 raise PlannerError(f"{where}: load {load} kg exceeds the "
                                    f"{fleet.capacity_kg} kg capacity")

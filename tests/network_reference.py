@@ -10,6 +10,11 @@ network's edge tuple and the turn-penalty dict the network was built
 from, so the reference reads no table the kernel reads.
 ``tests/test_search_kernel.py`` requires the single kernel to settle the
 same nodes with the same values and paths.
+
+``gated_edge_search`` is the kernel's edge-state loop as it was with
+the dominance gate alone, before it also declined arrivals at a settled
+node whose turns can win nothing; the tests open its gate to measure
+what the gate prunes by itself.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 
+from mswplan import network
 from mswplan.network import Edge, RoadNetwork
 
 
@@ -183,3 +189,40 @@ def _search_edge_states(net: RoadNetwork, source: int) -> _SearchResult:
     res._node_best = node_best
     res._parent_state = parent_e
     return res
+
+
+def gated_edge_search(net: RoadNetwork, source: int) -> network._SearchResult:
+    """The time search over arriving edges with the gate and no turn check:
+    an arrival at a settled node is pushed whenever it beats the edge's
+    best and the node's gate, whatever its turns could win."""
+    rows, succ = net._rows, net._succ
+    src, n_nodes = net._pos[source], len(rows)
+    arrive: list[int | None] = [None] * n_nodes
+    parent = [-1] * len(net.edges)
+    n = len(parent) + 1
+    best, other = [math.inf] * n, [0.0] * n
+    hi, gate = net._hi, [math.inf] * n_nodes
+    best[-1] = gate[src] = 0.0
+    arrive[src], order, heap = -1, [src], []
+    for fi, v, len_f, nc, _ in rows[src]:
+        if nc < best[fi] and nc < gate[v]:
+            best[fi], other[fi] = nc, len_f
+            heapq.heappush(heap, (nc, v, fi))
+    while heap:
+        cost_u, u, ei = heapq.heappop(heap)
+        if cost_u > best[ei]:
+            continue
+        if arrive[u] is None:
+            arrive[u] = ei
+            order.append(u)
+            gate[u] = cost_u + hi[ei]
+        len_u = other[ei]
+        for fi, v, len_f, time_f, pen in succ[ei]:
+            nc = cost_u + pen + time_f
+            if nc < best[fi] and nc < gate[v]:
+                best[fi] = nc
+                other[fi] = len_u + len_f
+                parent[fi] = ei
+                heapq.heappush(heap, (nc, v, fi))
+    return network._SearchResult(net, source, "time", arrive, parent,
+                                 order, best, other, arrive)

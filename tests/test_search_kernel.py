@@ -5,16 +5,20 @@ either metric, and arriving-edge states when turn penalties change the
 time metric. The differential tests hold it to the verbatim node and
 edge-state kernels in ``network_reference.py``: the same settled nodes,
 with bit-identical cost, length and time, and the same paths, also on
-turn tables made to let the edge-state gate prune. The deterministic
-tests pin what those examples find only by chance: the turn penalties in
-a distance search's time, matrix cells that equal forward re-sums along
-their paths, fewer pushes with the gate, no push past a bound, and the
-bound itself settling. The graphs are built to tie: integer lengths and
-speeds that give integer times, parallel edges, self-loops, turn tables
-of zeros (which leave the node search in charge) and positive penalties.
-The oracle tests check ``cost_matrix`` against networkx, which shares no
-code with either. Both oracles read turn penalties from the dicts the
-tests build the networks from, never from the network's own tables.
+turn tables made to let the edge-state gate prune and on bends and
+U-turns priced below and above an edge's time, where the turn check at
+settled nodes prunes. The deterministic tests pin what those examples
+find only by chance: the turn penalties in a distance search's time,
+matrix cells that equal forward re-sums along their paths, fewer pushes
+with the gate (measured on the gated loop without the turn check, kept
+in ``network_reference.py``), at most 60% of the reference's pushes with
+both, no push past a bound, and the bound itself settling. The graphs
+are built to tie: integer lengths and speeds that give integer times,
+parallel edges, self-loops, turn tables of zeros (which leave the node
+search in charge) and positive penalties. The oracle tests check
+``cost_matrix`` against networkx, which shares no code with either. Both
+oracles read turn penalties from the dicts the tests build the networks
+from, never from the network's own tables.
 """
 
 import copy
@@ -27,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_graph
-from network_reference import reference_search
+from network_reference import gated_edge_search, reference_search
 from mswplan import network
 from mswplan.errors import Unreachable
 from mswplan.network import (
@@ -155,6 +159,52 @@ def test_gated_kernel_matches_the_reference_on_pruning_turn_tables(seed,
                 assert_same_search(net, pens, source, metric, bound)
 
 
+def turn_check_graph(rng: random.Random,
+                     lengths: str) -> tuple[RoadNetwork, dict]:
+    """A tie-rich graph (self-loops, parallel edges) whose turn table
+    prices U-turns and bends alike, and that table.
+
+    Each penalty is a multiple of the time of the edge turned onto, from
+    0 to 3 of it: some lie below that time, some equal it and some lie
+    above it, so a later arrival at a settled node sometimes still wins a
+    turn and sometimes cannot. About a fifth of the edges have no turn
+    rows at all.
+    """
+    plain, _ = tie_rich_graph(rng, lengths, "none")
+    edges = list(plain.edges)
+    bare = {ei for ei in range(len(edges)) if rng.random() < 0.2}
+    pens: dict[tuple[int, int], float] = {}
+    for ei, e in enumerate(edges):
+        for fi, f in enumerate(edges):
+            if ei in bare or e.to_id != f.from_id:
+                continue
+            if rng.random() < (0.8 if f.to_id == e.from_id else 0.6):
+                scale = (rng.choice((0.0, 0.5, 1.0, 2.0, 3.0))
+                         if lengths == "integer" else rng.uniform(0.0, 3.0))
+                pens[(ei, fi)] = scale * f.travel_time_s
+    return RoadNetwork([plain.node(i) for i in plain.node_ids], edges,
+                       pens), pens
+
+
+@DIFFERENTIAL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.sampled_from(("integer", "uniform")),
+)
+def test_turn_checked_kernel_matches_the_reference_on_bends_and_uturns(
+        seed, lengths):
+    rng = random.Random(seed)
+    net, pens = turn_check_graph(rng, lengths)
+    for metric in METRICS:
+        for source in net.node_ids:
+            values = sorted(reference_search(net, pens, source,
+                                             metric).cost.values())
+            bounds = (0.0, rng.choice(values),
+                      rng.uniform(0.0, 2 * values[-1]), math.inf)
+            for bound in bounds:
+                assert_same_search(net, pens, source, metric, bound)
+
+
 def turned_grid_city(grid: int, **spec) -> tuple[RoadNetwork, dict]:
     """A synthetic grid city with a 60 s U-turn and a 10 s bend penalty,
     and those penalties; ``spec`` overrides more SyntheticCitySpec
@@ -230,11 +280,13 @@ def test_kept_matrix_searches_hold_only_their_path_links(metric):
         assert len(search._parent) == len(net.edges)
 
 
-def test_gate_pushes_fewer_entries_with_the_same_answers(monkeypatch):
-    net, _ = turned_grid_city(6)
-    # the same network with every gate open, but the source's (0.0)
-    ungated = copy.copy(net)
-    ungated._hi = [math.inf] * len(net.edges)
+def count_pushes(search, sources) -> tuple[int, list]:
+    """Heap pushes ``search`` makes over ``sources``, and per source its
+    cost, length and time tables and its path to every node.
+
+    Both the kernel and the reference kernels push through the one
+    ``heapq`` module, so patching its ``heappush`` counts either.
+    """
     pushes = 0
     real_push = heapq.heappush
 
@@ -243,16 +295,39 @@ def test_gate_pushes_fewer_entries_with_the_same_answers(monkeypatch):
         pushes += 1
         real_push(heap, entry)
 
-    monkeypatch.setattr(network.heapq, "heappush", counting_push)
-    counts, answers = [], []
-    for n in (net, ungated):
-        pushes = 0
-        runs = [_search(n, s, "time") for s in net.node_ids]
-        counts.append(pushes)
-        answers.append([(r.cost, r.length_m, r.time_s,
-                         [r.path_to(t) for t in net.node_ids]) for r in runs])
-    assert answers[0] == answers[1]
-    assert counts[0] < counts[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heapq, "heappush", counting_push)
+        runs = [search(s) for s in sources]
+    return pushes, [(r.cost, r.length_m, r.time_s,
+                     [r.path_to(t) for t in sources]) for r in runs]
+
+
+def test_gate_pushes_fewer_entries_with_the_same_answers():
+    # the edge-state loop with the gate alone, so the turn check at
+    # settled nodes prunes nothing on either side of the comparison
+    net, _ = turned_grid_city(6)
+    # the same network with every gate open, but the source's (0.0)
+    ungated = copy.copy(net)
+    ungated._hi = [math.inf] * len(net.edges)
+    ids = net.node_ids
+    gated, answers = count_pushes(lambda s: gated_edge_search(net, s), ids)
+    opened, open_answers = count_pushes(
+        lambda s: gated_edge_search(ungated, s), ids)
+    _, kernel_answers = count_pushes(lambda s: _search(net, s, "time"), ids)
+    assert answers == open_answers == kernel_answers
+    assert gated < opened
+
+
+def test_kernel_pushes_at_most_60_percent_of_the_reference():
+    # every source of a 6x6 turned grid: the gate and the turn check
+    # together leave 5,376 of the reference kernel's 11,256 pushes
+    net, pens = turned_grid_city(6)
+    ids = net.node_ids
+    kernel, answers = count_pushes(lambda s: _search(net, s, "time"), ids)
+    ref, ref_answers = count_pushes(
+        lambda s: reference_search(net, pens, s, "time"), ids)
+    assert answers == ref_answers
+    assert kernel <= 0.6 * ref
 
 
 def matrix_grids():

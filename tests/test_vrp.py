@@ -494,6 +494,16 @@ def _forget_stop(plan, ctx):
     del plan.stops[plan.all_trips()[0].stop_ids[0]]
 
 
+def _zero(field):
+    def mutate(plan, ctx):
+        setattr(plan.all_trips()[0], field, 0.0)
+    return mutate
+
+
+def _append_empty_trip(plan, ctx):
+    plan.trucks[0][1].append(Trip([], 0.0, 0.0, 0.0, ctx.fleet.unload_s, 0.0))
+
+
 @pytest.mark.parametrize("mutate, fault", [
     (_add_one("distance_m"), r"truck 1 trip 1: distance_m \d+\.\d+ disagrees with "
      r"its re-sum \d+\.\d+"),
@@ -505,7 +515,12 @@ def _forget_stop(plan, ctx):
     (_rebuild_last_trip(lambda last, first: last + first[:1]),
      r"truck 2 trip 1: stop \d is planned more than once"),
     (_forget_stop, r"truck 1 trip 1: stop \d is not a stop of the plan"),
-], ids=["length", "load_kg", "load", "shift", "dropped", "repeated", "unknown_stop"])
+    (_zero("service_time_s"), r"truck 1 trip 1: service_time_s 0.0 disagrees "
+     r"with its re-sum 3600.0"),
+    (_zero("unload_s"), r"truck 1 trip 1: unload_s 0.0 is not the fleet's 900.0 s"),
+    (_append_empty_trip, r"truck 1 trip 2: visits no stops"),
+], ids=["length", "load_kg", "load", "shift", "dropped", "repeated", "unknown_stop",
+        "service", "unload", "empty_trip"])
 def test_verify_plan_names_each_fault(mutate, fault):
     # two stops fill a truck, one trip fills a shift: two trucks of one trip
     m = matrix_from_points({0: (0.0, 0.0), 1: (1000.0, 0.0), 2: (1000.0, 500.0),
