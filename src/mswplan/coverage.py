@@ -61,6 +61,11 @@ class CoverageConfig:
         if self.distance_mode not in ("network", "euclidean"):
             raise ValueError("distance_mode must be 'network' or 'euclidean', "
                              f"got {self.distance_mode!r}")
+        seen: set[int] = set()
+        for node in self.candidate_nodes or ():
+            if node in seen:
+                raise ValueError(f"candidate_nodes lists node {node} twice")
+            seen.add(node)
 
 
 def aggregate_demand(
@@ -140,6 +145,16 @@ def _stop_distances(
     return dists
 
 
+def _demand_positions(demands: list[DemandPoint]) -> dict[int, int]:
+    """Demand id -> input position; a repeated id is a ValueError."""
+    pos_of: dict[int, int] = {}
+    for p, d in enumerate(demands):
+        if d.id in pos_of:
+            raise ValueError(f"demand id {d.id} appears more than once")
+        pos_of[d.id] = p
+    return pos_of
+
+
 def place_stops(
     net: RoadNetwork, demands: list[DemandPoint], cfg: CoverageConfig
 ) -> list[StopPoint]:
@@ -153,87 +168,90 @@ def place_stops(
     gains, the smallest-id candidate covering one of them opens.
 
     Gains are cached (the lazy greedy of Minoux 1978, in an exact form):
-    a candidate's gain changes only when a demand in its radius is
-    covered, so after each round only the candidates of the demands just
-    taken are re-summed, by the same expression over the same demands in
-    the same order, and every gain is the float a full re-sum would give.
-    The pick is the first candidate, in candidate order, of the largest
-    positive gain, which is what a strict-greater scan picks.
+    each candidate keeps the input positions of the still-uncovered
+    demands of its radius, in input order, and its gain is ``sum`` of
+    their masses. A gain changes only when a demand in its radius is
+    covered, so after each round only the candidates holding a demand
+    just taken drop it and re-sum their lists: the same masses in the
+    same order as a full re-sum over the uncovered demands, so every
+    gain is the float that re-sum would give. The pick is the first
+    candidate, in candidate order, of the largest positive gain, which
+    is what a strict-greater scan picks.
 
-    A round always takes a demand when the gains and tables agree; one
-    that takes none would repeat forever, so it raises PlannerError
-    naming the picked node.
+    A round always takes an uncovered demand when the gains and lists
+    agree; one that takes none would repeat forever, so it raises
+    PlannerError naming the picked node. A demand id given twice is a
+    ValueError, since stops list demands by id.
     """
     candidates = sorted(cfg.candidate_nodes) if cfg.candidate_nodes else net.node_ids
     if not candidates:
         raise UncoverableDemand("candidate node set is empty")
+    pos_of = _demand_positions(demands)
     within = _stop_distances(net, demands, cfg, candidates)
-    by_id = {d.id: d for d in demands}
-
-    uncovered = {d.id for d in demands}
-
-    def gain(c: int) -> float:
-        return sum(by_id[i].waste_kg_day for i in within[c] if i in uncovered)
-
-    gains = [gain(c) for c in candidates]
-    # demand id -> positions of the candidates whose radius holds it
-    covering: dict[int, list[int]] = {}
+    ids = [d.id for d in demands]
+    weight = [d.waste_kg_day for d in demands]
+    # per candidate, the input positions of the demands in its radius, their
+    # meters (each table is dropped once read, to bound the peak) and the
+    # positions still uncovered; per position, the candidates holding it
+    radius, meters = [], []
+    covering: list[list[int]] = [[] for _ in demands]
     for k, c in enumerate(candidates):
-        for i in within[c]:
-            covering.setdefault(i, []).append(k)
+        table = within.pop(c)
+        radius.append([pos_of[i] for i in table])
+        meters.append(list(table.values()))
+        for p in radius[k]:
+            covering[p].append(k)
+    kept = list(radius)
+    gains = [sum([weight[p] for p in ps]) for ps in kept]
+    uncovered = set(range(len(demands)))
     stops: list[StopPoint] = []
     while uncovered:
         best_gain = max(gains)
-        best_node = candidates[gains.index(best_gain)] if best_gain > 0 else None
-        if best_node is None:
-            # only zero-mass demands are coverable: gains cannot rank them
-            best_node = next(
-                (c for c in candidates if any(i in uncovered for i in within[c])),
-                None,
-            )
-        if best_node is None:
-            stranded = sorted(uncovered)
+        # when only zero-mass demands are coverable, gains cannot rank them
+        best = (gains.index(best_gain) if best_gain > 0
+                else next((k for k, ps in enumerate(kept) if ps), None))
+        if best is None:
+            stranded = sorted(ids[p] for p in uncovered)
             raise UncoverableDemand(
                 f"no candidate within {cfg.radius_m} m covers demands {stranded}"
             )
-        eligible = sorted(
-            (i for i in within[best_node] if i in uncovered),
-            key=lambda i: (within[best_node][i], i),
-        )
+        best_node = candidates[best]
+        far = dict(zip(radius[best], meters[best]))
+        eligible = sorted(kept[best], key=lambda p: (far[p], ids[p]))
         taken: list[int] = []
         load = 0.0
         overflow = False
-        for i in eligible:
-            w = by_id[i].waste_kg_day
+        for p in eligible:
+            w = weight[p]
             if not taken and w > cfg.max_stop_load_kg:
-                taken = [i]
-                load = w
+                taken = [p]
                 overflow = True
                 log.warning(
                     "demand %s (%.1f kg) exceeds the %.1f kg stop cap; "
                     "dedicated stop opened at node %s",
-                    i, w, cfg.max_stop_load_kg, best_node,
+                    ids[p], w, cfg.max_stop_load_kg, best_node,
                 )
                 break
             if load + w <= cfg.max_stop_load_kg:
-                taken.append(i)
+                taken.append(p)
                 load += w
-        if not taken:
+        if uncovered.isdisjoint(taken):
             raise PlannerError(f"the stop picked at node {best_node} covers no "
                                "uncovered demand")
         stops.append(
             StopPoint(
                 id=len(stops),
                 node=best_node,
-                assigned_demand_kg=math.fsum(by_id[i].waste_kg_day for i in taken),
+                assigned_demand_kg=math.fsum(weight[p] for p in taken),
                 service_time_s=cfg.service_time_s,
-                covered_demand_ids=taken,
+                covered_demand_ids=[ids[p] for p in taken],
                 overflow=overflow,
             )
         )
         uncovered.difference_update(taken)
-        for k in {k for i in taken for k in covering[i]}:
-            gains[k] = gain(candidates[k])
+        for k in {k for p in taken for k in covering[p]}:
+            ps = kept[k] = [p for p in kept[k] if p in uncovered]
+            gains[k] = sum([weight[p] for p in ps])
     return stops
 
 
@@ -259,15 +277,17 @@ def verify_coverage(
 
     Raises DataError for a stop that lists an id no demand point has, or
     whose ``assigned_demand_kg`` is not the mass of the demands it lists
-    (within the pipeline's conservation tolerance).
+    (within the pipeline's conservation tolerance), and ValueError for a
+    demand id given twice.
     """
-    by_id = {d.id: d for d in demands}
+    pos_of = _demand_positions(demands)
     for s in stops:
         for i in s.covered_demand_ids:
-            if i not in by_id:
+            if i not in pos_of:
                 raise DataError(f"stop {s.id} lists demand {i}, which is not "
                                 "a demand point")
-        mass = math.fsum(by_id[i].waste_kg_day for i in s.covered_demand_ids)
+        mass = math.fsum(demands[pos_of[i]].waste_kg_day
+                         for i in s.covered_demand_ids)
         if not math.isclose(s.assigned_demand_kg, mass, rel_tol=1e-9,
                             abs_tol=1e-6):
             raise DataError(

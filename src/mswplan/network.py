@@ -15,9 +15,11 @@ metric's, no more. It runs in :func:`cost_matrix`, once per origin, and
 in coverage's distance tables, which bound each search by the service
 radius: a bounded search starts every state's value just above the
 bound, so it never pushes a state beyond it.
-``CostMatrix.path`` reads paths back from the kept searches. Each network
-numbers its nodes by position in id order and builds, once, per-node
-out-edge rows and per-edge successor rows that carry the turn
+``CostMatrix.path`` reads paths back from the kept searches: a node
+search keeps only the edge it arrived at each node by, and walks back by
+each edge's tail; an arriving-edge search also keeps a parent per edge.
+Each network numbers its nodes by position in id order and builds, once,
+per-node out-edge rows and per-edge successor rows that carry the turn
 penalties, so the kernel's state lives in lists indexed by position or
 edge. :func:`snap` looks points up in a bucket grid each network builds
 once. Most points are answered from one cached list per grid cell that
@@ -164,9 +166,9 @@ class CostMatrix:
     Unreachable pairs carry :data:`UNREACHABLE` in both tables.
 
     A matrix from :func:`cost_matrix` keeps each origin's search, cut to
-    its arriving edge per node and parent per edge, so :meth:`path`
-    returns the path a cell was measured on; the kept searches take no
-    part in equality or the repr.
+    its arriving edge per node (and, for an arriving-edge search, its
+    parent per edge), so :meth:`path` returns the path a cell was
+    measured on; the kept searches take no part in equality or the repr.
     """
 
     origins: tuple[int, ...]
@@ -202,24 +204,26 @@ class _SearchResult:
     ``_arrive[p]`` is the edge by which the path node position p was
     first settled on arrived (-1 at the source, None while unsettled),
     and ``_order`` lists the settled positions in settle order.
-    ``_parent`` maps an edge to the arriving edge of the path it was last
-    relaxed from, so :meth:`path_to` walks back from a node's arriving
-    edge to the source in either search mode. The kernel keeps two value
-    arrays, ``best`` (the search metric's own value) and ``other`` (the
-    other metric along the same path); ``_len`` and ``_time`` name them
-    by metric. They are indexed by node position in a node search, by
-    edge (the source in the last slot) in an edge-state search, and
-    ``_key[p]`` names node position p's state in them. ``cost``,
-    ``length_m`` and ``time_s`` read them into dicts over the settled
-    node ids. :func:`cost_matrix` keeps only ``_arrive`` and ``_parent``.
+    :meth:`path_to` walks back from a node's arriving edge to the source:
+    in a node search the edge before e is the arriving edge of e's tail,
+    and in an edge-state search ``_parent`` maps an edge to the arriving
+    edge of the path it was last relaxed from (None in a node search,
+    which has no such list). The kernel keeps two value arrays, ``best``
+    (the search metric's own value) and ``other`` (the other metric along
+    the same path); ``_len`` and ``_time`` name them by metric. They are
+    indexed by node position in a node search, by edge (the source in the
+    last slot) in an edge-state search, and ``_key[p]`` names node
+    position p's state in them. ``cost``, ``length_m`` and ``time_s``
+    read them into dicts over the settled node ids. :func:`cost_matrix`
+    keeps only ``_arrive`` and ``_parent``.
     """
 
     __slots__ = ("source", "metric", "_net", "_arrive", "_parent", "_order",
                  "_len", "_time", "_key")
 
     def __init__(self, net: RoadNetwork, source: int, metric: str,
-                 arrive: list[int | None], parent: list[int], order: list[int],
-                 best: list[float], other: list[float], key):
+                 arrive: list[int | None], parent: list[int] | None,
+                 order: list[int], best: list[float], other: list[float], key):
         self.source, self.metric, self._net = source, metric, net
         self._arrive, self._parent, self._order = arrive, parent, order
         self._len, self._time = (other, best) if metric == "time" else (best, other)
@@ -249,12 +253,16 @@ class _SearchResult:
                      for p in cols)
 
     def path_to(self, target: int) -> list[int]:
+        arrive, parent, pos = self._arrive, self._parent, self._net._pos
+        edges = self._net.edges
         edge_seq: list[int] = []
-        ei = self._arrive[self._net._pos[target]]
+        ei = arrive[pos[target]]
         while ei != -1:
             edge_seq.append(ei)
-            ei = self._parent[ei]
-        edges = self._net.edges
+            if parent is None:  # a node search: the arriving edge of the tail
+                ei = arrive[pos[edges[ei].from_id]]
+            else:
+                ei = parent[ei]
         return [self.source] + [edges[ei].to_id for ei in reversed(edge_seq)]
 
 
@@ -279,6 +287,15 @@ def _search(net: RoadNetwork, source: int, metric: str,
     loop reads the metric's column of the rows and adds the penalty slot
     to ``other``: the time a distance search reports keeps the turns of
     its path, and in a time search over nodes every penalty is 0.0.
+
+    Only the edge-state loop fills an edge-indexed ``parent``. In the node
+    loop a node pops live once: a push needs a strictly lower cost, so one
+    entry per node costs its best, and a relaxation off a later pop costs
+    no less, as lengths are positive and rounding is monotone. An edge is
+    thus relaxed only when its tail settles, from the tail's arriving
+    edge, so the edge before a node's settling edge e on its path is
+    ``arrive[tail(e)]``. :meth:`_SearchResult.path_to` walks ``arrive``
+    alone, and no node search fills a list of all edges.
 
     The edge-state loop pushes no arrival that cannot win. When node u
     first settles, by edge e' at cost c', ``gate[u]`` becomes
@@ -312,10 +329,10 @@ def _search(net: RoadNetwork, source: int, metric: str,
     rows, succ = net._rows, net._succ
     src, n_nodes = net._pos[source], len(rows)
     arrive: list[int | None] = [None] * n_nodes
-    parent = [-1] * len(net.edges)
     by_edge = metric == "time" and net.has_turn_penalties
+    parent = [-1] * len(net.edges) if by_edge else None
     # per node, or per edge and the source in the last slot, index -1
-    n = len(parent) + 1 if by_edge else n_nodes
+    n = len(net.edges) + 1 if by_edge else n_nodes
     best, other = [math.nextafter(bound, math.inf)] * n, [0.0] * n
     pop, push = heapq.heappop, heapq.heappush
     if by_edge:
@@ -365,7 +382,6 @@ def _search(net: RoadNetwork, source: int, metric: str,
                 if nc < best[v]:
                     best[v] = nc
                     other[v] = other_u + row[ocol] + row[4]
-                    parent[row[0]] = ei
                     push(heap, (nc, v, row[0]))
     return _SearchResult(net, source, metric, arrive, parent, order, best,
                          other, arrive if by_edge else range(n_nodes))
@@ -393,7 +409,7 @@ def cost_matrix(
     """Many-to-many drive times and lengths via one search per origin.
 
     Paths are optimal in ``metric``; the matrix keeps each origin's
-    search, cut to its arriving and parent edges, so
+    search, cut to the links its paths are read back from, so
     :meth:`CostMatrix.path` can read them back. Unreachable pairs get
     the UNREACHABLE marker rather than raising, so partially connected
     networks still produce a usable matrix.
@@ -455,11 +471,8 @@ class _NodeGrid:
         return int((x - self.x0) // self.side), int((y - self.y0) // self.side)
 
     def ring(self, cx: int, cy: int, r: int):
-        """Nodes in the cells at Chebyshev distance ``r`` from (cx, cy)."""
+        """Nodes in the cells at Chebyshev distance ``r`` >= 1 from (cx, cy)."""
         cells = self.cells
-        if r == 0:
-            yield from cells.get((cx, cy), ())
-            return
         lo, hi = max(cx - r, 0), min(cx + r, self.nx - 1)
         for iy in (cy - r, cy + r):
             if 0 <= iy < self.ny:
@@ -479,10 +492,9 @@ class _NodeGrid:
         search ends once that exceeds the best distance plus the tie
         tolerance; among nodes within the tolerance of the best, the
         smaller id wins. For a point whose cell lies inside the grid,
-        rings 0 and 1 are read from one cached list, and the loop goes on
-        from ring 2 only if its test after ring 1 does not end it. The
-        answer for each point is kept, so a point looked up again costs
-        one dict lookup.
+        rings 0 and 1 are read from one cached list in one pass, and ring 2
+        is read only if a node there can still win. The answer for each
+        point is kept, so a point looked up again costs one dict lookup.
         """
         answer = self._answers.get((px, py))
         if answer is None:
@@ -495,26 +507,25 @@ class _NodeGrid:
         slack = 1e-12 * (abs(px) + abs(py) + self.magnitude)
         if 0 <= cx < self.nx and 0 <= cy < self.ny:
             near = self._near.get((cx, cy))
-            if near is None:
+            if near is None:  # the nodes of rings 0 and 1
                 near = self._near[cx, cy] = [
-                    *self.ring(cx, cy, 0), *self.ring(cx, cy, 1)]
-            seen = [(math.hypot(x - px, y - py), nid) for x, y, nid in near]
-            best = min((d for d, _ in seen), default=math.inf)
-            # rings 0 and 1 are read: the loop's test after ring 1 decides
-            # whether the search goes on to ring 2
-            r = 2 if self.side - slack <= best + _SNAP_TIE_M else last + 1
+                    nd for iy in (cy - 1, cy, cy + 1)
+                    for ix in (cx - 1, cx, cx + 1)
+                    for nd in self.cells.get((ix, iy), ())]
+            r = 2
         else:
-            seen, best = [], math.inf
-            r = max(-cx, cx - self.nx + 1, -cy, cy - self.ny + 1)
-        while r <= last:
-            for x, y, nid in self.ring(cx, cy, r):
-                d = math.hypot(x - px, y - py)
-                seen.append((d, nid))
-                best = min(best, d)
-            if r * self.side - slack > best + _SNAP_TIE_M:
-                break
+            near, r = [], max(-cx, cx - self.nx + 1, -cy, cy - self.ny + 1)
+        dists = [math.hypot(x - px, y - py) for x, y, _ in near]
+        best = min(dists, default=math.inf)
+        # every node past ring r - 1 is more than r - 1 cell sides away
+        while r <= last and (r - 1) * self.side - slack <= best + _SNAP_TIE_M:
+            ring = list(self.ring(cx, cy, r))
+            near = near + ring
+            dists += [math.hypot(x - px, y - py) for x, y, _ in ring]
+            best = min(dists, default=math.inf)
             r += 1
-        return best, min(nid for d, nid in seen if d <= best + _SNAP_TIE_M)
+        lim = best + _SNAP_TIE_M
+        return best, min(nid for d, (_, _, nid) in zip(dists, near) if d <= lim)
 
 
 def snap(net: RoadNetwork, point: tuple[float, float], max_dist_m: float) -> int:

@@ -162,6 +162,30 @@ def test_verify_flags_emptied_and_moved_stops():
     assert report.uncovered_ids == [0, 1, 2]
 
 
+def repeated_id_instance():
+    """A 3x3 city with two buildings that share demand id 1."""
+    nodes, edges, _ = gen_synthetic_city(SyntheticCitySpec(seed=0))
+    net = RoadNetwork(nodes, edges)
+    demands = aggregate_demand(
+        [(1, 50.0, 50.0, 10), (1, 550.0, 550.0, 10), (2, 300.0, 300.0, 10)],
+        2.49)
+    return net, demands, CoverageConfig(radius_m=150.0)
+
+
+def test_place_stops_rejects_a_repeated_demand_id():
+    net, demands, cfg = repeated_id_instance()
+    with pytest.raises(ValueError, match="demand id 1 appears more than once"):
+        place_stops(net, demands, cfg)
+
+
+def test_verify_coverage_rejects_a_repeated_demand_id():
+    net, demands, cfg = repeated_id_instance()
+    # the stops a plan of the first and last demand alone would give
+    stops = place_stops(net, [demands[0], demands[2]], cfg)
+    with pytest.raises(ValueError, match="demand id 1 appears more than once"):
+        verify_coverage(stops, demands, net, cfg)
+
+
 def synthetic_instance(seed: int):
     spec = SyntheticCitySpec(
         seed=seed,

@@ -22,10 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coverage_reference as ref
-from mswplan import coverage
 from mswplan.coverage import (
     _RADIUS_TOL_M,
     CoverageConfig,
+    DemandPoint,
     StopPoint,
     _stop_distances,
     aggregate_demand,
@@ -239,28 +239,35 @@ def test_cached_gains_reopen_a_stop_at_the_same_node_for_a_leftover(mode):
         (1, [0, 1]), (0, [2, 3]), (0, [4, 5])]
 
 
-class VanishingTables(dict):
-    """Distance tables whose entry for a candidate reads as empty from its
-    third read on: the first gain sum and the covering index see it, the
-    round that picks the candidate does not."""
-
-    def __init__(self, tables):
-        super().__init__(tables)
-        self.reads: dict[int, int] = {}
-
-    def __getitem__(self, c):
-        self.reads[c] = self.reads.get(c, 0) + 1
-        return super().__getitem__(c) if self.reads[c] <= 2 else {}
+@pytest.mark.parametrize("mode", ["network", "euclidean"])
+def test_cached_gains_sum_the_demands_left_in_input_order(mode):
+    # node 1 opens first and takes demands 7 and 8. Demand 7 is the one
+    # nodes 0 and 2 share, so both re-sum what is left: node 2 demands 1-3
+    # (0.1 + 0.2 + 0.3 kg, 0.6000000000000001 in input order) and node 0
+    # demands 4-6 (0.3 + 0.2 + 0.1 kg, 0.6). Node 2 opens before node 0;
+    # summed in reverse, node 0 would open first
+    nodes = [Node(0, 0.0, 0.0), Node(1, 100.0, 0.0), Node(2, 200.0, 0.0),
+             Node(3, 100.0, 100.0)]
+    edges = [Edge(0, 1, 100.0, 40.0), Edge(2, 1, 100.0, 40.0),
+             Edge(1, 3, 100.0, 40.0)]
+    net = RoadNetwork(nodes, edges)
+    demands = [DemandPoint(i, x, 0.0, 1, kg) for i, x, kg in (
+        (1, 250.0, 0.1), (2, 250.0, 0.2), (3, 250.0, 0.3),
+        (4, -50.0, 0.3), (5, -50.0, 0.2), (6, -50.0, 0.1), (7, 100.0, 1.0))]
+    demands.append(DemandPoint(8, 100.0, 100.0, 1, 5.0))
+    cfg = CoverageConfig(radius_m=100.0, distance_mode=mode)
+    stops = place_stops_in_time(net, demands, cfg)
+    assert stops == ref.place_stops(net, demands, cfg)
+    assert [(s.node, s.covered_demand_ids) for s in stops] == [
+        (1, [7, 8]), (2, [1, 2, 3]), (0, [4, 5, 6])]
 
 
 @pytest.mark.parametrize("mode", ["network", "euclidean"])
-def test_a_round_that_takes_no_demand_raises(monkeypatch, mode):
-    real = coverage._stop_distances
-    monkeypatch.setattr(coverage, "_stop_distances",
-                        lambda *args: VanishingTables(real(*args)))
+def test_a_round_that_takes_no_demand_raises(mode):
     net = line_city(3)
-    # only node 2 covers the demand; its round finds nothing left to take
-    demands = aggregate_demand([(1, 200.0, 0.0, 10)], 2.49)
+    # only node 2 covers the demand, and its NaN mass passes neither the
+    # load cap nor the overweight test, so node 2's round takes nothing
+    demands = [DemandPoint(1, 200.0, 0.0, 10, math.nan)]
     cfg = CoverageConfig(radius_m=50.0, distance_mode=mode)
     with pytest.raises(PlannerError, match="node 2 covers no uncovered demand"):
         place_stops_in_time(net, demands, cfg)

@@ -177,6 +177,14 @@ def test_candidate_nodes_key_reads_a_list_of_node_ids(tmp_path):
             tmp_path, "coverage.candidate_nodes=1;x\n"))
 
 
+def test_candidate_nodes_key_rejects_a_repeated_node(tmp_path):
+    # each candidate costs one search; a repeat would search it twice
+    with pytest.raises(ConfigError,
+                       match="coverage.candidate_nodes lists node 5 twice"):
+        load_scenario_config(four_stops_config(
+            tmp_path, "coverage.candidate_nodes=0;5;5;10\n"))
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("depot_max_snap_m", -5.0, "'depot.max_snap_m': must be non-negative"),
     ("generation_rate_kg_unit_day", 0.0,

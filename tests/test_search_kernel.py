@@ -272,12 +272,18 @@ def test_kept_matrix_searches_hold_only_their_path_links(metric):
     ids = net.node_ids
     m = cost_matrix(net, ids, ids, metric)
     assert set(m._searches) == set(ids)
-    for search in m._searches.values():
+    for a, search in m._searches.items():
         held = {name for name in type(search).__slots__
                 if getattr(search, name) is not None}
-        assert held == {"source", "metric", "_net", "_arrive", "_parent"}
         assert len(search._arrive) == net.n_nodes
-        assert len(search._parent) == len(net.edges)
+        if metric == "time":
+            assert held == {"source", "metric", "_net", "_arrive", "_parent"}
+            assert len(search._parent) == len(net.edges)
+        else:
+            # a node search walks back by each arriving edge's tail
+            assert held == {"source", "metric", "_net", "_arrive"}
+        fresh = _search(net, a, metric)
+        assert [m.path(a, b) for b in ids] == [fresh.path_to(b) for b in ids]
 
 
 def count_pushes(search, sources) -> tuple[int, list]:
