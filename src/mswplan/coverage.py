@@ -10,6 +10,7 @@ demand heavier than the cap gets its own flagged stop.
 from __future__ import annotations
 
 import csv
+import heapq
 import logging
 import math
 from dataclasses import dataclass, field
@@ -94,30 +95,35 @@ def aggregate_demand(
 def _stop_distances(
     net: RoadNetwork, demands: list[DemandPoint], cfg: CoverageConfig,
     candidates: list[int],
-) -> dict[int, dict[int, float]]:
-    """Meters from each candidate node to the demand points in its radius.
+) -> tuple[list[list[int]], list[list[float]]]:
+    """The demand points in each candidate node's radius, and their meters.
 
-    Returns ``{candidate: {demand id: meters}}`` holding only the demands
-    within ``radius_m`` (plus ``_RADIUS_TOL_M``), in demand input order.
-    Network mode: directed shortest-path meters from the candidate to the
-    demand's snapped node. The network keeps each snap's answer, so the
-    audit's call reads the nodes that stop placement snapped to, and
-    each candidate's search stops at the radius, which is exact because
-    no distance beyond it is ever compared; it holds only the nodes it
+    Returns two lists aligned with ``candidates``: per candidate, the
+    ascending input positions of the demands within ``radius_m`` (plus
+    ``_RADIUS_TOL_M``), and their meters in the same order. Network mode:
+    directed shortest-path meters from the candidate to the demand's
+    snapped node. The network keeps each snap's answer, so the audit's
+    call reads the nodes that stop placement snapped to, and each
+    candidate's search stops at the radius, which is exact because no
+    distance beyond it is ever compared; it holds only the nodes it
     settled within the radius. Euclidean mode: straight line from the
     candidate node to the demand coordinates.
     """
     reach = cfg.radius_m + _RADIUS_TOL_M
-    dists: dict[int, dict[int, float]] = {}
+    radius: list[list[int]] = []
+    meters: list[list[float]] = []
     if cfg.distance_mode == "euclidean":
         for c in candidates:
             node = net.node(c)
-            dists[c] = table = {}
-            for d in demands:
-                meters = math.hypot(node.x_m - d.x_m, node.y_m - d.y_m)
-                if meters <= reach:
-                    table[d.id] = meters
-        return dists
+            ps, ms = [], []
+            for pos, d in enumerate(demands):
+                m = math.hypot(node.x_m - d.x_m, node.y_m - d.y_m)
+                if m <= reach:
+                    ps.append(pos)
+                    ms.append(m)
+            radius.append(ps)
+            meters.append(ms)
+        return radius, meters
     # per node position, the input positions of the demands snapped to it;
     # per input position, the node position it snapped to
     at_node: list[list[int]] = [[] for _ in range(net.n_nodes)]
@@ -132,25 +138,31 @@ def _stop_distances(
             ) from exc
         node_of.append(net._pos[node])
         at_node[node_of[-1]].append(pos)
-    ids = [d.id for d in demands]
     for c in candidates:
         net.node(c)  # UnknownNode for a candidate off the network
         # a distance search is a node search: lengths by node position
         res = _search(net, c, "distance", reach)
-        meters = res._len
-        # one pass over the settled order; sorting positions restores the
-        # input order
-        reached = sorted([pos for p in res._order for pos in at_node[p]])
-        dists[c] = {ids[pos]: meters[node_of[pos]] for pos in reached}
-    return dists
+        length = res._len
+        # one pass over the settled order; sorting restores the input order
+        ps = sorted([pos for p in res._order for pos in at_node[p]])
+        radius.append(ps)
+        meters.append([length[node_of[pos]] for pos in ps])
+    return radius, meters
 
 
 def _demand_positions(demands: list[DemandPoint]) -> dict[int, int]:
-    """Demand id -> input position; a repeated id is a ValueError."""
+    """Demand id -> input position.
+
+    A repeated id, or a mass that is negative or not finite, is a
+    ValueError naming the demand.
+    """
     pos_of: dict[int, int] = {}
     for p, d in enumerate(demands):
         if d.id in pos_of:
             raise ValueError(f"demand id {d.id} appears more than once")
+        if not 0 <= d.waste_kg_day < math.inf:
+            raise ValueError(f"demand {d.id} has mass {d.waste_kg_day} kg, "
+                             "not a finite non-negative number")
         pos_of[d.id] = p
     return pos_of
 
@@ -167,61 +179,80 @@ def place_stops(
     When every coverable demand left has zero mass, so no candidate
     gains, the smallest-id candidate covering one of them opens.
 
-    Gains are cached (the lazy greedy of Minoux 1978, in an exact form):
-    each candidate keeps the input positions of the still-uncovered
-    demands of its radius, in input order, and its gain is ``sum`` of
-    their masses. A gain changes only when a demand in its radius is
-    covered, so after each round only the candidates holding a demand
-    just taken drop it and re-sum their lists: the same masses in the
-    same order as a full re-sum over the uncovered demands, so every
-    gain is the float that re-sum would give. The pick is the first
-    candidate, in candidate order, of the largest positive gain, which
-    is what a strict-greater scan picks.
+    Gains are evaluated lazily (the lazy greedy of Minoux 1978, in an
+    exact form). Each candidate keeps a list of input positions of its
+    radius, in input order, that holds every uncovered one, and a key:
+    ``sum`` of the masses of that list when the key was set. A heap
+    orders the candidates with a non-empty list by ``(-key, candidate
+    index)``. Each round filters the top's list down to the uncovered
+    positions until that drops nothing, re-keying the top (or dropping
+    it, once its list is empty) each time it does. The top is then
+    fresh: its key is the float a full re-sum over its uncovered demands
+    in input order gives, its gain.
 
-    A round always takes an uncovered demand when the gains and lists
+    Why the fresh top is the eager pick: masses are finite and
+    non-negative, and ``sum`` adds left to right (as in CPython 3.11;
+    3.12 compensates the rounding, which this argument does not cover).
+    Rounding is monotone, so x <= y gives fl(x + w) <= fl(y + w), and
+    fl(y + w) >= y for w >= 0: step by step, the sum of an in-order
+    subset of the terms is never larger than the sum of them all. Lists
+    only shrink, so every key bounds its candidate's gain from above,
+    and a candidate out of the heap has gain 0. The fresh top's gain is
+    therefore the largest, and an earlier candidate of equal gain would
+    have a key at least as large and sort above it: the top is the first
+    candidate, in candidate order, of the largest gain, which a
+    strict-greater scan of every gain picks. When that gain is 0, any
+    earlier candidate still in the heap would sort above it too, so the
+    top is the first candidate with an uncovered demand, the zero-mass
+    rule. An empty heap leaves the uncovered demands uncoverable.
+
+    A round always takes an uncovered demand when the keys and lists
     agree; one that takes none would repeat forever, so it raises
-    PlannerError naming the picked node. A demand id given twice is a
-    ValueError, since stops list demands by id.
+    PlannerError naming the picked node. A demand id given twice, or a
+    mass that is negative or not finite, is a ValueError: stops list
+    demands by id, and the bound needs the masses.
     """
     candidates = sorted(cfg.candidate_nodes) if cfg.candidate_nodes else net.node_ids
     if not candidates:
         raise UncoverableDemand("candidate node set is empty")
-    pos_of = _demand_positions(demands)
-    within = _stop_distances(net, demands, cfg, candidates)
+    _demand_positions(demands)  # a repeated id or a bad mass raises
+    radius, meters = _stop_distances(net, demands, cfg, candidates)
     ids = [d.id for d in demands]
     weight = [d.waste_kg_day for d in demands]
-    # per candidate, the input positions of the demands in its radius, their
-    # meters (each table is dropped once read, to bound the peak) and the
-    # positions still uncovered; per position, the candidates holding it
-    radius, meters = [], []
-    covering: list[list[int]] = [[] for _ in demands]
-    for k, c in enumerate(candidates):
-        table = within.pop(c)
-        radius.append([pos_of[i] for i in table])
-        meters.append(list(table.values()))
-        for p in radius[k]:
-            covering[p].append(k)
+    # per candidate, its radius positions that are uncovered or were
+    # covered since its key was set
     kept = list(radius)
-    gains = [sum([weight[p] for p in ps]) for ps in kept]
+    heap = [(-sum([weight[p] for p in ps]), k)
+            for k, ps in enumerate(radius) if ps]
+    heapq.heapify(heap)
     uncovered = set(range(len(demands)))
     stops: list[StopPoint] = []
     while uncovered:
-        best_gain = max(gains)
-        # when only zero-mass demands are coverable, gains cannot rank them
-        best = (gains.index(best_gain) if best_gain > 0
-                else next((k for k, ps in enumerate(kept) if ps), None))
-        if best is None:
+        # refresh the top until filtering its list drops nothing
+        while heap:
+            best = heap[0][1]
+            ps = kept[best]
+            left = [p for p in ps if p in uncovered]
+            if len(left) == len(ps):
+                break
+            kept[best] = left
+            if left:
+                heapq.heapreplace(heap, (-sum([weight[p] for p in left]), best))
+            else:
+                heapq.heappop(heap)
+        else:
             stranded = sorted(ids[p] for p in uncovered)
             raise UncoverableDemand(
                 f"no candidate within {cfg.radius_m} m covers demands {stranded}"
             )
         best_node = candidates[best]
-        far = dict(zip(radius[best], meters[best]))
-        eligible = sorted(kept[best], key=lambda p: (far[p], ids[p]))
+        eligible = sorted([(m, ids[p], p)
+                           for p, m in zip(radius[best], meters[best])
+                           if p in uncovered])
         taken: list[int] = []
         load = 0.0
         overflow = False
-        for p in eligible:
+        for _, _, p in eligible:
             w = weight[p]
             if not taken and w > cfg.max_stop_load_kg:
                 taken = [p]
@@ -249,9 +280,6 @@ def place_stops(
             )
         )
         uncovered.difference_update(taken)
-        for k in {k for p in taken for k in covering[p]}:
-            ps = kept[k] = [p for p in kept[k] if p in uncovered]
-            gains[k] = sum([weight[p] for p in ps])
     return stops
 
 
@@ -278,7 +306,9 @@ def verify_coverage(
     Raises DataError for a stop that lists an id no demand point has, or
     whose ``assigned_demand_kg`` is not the mass of the demands it lists
     (within the pipeline's conservation tolerance), and ValueError for a
-    demand id given twice.
+    demand id given twice or a mass that is negative or not finite. A
+    listed demand counts as covered when its input position is in the
+    radius of its stop's node.
     """
     pos_of = _demand_positions(demands)
     for s in stops:
@@ -294,11 +324,14 @@ def verify_coverage(
                 f"stop {s.id} has assigned_kg {s.assigned_demand_kg} but its "
                 f"demands weigh {mass} kg; was it planned at another --rate?")
     nodes = sorted({s.node for s in stops})
-    within = _stop_distances(net, demands, cfg, nodes) if nodes else {}
+    radius = _stop_distances(net, demands, cfg, nodes)[0] if nodes else []
+    within = dict(zip(nodes, radius))
     covered: set[int] = set()
     for s in stops:
-        covered.update(i for i in s.covered_demand_ids if i in within[s.node])
-    uncovered = sorted(d.id for d in demands if d.id not in covered)
+        reach = set(within[s.node])
+        covered.update(pos_of[i] for i in s.covered_demand_ids
+                       if pos_of[i] in reach)
+    uncovered = sorted(d.id for p, d in enumerate(demands) if p not in covered)
     loads = [s.assigned_demand_kg for s in stops]
     histogram: dict[int, int] = {}
     for load in loads:

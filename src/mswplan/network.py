@@ -35,7 +35,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
+from .errors import (DataError, NoNodeWithinRange, PlannerError, UnknownNode,
+                     Unreachable)
 
 #: Marker stored in cost matrices for node pairs with no directed path.
 UNREACHABLE = math.inf
@@ -255,9 +256,13 @@ class _SearchResult:
     def path_to(self, target: int) -> list[int]:
         arrive, parent, pos = self._arrive, self._parent, self._net._pos
         edges = self._net.edges
+        states = len(arrive if parent is None else parent)
         edge_seq: list[int] = []
         ei = arrive[pos[target]]
         while ei != -1:
+            if len(edge_seq) == states:
+                raise PlannerError(f"the path links from {self.source} to "
+                                   f"{target} form a cycle")
             edge_seq.append(ei)
             if parent is None:  # a node search: the arriving edge of the tail
                 ei = arrive[pos[edges[ei].from_id]]

@@ -7,6 +7,7 @@ import pytest
 from helpers import min_cover_size_exhaustive
 from mswplan.coverage import (
     CoverageConfig,
+    DemandPoint,
     aggregate_demand,
     load_buildings,
     load_stops,
@@ -183,6 +184,29 @@ def test_verify_coverage_rejects_a_repeated_demand_id():
     # the stops a plan of the first and last demand alone would give
     stops = place_stops(net, [demands[0], demands[2]], cfg)
     with pytest.raises(ValueError, match="demand id 1 appears more than once"):
+        verify_coverage(stops, demands, net, cfg)
+
+
+def bad_mass_demands(kg: float) -> list[DemandPoint]:
+    """Demand 1 of mass ``kg`` and demand 2 of 3.0 kg, both on node 1."""
+    return [DemandPoint(1, 200.0, 0.0, 1, kg), DemandPoint(2, 200.0, 0.0, 1, 3.0)]
+
+
+@pytest.mark.parametrize("kg", [-5.0, math.nan, math.inf])
+def test_place_stops_rejects_a_mass_that_is_negative_or_not_finite(kg):
+    # at -5.0 kg the two demands once made one stop of -2.0 kg
+    with pytest.raises(ValueError, match="demand 1 has mass"):
+        place_stops(line_network(n=3), bad_mass_demands(kg),
+                    CoverageConfig(radius_m=150.0))
+
+
+@pytest.mark.parametrize("kg", [-5.0, math.nan, math.inf])
+def test_verify_coverage_rejects_a_mass_that_is_negative_or_not_finite(kg):
+    net, cfg = line_network(n=3), CoverageConfig(radius_m=150.0)
+    demands = bad_mass_demands(kg)
+    # the stops a plan of the good demand alone would give
+    stops = place_stops(net, demands[1:], cfg)
+    with pytest.raises(ValueError, match="demand 1 has mass"):
         verify_coverage(stops, demands, net, cfg)
 
 

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from helpers import random_graph
 from network_reference import gated_edge_search, reference_search
 from mswplan import network
-from mswplan.errors import Unreachable
+from mswplan.errors import PlannerError, Unreachable
 from mswplan.network import (
     METRICS,
     UNREACHABLE,
@@ -284,6 +284,22 @@ def test_kept_matrix_searches_hold_only_their_path_links(metric):
             assert held == {"source", "metric", "_net", "_arrive"}
         fresh = _search(net, a, metric)
         assert [m.path(a, b) for b in ids] == [fresh.path_to(b) for b in ids]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_a_cycle_in_the_kept_path_links_raises(metric):
+    net, _ = turned_grid_city(4)
+    a, b = net.node_ids[0], net.node_ids[-1]
+    m = cost_matrix(net, [a], [b], metric)
+    search = m._searches[a]
+    e = search._arrive[net._pos[b]]
+    # the link before b's arriving edge points back at that edge
+    if search._parent is None:  # a node search: the arriving edge of e's tail
+        search._arrive[net._pos[net.edges[e].from_id]] = e
+    else:
+        search._parent[e] = e
+    with pytest.raises(PlannerError, match=f"from {a} to {b} form a cycle"):
+        m.path(a, b)
 
 
 def count_pushes(search, sources) -> tuple[int, list]:
