@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import (DataError, NegativeUnits, NoNodeWithinRange, PlannerError,
                      UncoverableDemand)
-from .network import RoadNetwork, _read_table, _search, snap
+from .network import RoadNetwork, _read_table, _search
 
 log = logging.getLogger(__name__)
 
@@ -102,12 +102,16 @@ def _stop_distances(
     ascending input positions of the demands within ``radius_m`` (plus
     ``_RADIUS_TOL_M``), and their meters in the same order. Network mode:
     directed shortest-path meters from the candidate to the demand's
-    snapped node. The network keeps each snap's answer, so the audit's
-    call reads the nodes that stop placement snapped to, and each
-    candidate's search stops at the radius, which is exact because no
-    distance beyond it is ever compared; it holds only the nodes it
-    settled within the radius. Euclidean mode: straight line from the
-    candidate node to the demand coordinates.
+    snapped node. Every demand snaps in one call of the network grid's
+    one-pass :meth:`~mswplan.network._NodeGrid.snap`; the first that
+    fails, in input order, raises: a non-finite point a ValueError, one
+    with no node within ``radius_m`` an UncoverableDemand naming it. The
+    grid keeps each point's answer, so the audit's call reads the nodes
+    that stop placement snapped to. Each candidate's search stops at the
+    radius, which is exact because no distance beyond it is ever
+    compared; it holds only the nodes it settled within the radius.
+    Euclidean mode: straight line from the candidate node to the demand
+    coordinates.
     """
     reach = cfg.radius_m + _RADIUS_TOL_M
     radius: list[list[int]] = []
@@ -124,20 +128,16 @@ def _stop_distances(
             radius.append(ps)
             meters.append(ms)
         return radius, meters
-    # per node position, the input positions of the demands snapped to it;
-    # per input position, the node position it snapped to
+    # per input position, the node position it snapped to, in one pass;
+    # per node position, the input positions of the demands snapped to it
+    try:
+        node_of = net._grid.snap([(d.x_m, d.y_m) for d in demands], cfg.radius_m)
+    except NoNodeWithinRange as exc:
+        raise UncoverableDemand(f"demand {demands[exc.index].id} does not snap to "
+                                f"the network within {cfg.radius_m} m") from exc
     at_node: list[list[int]] = [[] for _ in range(net.n_nodes)]
-    node_of: list[int] = []
-    for pos, d in enumerate(demands):
-        try:
-            node = snap(net, (d.x_m, d.y_m), cfg.radius_m)
-        except NoNodeWithinRange as exc:
-            raise UncoverableDemand(
-                f"demand {d.id} does not snap to the network within "
-                f"{cfg.radius_m} m"
-            ) from exc
-        node_of.append(net._pos[node])
-        at_node[node_of[-1]].append(pos)
+    for pos, p in enumerate(node_of):
+        at_node[p].append(pos)
     for c in candidates:
         net.node(c)  # UnknownNode for a candidate off the network
         # a distance search is a node search: lengths by node position

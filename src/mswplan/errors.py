@@ -20,7 +20,14 @@ class Unreachable(PlannerError):
 
 
 class NoNodeWithinRange(PlannerError):
-    """Snapping failed: the nearest network node is beyond the allowed distance."""
+    """Snapping failed: the nearest network node is beyond the allowed distance.
+
+    ``index`` is the failing point's position in the list snapped.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 # --- coverage ---

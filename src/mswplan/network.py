@@ -21,10 +21,13 @@ each edge's tail; an arriving-edge search also keeps a parent per edge.
 Each network numbers its nodes by position in id order and builds, once,
 per-node out-edge rows and per-edge successor rows that carry the turn
 penalties, so the kernel's state lives in lists indexed by position or
-edge. :func:`snap` looks points up in a bucket grid each network builds
-once. Most points are answered from one cached list per grid cell that
-holds the nodes of the cell and its eight neighbours, and the grid keeps
-its answer for each point, so a plan snaps each demand point once
+edge. Points snap through a bucket grid each network builds once, whose
+:meth:`_NodeGrid.snap` takes a whole list of points in one loop with no
+Python call per point but the distances and the answer lookup;
+:func:`snap` is its one-point case, and coverage hands it every demand
+at once. Most points are answered from one cached list per grid cell
+that holds the nodes of the cell and its eight neighbours, and the grid
+keeps its answer for each point, so a plan snaps each demand point once
 although stop placement and the coverage audit both ask for it.
 """
 
@@ -106,7 +109,7 @@ class RoadNetwork:
         # per node position, (edge, head position, length, time, 0.0) of
         # its out-edges in index order
         self._rows = [tuple(row) for row in rows]
-        self._grid = _NodeGrid(list(self._nodes.values())) if self._nodes else None
+        self._grid = _NodeGrid([(n.x_m, n.y_m) for n in map(self._nodes.get, self._ids)])
         turns: dict[int, dict[int, float]] = {}  # in edge -> out edge -> s
         for (a, b), pen in (turn_penalty_s or {}).items():
             if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
@@ -289,9 +292,12 @@ def _search(net: RoadNetwork, source: int, metric: str,
     (``net._rows`` at the source, whose out-edges the edge-state loop
     relaxes before it starts). ``best`` holds the metric's own value per
     state and ``other`` the other metric's along the same path. The node
-    loop reads the metric's column of the rows and adds the penalty slot
-    to ``other``: the time a distance search reports keeps the turns of
-    its path, and in a time search over nodes every penalty is 0.0.
+    loop picks the metric once per popped node, outside its row loop, and
+    unpacks each row into ``(fi, v, len_f, time_f, pen)``: by time it
+    relaxes ``cost_u + time_f`` and carries ``other_u + len_f + pen``, by
+    distance ``cost_u + len_f`` and ``other_u + time_f + pen``. So the time
+    a distance search reports keeps the turns of its path, and in a time
+    search over nodes every penalty is 0.0.
 
     Only the edge-state loop fills an edge-indexed ``parent``. In the node
     loop a node pops live once: a push needs a strictly lower cost, so one
@@ -372,7 +378,7 @@ def _search(net: RoadNetwork, source: int, metric: str,
                     parent[fi] = ei
                     push(heap, (nc, v, fi))
     else:
-        col, ocol = (3, 2) if metric == "time" else (2, 3)
+        by_time = metric == "time"
         best[src], order, heap = 0.0, [], [(0.0, src, -1)]
         while heap:
             cost_u, u, ei = pop(heap)
@@ -381,13 +387,18 @@ def _search(net: RoadNetwork, source: int, metric: str,
             arrive[u] = ei
             order.append(u)
             other_u = other[u]
-            for row in rows[u] if ei == -1 else succ[ei]:
-                nc = cost_u + row[col]
-                v = row[1]
-                if nc < best[v]:
-                    best[v] = nc
-                    other[v] = other_u + row[ocol] + row[4]
-                    push(heap, (nc, v, row[0]))
+            if by_time:
+                for fi, v, len_f, time_f, pen in rows[u] if ei == -1 else succ[ei]:
+                    nc = cost_u + time_f
+                    if nc < best[v]:
+                        best[v], other[v] = nc, other_u + len_f + pen
+                        push(heap, (nc, v, fi))
+            else:
+                for fi, v, len_f, time_f, pen in rows[u] if ei == -1 else succ[ei]:
+                    nc = cost_u + len_f
+                    if nc < best[v]:
+                        best[v], other[v] = nc, other_u + time_f + pen
+                        push(heap, (nc, v, fi))
     return _SearchResult(net, source, metric, arrive, parent, order, best,
                          other, arrive if by_edge else range(n_nodes))
 
@@ -445,117 +456,127 @@ class _NodeGrid:
     Square cells are anchored at the lower-left corner of the nodes'
     bounding box. The side is the larger of sqrt(area / nodes) and
     (longer side / nodes), so the grid spans about 3n cells at most, even
-    when the box is flat. Built once per network, it fills two caches as
-    it is read: per grid cell, the nodes of that cell and its eight
-    neighbours, and per point looked up, the ``(distance, id)`` answer.
-    Both only ever gain entries whose value is fixed by the nodes, so the
-    grid stays safe to share.
+    when the box is flat. Cells hold ``(x, y, node position)``. Built once
+    per network, it fills two caches as :meth:`snap` reads it: per grid
+    cell, the nodes of that cell and its eight neighbours, and per point
+    looked up, the ``(distance, node position)`` answer. Both only ever
+    gain entries whose value is fixed by the nodes, so the grid stays
+    safe to share. A network without nodes has an empty grid, which
+    snaps no point.
     """
 
-    def __init__(self, nodes: list[Node]):
-        xs = [n.x_m for n in nodes]
-        ys = [n.y_m for n in nodes]
+    def __init__(self, coords: list[tuple[float, float]]):
+        xs = [x for x, _ in coords] or [0.0]
+        ys = [y for _, y in coords] or [0.0]
         self.x0, self.y0 = min(xs), min(ys)
         w, h = max(xs) - self.x0, max(ys) - self.y0
-        n = len(nodes)
+        n = len(coords) or 1
         self.side = max(math.sqrt(w * h / n), w / n, h / n) or 1.0
         # hypot and the cell indices round by a few ulps of the coordinates;
-        # nearest() lowers its stopping bound by 1e-12 of their size
+        # snap() lowers its stopping bound by 1e-12 of their size
         self.magnitude = max(map(abs, xs)) + max(map(abs, ys))
         self.cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
-        for nd in nodes:
-            self.cells.setdefault(self._cell(nd.x_m, nd.y_m), []).append(
-                (nd.x_m, nd.y_m, nd.id))
-        self.nx = 1 + max(ix for ix, _ in self.cells)
-        self.ny = 1 + max(iy for _, iy in self.cells)
-        # cell -> nodes of rings 0 and 1 around it; point -> (distance, id)
+        for p, (x, y) in enumerate(coords):  # coordinates by node position
+            cell = int((x - self.x0) // self.side), int((y - self.y0) // self.side)
+            self.cells.setdefault(cell, []).append((x, y, p))
+        self.nx = 1 + max((ix for ix, _ in self.cells), default=0)
+        self.ny = 1 + max((iy for _, iy in self.cells), default=0)
+        # cell -> nodes of rings 0 and 1 around it; point -> (distance, position)
         self._near: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
         self._answers: dict[tuple[float, float], tuple[float, int]] = {}
 
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        return int((x - self.x0) // self.side), int((y - self.y0) // self.side)
+    def snap(self, points, max_dist_m: float) -> list[int]:
+        """Position of the nearest node to each point, in one pass.
 
-    def ring(self, cx: int, cy: int, r: int):
-        """Nodes in the cells at Chebyshev distance ``r`` >= 1 from (cx, cy)."""
-        cells = self.cells
-        lo, hi = max(cx - r, 0), min(cx + r, self.nx - 1)
-        for iy in (cy - r, cy + r):
-            if 0 <= iy < self.ny:
-                for ix in range(lo, hi + 1):
-                    yield from cells.get((ix, iy), ())
-        lo, hi = max(cy - r + 1, 0), min(cy + r - 1, self.ny - 1)
-        for ix in (cx - r, cx + r):
-            if 0 <= ix < self.nx:
-                for iy in range(lo, hi + 1):
-                    yield from cells.get((ix, iy), ())
+        Returns what a scan of every node gives per point: the node at
+        the least ``math.hypot`` distance, the smallest position (so the
+        smallest id) among nodes within ``_SNAP_TIE_M`` of it. The loop
+        computes everything inline, with no call per point but the
+        ``hypot``s and the cache lookup. Cells are read ring by ring
+        outward from the point's cell: after ring r every unread node is
+        more than r cell sides away, so the search ends once that exceeds
+        the best distance plus the tie tolerance. For a point whose cell
+        lies inside the grid, rings 0 and 1 are read from one cached list,
+        and ring 2 only if a node there can still win. One pass keeps the
+        least and the second least distance; only when the second is
+        within the tolerance of the least are the read nodes scanned again
+        for the smallest position. Each point's answer is kept, so a point
+        snapped again costs one dict lookup.
 
-    def nearest(self, px: float, py: float) -> tuple[float, int]:
-        """(distance, id) of the nearest node, as a scan of every node finds it.
-
-        Cells are read ring by ring outward from the point's cell. After
-        ring r every unread node is more than r cell sides away, so the
-        search ends once that exceeds the best distance plus the tie
-        tolerance; among nodes within the tolerance of the best, the
-        smaller id wins. For a point whose cell lies inside the grid,
-        rings 0 and 1 are read from one cached list in one pass, and ring 2
-        is read only if a node there can still win. The answer for each
-        point is kept, so a point looked up again costs one dict lookup.
+        Points are taken in order, and the first that fails raises: a
+        non-finite point a ValueError, a nearest node beyond
+        ``max_dist_m`` a NoNodeWithinRange whose ``index`` is the point's
+        position in ``points``. A NaN ``max_dist_m`` is a ValueError, and
+        an empty grid given a point raises UnknownNode.
         """
-        answer = self._answers.get((px, py))
-        if answer is None:
-            answer = self._answers[px, py] = self._nearest(px, py)
-        return answer
-
-    def _nearest(self, px: float, py: float) -> tuple[float, int]:
-        cx, cy = self._cell(px, py)
-        last = max(cx, self.nx - 1 - cx, cy, self.ny - 1 - cy)
-        slack = 1e-12 * (abs(px) + abs(py) + self.magnitude)
-        if 0 <= cx < self.nx and 0 <= cy < self.ny:
-            near = self._near.get((cx, cy))
-            if near is None:  # the nodes of rings 0 and 1
-                near = self._near[cx, cy] = [
-                    nd for iy in (cy - 1, cy, cy + 1)
-                    for ix in (cx - 1, cx, cx + 1)
-                    for nd in self.cells.get((ix, iy), ())]
-            r = 2
-        else:
-            near, r = [], max(-cx, cx - self.nx + 1, -cy, cy - self.ny + 1)
-        dists = [math.hypot(x - px, y - py) for x, y, _ in near]
-        best = min(dists, default=math.inf)
-        # every node past ring r - 1 is more than r - 1 cell sides away
-        while r <= last and (r - 1) * self.side - slack <= best + _SNAP_TIE_M:
-            ring = list(self.ring(cx, cy, r))
-            near = near + ring
-            dists += [math.hypot(x - px, y - py) for x, y, _ in ring]
-            best = min(dists, default=math.inf)
-            r += 1
-        lim = best + _SNAP_TIE_M
-        return best, min(nid for d, (_, _, nid) in zip(dists, near) if d <= lim)
+        cells, near_of, answers = self.cells, self._near, self._answers
+        if points and not cells:
+            raise UnknownNode("network has no nodes")
+        if math.isnan(max_dist_m):
+            raise ValueError("cannot snap within a NaN distance")
+        x0, y0, side, nx, ny = self.x0, self.y0, self.side, self.nx, self.ny
+        hypot, isfinite, inf = math.hypot, math.isfinite, math.inf
+        out: list[int] = []
+        for i, (px, py) in enumerate(points):
+            answer = answers.get((px, py))
+            if answer is None:
+                if not (isfinite(px) and isfinite(py)):
+                    raise ValueError(f"cannot snap the non-finite point {points[i]}")
+                cx, cy = int((px - x0) // side), int((py - y0) // side)
+                if 0 <= cx < nx and 0 <= cy < ny:
+                    near = near_of.get((cx, cy))
+                    if near is None:  # the nodes of rings 0 and 1
+                        near = near_of[cx, cy] = [nd for iy in (cy - 1, cy, cy + 1)
+                                                  for ix in (cx - 1, cx, cx + 1)
+                                                  for nd in cells.get((ix, iy), ())]
+                    r = 2
+                else:
+                    near, r = [], max(-cx, cx - nx + 1, -cy, cy - ny + 1)
+                best, second, read = inf, inf, near
+                while True:
+                    for x, y, p in read:
+                        d = hypot(x - px, y - py)
+                        if d < best:
+                            best, second, nid = d, best, p
+                        elif d < second:
+                            second = d
+                    # every node past ring r - 1 is more than r - 1 cell sides away
+                    if ((r - 1) * side - 1e-12 * (abs(px) + abs(py) + self.magnitude)
+                            > best + _SNAP_TIE_M
+                            or r > max(cx, nx - 1 - cx, cy, ny - 1 - cy)):
+                        break
+                    # the cells at Chebyshev distance r, clipped to the grid
+                    read = [nd for iy in range(max(cy - r, 0), min(cy + r + 1, ny))
+                            for ix in (range(max(cx - r, 0), min(cx + r + 1, nx))
+                                       if iy in (cy - r, cy + r) else (cx - r, cx + r))
+                            for nd in cells.get((ix, iy), ())]
+                    near, r = near + read, r + 1
+                if second <= best + _SNAP_TIE_M:  # a tie: the smallest position
+                    nid = min(p for x, y, p in near
+                              if hypot(x - px, y - py) <= best + _SNAP_TIE_M)
+                answer = answers[px, py] = best, nid
+            if answer[0] > max_dist_m:
+                raise NoNodeWithinRange(f"nearest node is {answer[0]:.1f} m away, "
+                                        f"limit {max_dist_m:.1f} m", i)
+            out.append(answer[1])
+        return out
 
 
 def snap(net: RoadNetwork, point: tuple[float, float], max_dist_m: float) -> int:
     """Nearest network node to a planar point; ties go to the smaller id.
 
-    Reads the network's bucket grid, not every node, and returns what a
-    scan of every node would: the node at the least ``math.hypot``
-    distance, the smaller id among nodes within ``_SNAP_TIE_M`` of it.
-    The grid keeps its answer for each point, so snapping a point again,
-    as the coverage audit does after stop placement, searches nothing;
-    the finiteness check and the ``max_dist_m`` limit still apply on
-    every call. A node exactly ``max_dist_m`` away still snaps; beyond
-    it, NoNodeWithinRange gives the distance to the nearest node.
+    The one-point case of the network grid's one-pass
+    :meth:`_NodeGrid.snap`, so it returns what a scan of every node would:
+    the node at the least ``math.hypot`` distance, the smaller id among
+    nodes within ``_SNAP_TIE_M`` of it. The grid keeps its answer for
+    each point, so snapping a point again searches nothing; the
+    finiteness check and the ``max_dist_m`` limit still apply on every
+    call. A node exactly ``max_dist_m`` away still snaps; beyond it,
+    NoNodeWithinRange gives the distance to the nearest node. A NaN
+    ``max_dist_m`` or a non-finite point is a ValueError, and a network
+    without nodes raises UnknownNode.
     """
-    if net._grid is None:
-        raise UnknownNode("network has no nodes")
-    px, py = point
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise ValueError(f"cannot snap the non-finite point {point}")
-    best, nid = net._grid.nearest(px, py)
-    if best > max_dist_m:
-        raise NoNodeWithinRange(
-            f"nearest node is {best:.1f} m away, limit {max_dist_m:.1f} m"
-        )
-    return nid
+    return net._ids[net._grid.snap([point], max_dist_m)[0]]
 
 
 # --- file interfaces ---

@@ -8,6 +8,7 @@ from helpers import min_cover_size_exhaustive
 from mswplan.coverage import (
     CoverageConfig,
     DemandPoint,
+    StopPoint,
     aggregate_demand,
     load_buildings,
     load_stops,
@@ -122,6 +123,29 @@ def test_uncoverable_demand_raises():
     far = [DemandPoint(0, 5000.0, 0.0, 0, 10.0)]
     with pytest.raises(UncoverableDemand):
         place_stops(net, far, CoverageConfig(radius_m=300.0))
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_the_first_demand_that_fails_to_snap_raises(audit):
+    net = line_network(spacing_m=200.0, n=3)  # nodes 0..2 at 0..400 m
+    near = DemandPoint(3, 10.0, 0.0, 1, 2.0)
+    far = DemandPoint(7, 5000.0, 0.0, 1, 2.0)
+    farther = DemandPoint(9, 0.0, 9000.0, 1, 2.0)
+    lost = DemandPoint(11, math.nan, 0.0, 1, 2.0)
+    cfg = CoverageConfig(radius_m=300.0)
+
+    def run(demands):
+        if audit:  # a stop at node 0 that lists no demand
+            stop = StopPoint(0, 0, 0.0, cfg.service_time_s, [])
+            return verify_coverage([stop], demands, net, cfg)
+        return place_stops(net, demands, cfg)
+
+    with pytest.raises(UncoverableDemand, match="demand 7 does not snap"):
+        run([near, far, lost, farther])
+    with pytest.raises(UncoverableDemand, match="demand 9 does not snap"):
+        run([farther, near, far])
+    with pytest.raises(ValueError, match="non-finite"):
+        run([near, lost, far])
 
 
 def test_isolated_zero_mass_building_gets_a_stop():

@@ -267,6 +267,18 @@ def test_cached_gains_sum_the_demands_left_in_input_order(mode):
         (1, [7, 8]), (2, [1, 2, 3]), (0, [4, 5, 6])]
 
 
+def test_float_sum_rounds_left_to_right_as_the_lazy_heap_bound_assumes():
+    # place_stops keys each candidate by sum() of its masses and proves a key
+    # bounds its gain only for a sum that rounds after each addition, left
+    # to right; a compensated sum gives 1.0 here
+    assert sum([1e16, 1.0, -1e16]) == 0.0, (
+        "sum() of floats is compensated on this Python (CPython 3.12 and "
+        "later): the lazy heap's bound argument in place_stops, that a "
+        "left-to-right sum of an in-order subset of the masses never exceeds "
+        "the sum of them all, does not cover it, and plans may differ from "
+        "CPython 3.11's")
+
+
 @pytest.mark.parametrize("mode", ["network", "euclidean"])
 def test_lazy_heap_opens_a_refreshed_candidate_before_a_later_tie(mode):
     # candidates 1, 3 and 7 cover the nodes 100 m either side. Node 3 opens

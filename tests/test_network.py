@@ -12,6 +12,7 @@ from mswplan.coverage import load_buildings, load_stops
 from mswplan.errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
 from mswplan.impact import load_factors
 from mswplan.network import (
+    _SNAP_TIE_M,
     METRICS,
     UNREACHABLE,
     CostMatrix,
@@ -391,6 +392,114 @@ def test_grid_snap_reads_a_tied_node_past_the_ring_it_stopped_at():
 def test_snap_rejects_a_non_finite_point():
     with pytest.raises(ValueError, match="non-finite"):
         snap(triangle(), (math.nan, 0.0), 100.0)
+
+
+def test_snap_rejects_a_nan_limit_and_a_negative_limit_snaps_nothing():
+    # the point is 900 m from node 2; every `distance > NaN` test is false,
+    # so without the check a NaN limit would let any distance through
+    net = RoadNetwork([Node(1, 0.0, 0.0), Node(2, 100.0, 0.0)],
+                      [Edge(1, 2, 100.0, 40.0)])
+    with pytest.raises(ValueError, match="NaN"):
+        snap(net, (1000.0, 0.0), math.nan)
+    assert snap(net, (1000.0, 0.0), 900.0) == 2
+    with pytest.raises(ValueError, match="NaN"):  # a kept answer too
+        snap(net, (1000.0, 0.0), math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        net._grid.snap([(0.0, 0.0), (100.0, 0.0)], math.nan)
+    with pytest.raises(NoNodeWithinRange, match="nearest node is 900.0 m away"):
+        snap(net, (1000.0, 0.0), -1.0)
+    with pytest.raises(NoNodeWithinRange, match="nearest node is 0.0 m away"):
+        snap(net, (100.0, 0.0), -1e-300)
+
+
+def test_snap_on_a_network_without_nodes_raises_unknown_node():
+    net = RoadNetwork([], [])
+    with pytest.raises(UnknownNode, match="no nodes"):
+        snap(net, (0.0, 0.0), 100.0)
+    assert net._grid.snap([], 100.0) == []
+
+
+def scan_answer(net: RoadNetwork, point) -> tuple[float, int]:
+    """(distance, node position) by measuring every node: the least
+    ``math.hypot``, then the smallest position within ``_SNAP_TIE_M``."""
+    px, py = point
+    dists = [math.hypot(net.node(i).x_m - px, net.node(i).y_m - py)
+             for i in net.node_ids]
+    best = min(dists)
+    return best, min(p for p, d in enumerate(dists) if d <= best + _SNAP_TIE_M)
+
+
+def cloud(rng, layout: str) -> list[tuple[float, float]]:
+    if layout == "clusters":  # tight clumps far apart: empty cells between
+        centres = [(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000))
+                   for _ in range(rng.randint(2, 4))]
+        return [(cx + rng.uniform(-20, 20), cy + rng.uniform(-20, 20))
+                for cx, cy in (rng.choice(centres)
+                               for _ in range(rng.randint(4, 30)))]
+    return layout_points(rng, layout)
+
+
+def test_one_pass_snap_matches_a_scan_of_every_node_on_random_clouds():
+    rng = random.Random(20)
+    seen = dict.fromkeys(("outside", "border", "stacked", "tie", "ring 2"), 0)
+    for _ in range(400):
+        layout = rng.choice(("scatter", "lattice", "line", "strip", "stacked",
+                             "one", "clusters"))
+        coords = cloud(rng, layout)
+        ids = rng.sample(range(1000), len(coords))
+        net = RoadNetwork([Node(i, x, y) for i, (x, y) in zip(ids, coords)], [])
+        grid = net._grid
+        queries = []
+        for _ in range(30):
+            kind = rng.random()
+            x, y = rng.choice(coords)
+            if kind < 0.15:
+                queries.append((x, y))
+            elif kind < 0.3:  # midway between two nodes
+                x2, y2 = rng.choice(coords)
+                queries.append(((x + x2) / 2, (y + y2) / 2))
+            elif kind < 0.45:
+                queries.append(border_query(rng, net))
+            elif kind < 0.8:
+                queries.append((x + rng.uniform(-300, 300),
+                                y + rng.uniform(-300, 300)))
+            else:  # outside the bounding box, near or far
+                far = rng.choice((100.0, 1e4, 1e7))
+                queries.append((x + far * rng.choice((-1, 1)),
+                                y + rng.uniform(-far, far)))
+        queries += queries[:5]  # points met again read the kept answers
+        want = [scan_answer(net, q) for q in queries]
+        assert grid.snap(queries, math.inf) == [p for _, p in want]
+        assert [grid._answers[q] for q in queries] == want
+        assert [snap(net, q, math.inf) for q in queries] == [
+            net.node_ids[p] for _, p in want]
+        for (px, py), (best, p) in zip(queries, want):
+            cx = int((px - grid.x0) // grid.side)
+            cy = int((py - grid.y0) // grid.side)
+            inside = 0 <= cx < grid.nx and 0 <= cy < grid.ny
+            node = net.node(net.node_ids[p])
+            ncx = int((node.x_m - grid.x0) // grid.side)
+            ncy = int((node.y_m - grid.y0) // grid.side)
+            seen["outside"] += not inside
+            seen["border"] += ((px - grid.x0) % grid.side == 0
+                               or (py - grid.y0) % grid.side == 0)
+            seen["stacked"] += coords.count((node.x_m, node.y_m)) > 1
+            seen["tie"] += sum(math.hypot(x - px, y - py) <= best + _SNAP_TIE_M
+                               for x, y in coords) > 1
+            seen["ring 2"] += inside and max(abs(ncx - cx), abs(ncy - cy)) >= 2
+    assert min(seen.values()) >= 100, seen
+
+
+def test_one_pass_snap_raises_for_the_first_failing_point_in_order():
+    grid = triangle()._grid  # nodes at x = 0, 1200 and 2000 m
+    far, bad = (0.0, 5000.0), (math.nan, 0.0)
+    with pytest.raises(ValueError, match=re.escape("non-finite point (nan, 0.0)")):
+        grid.snap([(0.0, 0.0), bad, far], 1000.0)
+    for points, index in (([far, bad], 0), ([(10.0, 0.0), (5.0, 1.0), far,
+                                             bad, (0.0, 6000.0)], 2)):
+        with pytest.raises(NoNodeWithinRange, match="5000.0 m away") as err:
+            grid.snap(points, 1000.0)
+        assert err.value.index == index
 
 
 @pytest.mark.parametrize("metric", ["time", "distance"])
