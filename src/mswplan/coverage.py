@@ -352,8 +352,8 @@ STOP_HEADER = ["stop_id", "node_id", "assigned_kg", "service_time_s", "covered_i
 
 
 def load_buildings(path: str) -> list[tuple[int, float, float, int]]:
-    rows = _read_table(path, BUILDING_HEADER, "building",
-                       lambda r: (int(r[0]), float(r[1]), float(r[2]), int(r[3])))
+    rows = list(_read_table(path, BUILDING_HEADER, "building",
+                            lambda r: (int(r[0]), float(r[1]), float(r[2]), int(r[3]))))
     seen: set[int] = set()
     for bid, x, y, _ in rows:
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -389,10 +389,10 @@ def write_stops(stops: list[StopPoint], path: str) -> None:
 
 
 def load_stops(path: str) -> list[StopPoint]:
-    stops = _read_table(
+    stops = list(_read_table(
         path, STOP_HEADER, "stop",
         lambda r: StopPoint(int(r[0]), int(r[1]), float(r[2]), float(r[3]),
-                            [int(t) for t in r[4].split(";") if t != ""]))
+                            [int(t) for t in r[4].split(";") if t != ""])))
     stop_ids: set[int] = set()
     stop_of: dict[int, int] = {}  # demand id -> the stop listing it
     for s in stops:

@@ -233,8 +233,8 @@ def load_factors(path: str) -> dict[str, ImpactFactors]:
     """Factors per truck class; a table with no rows, or a (class,
     quantity) row given twice, is a DataError."""
     out: dict[str, ImpactFactors] = {}
-    rows = _read_table(path, FACTOR_HEADER, "factor",
-                       lambda r: (r[0], r[1], float(r[2]), float(r[3])))
+    rows = list(_read_table(path, FACTOR_HEADER, "factor",
+                            lambda r: (r[0], r[1], float(r[2]), float(r[3]))))
     seen: set[tuple[str, str]] = set()
     for cls, quantity, per_km, per_stop in rows:
         if quantity not in _QUANTITIES:

@@ -21,7 +21,13 @@ each edge's tail; an arriving-edge search also keeps a parent per edge.
 Each network numbers its nodes by position in id order and builds, once,
 per-node out-edge rows and per-edge successor rows that carry the turn
 penalties, so the kernel's state lives in lists indexed by position or
-edge. Points snap through a bucket grid each network builds once, whose
+edge. An edge's successor rows are its head's row until its first
+non-zero penalty, which gives it a list copy of that row; the one pass
+over the turn table writes each penalty into the copy at the slot its
+turn holds in the row, and a turn without a penalty keeps the row's own
+tuple. :func:`load_turn_penalties` fills that table straight from the
+CSV reader, so loading a turned network makes no other copy of it.
+Points snap through a bucket grid each network builds once, whose
 :meth:`_NodeGrid.snap` takes a whole list of points in one loop with no
 Python call per point but the distances and the answer lookup;
 :func:`snap` is its one-point case, and coverage hands it every demand
@@ -96,6 +102,7 @@ class RoadNetwork:
         self._pos = {nid: p for p, nid in enumerate(self._ids)}
         rows: list[list[tuple[int, int, float, float, float]]] = [
             [] for _ in self._ids]
+        slot = [0] * len(self._edges)  # per edge, its place in its tail's row
         for i, e in enumerate(self._edges):
             if e.from_id not in self._nodes or e.to_id not in self._nodes:
                 raise ValueError(f"edge {i} references unknown node")
@@ -104,13 +111,19 @@ class RoadNetwork:
                     f"edge {i} needs a finite positive length and speed, got "
                     f"{e.length_m} m at {e.speed_kmh} km/h"
                 )
-            rows[self._pos[e.from_id]].append(
-                (i, self._pos[e.to_id], e.length_m, e.travel_time_s, 0.0))
+            row = rows[self._pos[e.from_id]]
+            slot[i] = len(row)
+            row.append((i, self._pos[e.to_id], e.length_m, e.travel_time_s, 0.0))
         # per node position, (edge, head position, length, time, 0.0) of
         # its out-edges in index order
         self._rows = [tuple(row) for row in rows]
         self._grid = _NodeGrid([(n.x_m, n.y_m) for n in map(self._nodes.get, self._ids)])
-        turns: dict[int, dict[int, float]] = {}  # in edge -> out edge -> s
+        # per edge, its head's row with each turn's penalty in the last slot,
+        # and the largest penalty of a turn off it. An edge shares its head's
+        # row until its first non-zero penalty gives it a list copy; in that
+        # copy a turn without a penalty still shares the row's tuple.
+        succ: list = [self._rows[self._pos[e.to_id]] for e in self._edges]
+        hi = [0.0] * len(self._edges)
         for (a, b), pen in (turn_penalty_s or {}).items():
             if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
                 raise ValueError(f"turn penalty references unknown edge ({a},{b})")
@@ -121,17 +134,16 @@ class RoadNetwork:
                     f"turn penalty ({a},{b}) must be finite and non-negative, "
                     f"got {pen}"
                 )
-            turns.setdefault(a, {})[b] = pen
-        self._has_turn_penalties = any(
-            p > 0 for row in turns.values() for p in row.values())
-        # per edge, its head's rows with each turn's penalty in the last slot
-        # (an edge without penalties shares the row), and the largest penalty
-        self._succ = [self._rows[self._pos[e.to_id]] for e in self._edges]
-        self._hi = [0.0] * len(self._edges)
-        for a, pens in turns.items():
-            self._succ[a] = tuple((fi, v, len_f, time_f, pens.get(fi, 0.0))
-                                  for fi, v, len_f, time_f, _ in self._succ[a])
-            self._hi[a] = max(pens.values())
+            if pen:  # the shared row already holds 0.0
+                row = succ[a]
+                if type(row) is tuple:
+                    row = succ[a] = list(row)
+                fi, v, len_f, time_f, _ = row[slot[b]]  # fi is b; keep the row's int
+                row[slot[b]] = (fi, v, len_f, time_f, pen)
+                if pen > hi[a]:
+                    hi[a] = pen
+        self._succ, self._hi = succ, hi
+        self._has_turn_penalties = max(hi, default=0.0) > 0
 
     @property
     def node_ids(self) -> list[int]:
@@ -586,14 +598,15 @@ EDGE_HEADER = ["from_id", "to_id", "length_m", "speed_kmh"]
 TURN_HEADER = ["from_edge_index", "to_edge_index", "penalty_s"]
 
 
-def _read_table(path: str, header: list[str], what: str, convert) -> list:
-    """``convert`` of each non-blank row of the UTF-8 CSV table at ``path``.
+def _read_table(path: str, header: list[str], what: str, convert):
+    """Yield ``convert`` of each non-blank row of the UTF-8 CSV table at
+    ``path``, one row at a time as the file is read.
 
     A file that cannot be read or decoded, a first row other than
-    ``header``, or a row ``convert`` fails on with a ValueError or an
-    IndexError is a DataError naming the path.
+    ``header``, a row the csv module cannot parse (a field longer than
+    its field size limit), or a row ``convert`` fails on with a
+    ValueError or an IndexError is a DataError naming the path.
     """
-    out = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = csv.reader(fh)
@@ -602,35 +615,36 @@ def _read_table(path: str, header: list[str], what: str, convert) -> list:
             for row in rows:
                 if row:
                     try:
-                        out.append(convert(row))
+                        item = convert(row)
                     except (ValueError, IndexError) as exc:
                         raise DataError(f"{path}: bad {what} row {row}") from exc
+                    yield item
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return out
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {rows.line_num}: {exc}") from exc
 
 
 def load_nodes(path: str) -> list[Node]:
-    return _read_table(path, NODE_HEADER, "node",
-                       lambda r: Node(int(r[0]), float(r[1]), float(r[2])))
+    return list(_read_table(path, NODE_HEADER, "node",
+                            lambda r: Node(int(r[0]), float(r[1]), float(r[2]))))
 
 
 def load_edges(path: str) -> list[Edge]:
-    return _read_table(
+    return list(_read_table(
         path, EDGE_HEADER, "edge",
-        lambda r: Edge(int(r[0]), int(r[1]), float(r[2]), float(r[3])))
+        lambda r: Edge(int(r[0]), int(r[1]), float(r[2]), float(r[3]))))
 
 
 def load_turn_penalties(path: str) -> dict[tuple[int, int], float]:
-    """``{(from_edge_index, to_edge_index): penalty_s}``; a pair given
-    twice is a DataError."""
+    """``{(from_edge_index, to_edge_index): penalty_s}``, filled row by row
+    as the file is read; a pair given twice is a DataError."""
     out: dict[tuple[int, int], float] = {}
-    for pair, pen in _read_table(path, TURN_HEADER, "turn-penalty",
-                                 lambda r: ((int(r[0]), int(r[1])), float(r[2]))):
-        if pair in out:
-            raise DataError(f"{path}: turn penalty {pair[0]},{pair[1]} "
-                            "appears more than once")
-        out[pair] = pen
+    for a, b, pen in _read_table(path, TURN_HEADER, "turn-penalty",
+                                 lambda r: (int(r[0]), int(r[1]), float(r[2]))):
+        if (a, b) in out:
+            raise DataError(f"{path}: turn penalty {a},{b} appears more than once")
+        out[a, b] = pen
     return out
 
 

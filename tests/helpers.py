@@ -60,6 +60,32 @@ def min_cost_by_enumeration(net: RoadNetwork, source: int, target: int,
     return best
 
 
+def uturn_and_bend_penalties(nodes: list[Node], edges: list[Edge],
+                             u_turn_s: float = 60.0, bend_s: float = 10.0
+                             ) -> dict[tuple[int, int], float]:
+    """``{(in edge, out edge): seconds}`` in edge order: ``u_turn_s`` on
+    every turn back to the tail, ``bend_s`` on every other turn that
+    changes heading (a non-zero cross product of the two edges)."""
+    xy = {n.id: (n.x_m, n.y_m) for n in nodes}
+    leaving: dict[int, list[int]] = {}
+    for j, e in enumerate(edges):
+        leaving.setdefault(e.from_id, []).append(j)
+
+    def heading(e: Edge) -> tuple[float, float]:
+        return (xy[e.to_id][0] - xy[e.from_id][0], xy[e.to_id][1] - xy[e.from_id][1])
+
+    pens = {}
+    for i, a in enumerate(edges):
+        ax, ay = heading(a)
+        for j in leaving.get(a.to_id, ()):
+            bx, by = heading(edges[j])
+            if edges[j].to_id == a.from_id:
+                pens[i, j] = u_turn_s
+            elif ax * by - ay * bx != 0:
+                pens[i, j] = bend_s
+    return pens
+
+
 def matrix_from_points(points: dict[int, tuple[float, float]],
                        speed_kmh: float = 40.0,
                        metric: str = "time") -> CostMatrix:

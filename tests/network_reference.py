@@ -15,6 +15,12 @@ same nodes with the same values and paths.
 the dominance gate alone, before it also declined arrivals at a settled
 node whose turns can win nothing; the tests open its gate to measure
 what the gate prunes by itself.
+
+``reference_successors`` is the network constructor's build of its
+per-edge successor rows as it was before it wrote each penalty in one
+pass over the turn table: a dict-of-dicts of the turns, then a rebuilt
+row per edge that has any. The tests require the one-pass build to give
+the same rows, largest penalties and turn flag.
 """
 
 from __future__ import annotations
@@ -226,3 +232,29 @@ def gated_edge_search(net: RoadNetwork, source: int) -> network._SearchResult:
                 heapq.heappush(heap, (nc, v, fi))
     return network._SearchResult(net, source, "time", arrive, parent,
                                  order, best, other, arrive)
+
+
+def reference_successors(net: RoadNetwork, pens: dict[tuple[int, int], float]
+                         ) -> tuple[list[tuple], list[float], bool]:
+    """Per edge, its head's out-edge rows with each turn's penalty in the
+    last slot, the largest penalty of a turn off it, and whether any
+    penalty is positive, built from ``net``'s nodes and edges and the
+    turn penalties ``pens`` as the constructor once built them."""
+    pos = {nid: p for p, nid in enumerate(net.node_ids)}
+    rows: list[list[tuple]] = [[] for _ in pos]
+    for i, e in enumerate(net.edges):
+        rows[pos[e.from_id]].append(
+            (i, pos[e.to_id], e.length_m, e.travel_time_s, 0.0))
+    node_rows = [tuple(row) for row in rows]
+    turns: dict[int, dict[int, float]] = {}  # in edge -> out edge -> s
+    for (a, b), pen in pens.items():
+        turns.setdefault(a, {})[b] = pen
+    has_turn_penalties = any(
+        p > 0 for row in turns.values() for p in row.values())
+    succ = [node_rows[pos[e.to_id]] for e in net.edges]
+    hi = [0.0] * len(net.edges)
+    for a, out in turns.items():
+        succ[a] = tuple((fi, v, len_f, time_f, out.get(fi, 0.0))
+                        for fi, v, len_f, time_f, _ in succ[a])
+        hi[a] = max(out.values())
+    return succ, hi, has_turn_penalties

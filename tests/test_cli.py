@@ -473,6 +473,22 @@ def test_non_utf8_summary_or_table_is_a_typed_error(tmp_path):
     assert f"cannot read {buildings}: 'utf-8' codec" in result.output
 
 
+def test_oversized_csv_field_exits_4_naming_the_file(tmp_path):
+    city = tmp_path / "city"
+    shutil.copytree(demo_path("city3x3"), city)
+    nodes = city / "nodes.csv"
+    with open(nodes, "a") as fh:  # one field past the csv module's limit
+        fh.write("99,0.0,0.0," + "9" * 140_000 + "\n")
+    for args in (["plan", str(city / "scenario.cfg"), "--out", str(tmp_path / "out")],
+                 ["verify", os.path.join(GOLDEN, "stops.csv"),
+                  demo_path("city3x3", "buildings.csv"), str(city)]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{nodes}: line " in result.output
+        assert "field larger than field limit" in result.output
+
+
 @pytest.mark.parametrize("line", ["block_m=nan", "speed_kmh=inf",
                                   "block_m=-inf"])
 def test_synth_non_finite_spec_number_exits_2(tmp_path, line):

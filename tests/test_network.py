@@ -8,20 +8,25 @@ from hypothesis import strategies as st
 
 from coverage_reference import snap as reference_snap
 from helpers import min_cost_by_enumeration, random_graph
-from mswplan.coverage import load_buildings, load_stops
+from mswplan.coverage import BUILDING_HEADER, STOP_HEADER, load_buildings, load_stops
 from mswplan.errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
-from mswplan.impact import load_factors
+from mswplan.impact import FACTOR_HEADER, load_factors
 from mswplan.network import (
     _SNAP_TIE_M,
+    EDGE_HEADER,
     METRICS,
+    NODE_HEADER,
+    TURN_HEADER,
     UNREACHABLE,
     CostMatrix,
     Edge,
     Node,
     RoadNetwork,
     cost_matrix,
+    load_edges,
     load_network,
     load_nodes,
+    load_turn_penalties,
     shortest_path,
     snap,
     write_edges,
@@ -570,6 +575,23 @@ def test_table_loaders_reject_a_missing_file_and_a_wrong_header(tmp_path, loader
         loader(str(wrong))
 
 
+TABLES = [(load_nodes, NODE_HEADER), (load_edges, EDGE_HEADER),
+          (load_turn_penalties, TURN_HEADER), (load_buildings, BUILDING_HEADER),
+          (load_stops, STOP_HEADER), (load_factors, FACTOR_HEADER)]
+
+
+@pytest.mark.parametrize("loader, header", TABLES,
+                         ids=[loader.__name__ for loader, _ in TABLES])
+def test_table_loaders_reject_an_oversized_field_naming_the_path(tmp_path, loader,
+                                                                  header):
+    # a field past the csv module's default limit of 131,072 characters
+    table = tmp_path / "table.csv"
+    table.write_text(",".join(header) + "\n1," + "1" * 140_000 + "\n")
+    with pytest.raises(DataError, match=rf"{re.escape(str(table))}: line 2: "
+                       r"field larger than field limit"):
+        loader(str(table))
+
+
 def test_invalid_edge_rejected():
     with pytest.raises(ValueError):
         RoadNetwork([Node(1, 0, 0)], [Edge(1, 2, 100, 40)])
@@ -598,11 +620,19 @@ def test_infinite_edge_speed_rejected_naming_the_edge(tmp_path):
         load_network(nodes, edges)
 
 
-def test_nan_turn_penalty_rejected_naming_the_edges(tmp_path):
+# edge 0 runs 1 -> 2 and edge 1 runs 2 -> 1, so (0,1) and (1,0) are turns
+@pytest.mark.parametrize("row, message", [
+    ("0,5,10", r"turn penalty references unknown edge \(0,5\)"),
+    ("0,0,10", r"turn penalty \(0,0\) joins non-adjacent edges"),
+    ("0,1,-5", r"turn penalty \(0,1\) must be finite and non-negative, got -5\.0"),
+    ("0,1,inf", r"turn penalty \(0,1\) must be finite and non-negative, got inf"),
+    ("0,1,nan", r"turn penalty \(0,1\) must be finite and non-negative, got nan"),
+], ids=["unknown_edge", "non_adjacent", "negative", "infinite", "nan"])
+def test_invalid_turn_penalty_rejected_naming_the_pair(tmp_path, row, message):
     nodes, edges = write_two_node_network(tmp_path, "1,2,100,40\n2,1,100,40\n")
     turns = tmp_path / "turns.csv"
-    turns.write_text("from_edge_index,to_edge_index,penalty_s\n0,1,nan\n")
-    with pytest.raises(DataError, match=r"turn penalty \(0,1\) must be finite"):
+    turns.write_text(f"from_edge_index,to_edge_index,penalty_s\n1,0,60\n{row}\n")
+    with pytest.raises(DataError, match=message):
         load_network(nodes, edges, str(turns))
 
 
@@ -613,4 +643,17 @@ def test_repeated_turn_penalty_pair_rejected_naming_the_pair(tmp_path):
                      "0,1,60\n1,0,60\n0,1,5\n")
     with pytest.raises(DataError, match=rf"{re.escape(str(turns))}: turn "
                        r"penalty 0,1 appears more than once"):
+        load_network(nodes, edges, str(turns))
+
+
+def test_turn_table_reports_whichever_bad_row_comes_first(tmp_path):
+    nodes, edges = write_two_node_network(tmp_path, "1,2,100,40\n2,1,100,40\n")
+    turns = tmp_path / "turns.csv"
+    turns.write_text("from_edge_index,to_edge_index,penalty_s\n"
+                     "0,1,60\n0,1,5\n1,x,60\n")
+    with pytest.raises(DataError, match=r"turn penalty 0,1 appears more than once"):
+        load_network(nodes, edges, str(turns))
+    turns.write_text("from_edge_index,to_edge_index,penalty_s\n"
+                     "0,1,60\n1,x,60\n0,1,5\n")
+    with pytest.raises(DataError, match=r"bad turn-penalty row \['1', 'x', '60'\]"):
         load_network(nodes, edges, str(turns))

@@ -18,7 +18,9 @@ parallel edges, self-loops, turn tables of zeros (which leave the node
 search in charge) and positive penalties. The oracle tests check
 ``cost_matrix`` against networkx, which shares no code with either. Both
 oracles read turn penalties from the dicts the tests build the networks
-from, never from the network's own tables.
+from, never from the network's own tables. The network's one-pass build
+of its per-edge successor rows is held to the dict-of-dicts build it
+replaced, ``reference_successors``, on turn tables in random order.
 """
 
 import copy
@@ -30,8 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_graph
-from network_reference import gated_edge_search, reference_search
+from helpers import random_graph, uturn_and_bend_penalties
+from network_reference import (gated_edge_search, reference_search,
+                               reference_successors)
 from mswplan import network
 from mswplan.errors import PlannerError, Unreachable
 from mswplan.network import (
@@ -205,25 +208,40 @@ def test_turn_checked_kernel_matches_the_reference_on_bends_and_uturns(
                 assert_same_search(net, pens, source, metric, bound)
 
 
+@DIFFERENTIAL
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    turns=st.sampled_from(("none", "zero", "positive", "bends")),
+)
+def test_successor_rows_equal_the_dict_of_dicts_build(seed, turns):
+    """The one-pass build of the successor rows, in any table order, gives
+    the reference's rows, largest penalties and turn flag, and shares the
+    head's row, or in a copy the row's tuple, wherever no penalty is set."""
+    rng = random.Random(seed)
+    net, pens = (turn_check_graph(rng, "uniform") if turns == "bends"
+                 else tie_rich_graph(rng, "integer", turns))
+    table = list(pens.items())
+    rng.shuffle(table)
+    net = RoadNetwork([net.node(i) for i in net.node_ids], list(net.edges),
+                      dict(table))
+    succ, hi, has_turn_penalties = reference_successors(net, pens)
+    assert [tuple(row) for row in net._succ] == succ
+    assert net._hi == hi
+    assert net.has_turn_penalties == has_turn_penalties
+    for row, e, top in zip(net._succ, net.edges, net._hi):
+        head = net._rows[net._pos[e.to_id]]
+        assert row is head if top == 0.0 else type(row) is list
+        assert all(turn is shared for turn, shared in zip(row, head)
+                   if turn[4] == 0.0)
+
+
 def turned_grid_city(grid: int, **spec) -> tuple[RoadNetwork, dict]:
     """A synthetic grid city with a 60 s U-turn and a 10 s bend penalty,
     and those penalties; ``spec`` overrides more SyntheticCitySpec
     fields."""
     nodes, edges, _ = gen_synthetic_city(
         SyntheticCitySpec(seed=3, grid_x=grid, grid_y=grid, **spec))
-    xy = {n.id: (n.x_m, n.y_m) for n in nodes}
-    pens = {}
-    for ei, e in enumerate(edges):
-        for fi, f in enumerate(edges):
-            if e.to_id != f.from_id:
-                continue
-            if f.to_id == e.from_id:
-                pens[(ei, fi)] = 60.0
-            else:
-                (ax, ay), (bx, by), (cx, cy) = (xy[e.from_id], xy[e.to_id],
-                                                xy[f.to_id])
-                if (bx - ax) * (cy - by) != (by - ay) * (cx - bx):
-                    pens[(ei, fi)] = 10.0
+    pens = uturn_and_bend_penalties(nodes, edges)
     return RoadNetwork(nodes, edges, pens), pens
 
 
