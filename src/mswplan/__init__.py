@@ -40,7 +40,6 @@ from .network import (
 from .pipeline import ScenarioConfig, load_scenario_config, run_pipeline
 from .synth import SyntheticCitySpec, gen_synthetic_city
 from .vrp import (
-    Depot,
     FleetSpec,
     RoutePlan,
     Trip,
@@ -63,7 +62,7 @@ __all__ = [
     "cost_matrix", "shortest_path", "snap",
     "ScenarioConfig", "load_scenario_config", "run_pipeline",
     "SyntheticCitySpec", "gen_synthetic_city",
-    "Depot", "FleetSpec", "RoutePlan", "Trip", "route_metrics",
+    "FleetSpec", "RoutePlan", "Trip", "route_metrics",
     "size_fleet", "solve_vrp", "verify_plan",
     "__version__",
 ]

@@ -31,8 +31,7 @@ from .errors import (
     UnreachableStop,
 )
 from .pipeline import (ScenarioConfig, load_scenario_config, load_summary,
-                       parse_kv_file, read_fields, reject_unknown_keys,
-                       run_pipeline)
+                       parse_kv_file, read_fields, run_pipeline)
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -70,7 +69,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@click.option("--objective", type=click.Choice(["time", "distance"]),
+@click.option("--objective", type=click.Choice(network.METRICS),
               default=None, help="Override the config objective.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", default=".", show_default=True,
@@ -111,9 +110,7 @@ def plan(config: str, objective: str | None, seed: int | None,
 def synth_city(specfile: str, out_dir: str) -> None:
     """Generate a synthetic grid city from a SPECFILE (key=value)."""
     try:
-        kv = parse_kv_file(specfile)
-        reject_unknown_keys(specfile, kv,
-                            [f.name for f in fields(synth.SyntheticCitySpec)])
+        kv = parse_kv_file(specfile, [f.name for f in fields(synth.SyntheticCitySpec)])
         paths = synth.write_city(read_fields(kv, synth.SyntheticCitySpec), out_dir)
     except PlannerError as exc:
         _fail(exc)
@@ -147,8 +144,8 @@ def compare(existing: str, proposed: str, fmt: str) -> None:
 @click.option("--radius", type=float, default=cov.CoverageConfig.radius_m,
               show_default=True,
               help="Service radius in meters.")
-@click.option("--mode", type=click.Choice(["network", "euclidean"]),
-              default="network", show_default=True)
+@click.option("--mode", type=click.Choice(cov.DISTANCE_MODES),
+              default=cov.CoverageConfig.distance_mode, show_default=True)
 @click.option("--rate", type=float,
               default=ScenarioConfig.generation_rate_kg_unit_day, show_default=True,
               help="Waste generation rate, kg per dwelling unit per day.")

@@ -43,10 +43,14 @@ class StopPoint:
     overflow: bool = False  # single demand above the load cap, flagged
 
 
+#: How the service radius is measured: along the roads or straight.
+DISTANCE_MODES = ("network", "euclidean")
+
+
 @dataclass(frozen=True)
 class CoverageConfig:
     radius_m: float = 300.0
-    distance_mode: str = "network"  # or "euclidean"
+    distance_mode: str = "network"
     max_stop_load_kg: float = 520.0
     candidate_nodes: tuple[int, ...] | None = None
     service_time_s: float = 1800.0
@@ -59,8 +63,9 @@ class CoverageConfig:
         if not 0 <= self.service_time_s < math.inf:
             raise ValueError("service_time_s must be finite and non-negative, "
                              f"got {self.service_time_s}")
-        if self.distance_mode not in ("network", "euclidean"):
-            raise ValueError("distance_mode must be 'network' or 'euclidean', "
+        if self.distance_mode not in DISTANCE_MODES:
+            raise ValueError("distance_mode must be "
+                             f"{' or '.join(map(repr, DISTANCE_MODES))}, "
                              f"got {self.distance_mode!r}")
         seen: set[int] = set()
         for node in self.candidate_nodes or ():

@@ -63,8 +63,11 @@ class ScenarioSummary:
     def __post_init__(self):
         numeric = [f.name for f in fields(self) if f.name != "name"]
         for name in numeric:
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value < 0:
                 raise InconsistentSummary(f"{self.name}: {name} is negative")
+            if not value < math.inf:  # NaN or an infinity
+                raise InconsistentSummary(f"{self.name}: {name} is not finite")
         if self.n_trucks == 0 and (self.total_km > 0 or self.total_time_h > 0):
             raise InconsistentSummary(
                 f"{self.name}: no trucks, but total_km {self.total_km} and "

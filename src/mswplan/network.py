@@ -167,9 +167,6 @@ class RoadNetwork:
         except KeyError:
             raise UnknownNode(f"node {node_id} not in network") from None
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
 
 @dataclass(frozen=True)
 class CostMatrix:
@@ -445,8 +442,7 @@ def cost_matrix(
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     for nid in list(origins) + list(destinations):
-        if not net.has_node(nid):
-            raise UnknownNode(f"node {nid} not in network")
+        net.node(nid)  # raises UnknownNode for an id not in the network
     cols = [net._pos[d] for d in destinations]
     searches: dict[int, _SearchResult] = {}
     lengths: dict[int, tuple[float, ...]] = {}
@@ -604,8 +600,9 @@ def _read_table(path: str, header: list[str], what: str, convert):
 
     A file that cannot be read or decoded, a first row other than
     ``header``, a row the csv module cannot parse (a field longer than
-    its field size limit), or a row ``convert`` fails on with a
-    ValueError or an IndexError is a DataError naming the path.
+    its field size limit), a row with more fields than ``header``, or a
+    row ``convert`` fails on with a ValueError or an IndexError is a
+    DataError naming the path.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -613,6 +610,9 @@ def _read_table(path: str, header: list[str], what: str, convert):
             if next(rows, None) != header:
                 raise DataError(f"{path}: expected header {','.join(header)}")
             for row in rows:
+                if len(row) > len(header):
+                    raise DataError(f"{path}: line {rows.line_num}: {len(row)} "
+                                    f"fields, the header has {len(header)}")
                 if row:
                     try:
                         item = convert(row)

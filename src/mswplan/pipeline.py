@@ -29,8 +29,10 @@ from .errors import (ConfigError, DataError, InconsistentSummary, PlannerError,
 from .geometry import route_geometry, write_geojson
 
 
-def parse_kv_file(path: str) -> dict[str, str]:
-    """Read UTF-8 ``key=value`` lines; '#' starts a comment, blanks ignored."""
+def parse_kv_file(path: str, known) -> dict[str, str]:
+    """Read UTF-8 ``key=value`` lines; '#' starts a comment, blanks ignored.
+    A key not in ``known`` is a ConfigError, raised once the whole file
+    is read and naming every such key."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -47,13 +49,9 @@ def parse_kv_file(path: str) -> dict[str, str]:
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value
-    return out
-
-
-def reject_unknown_keys(path: str, kv: dict[str, str], known) -> None:
-    """Raise a ConfigError naming every key of ``kv`` not in ``known``."""
-    if unknown := sorted(set(kv) - set(known)):
+    if unknown := sorted(set(out) - set(known)):
         raise ConfigError(f"{path}: unknown keys: {', '.join(unknown)}")
+    return out
 
 
 #: Field annotation -> (parser of a key's text, what a bad text is not).
@@ -123,9 +121,8 @@ def summary_from_mapping(kv: dict[str, str], prefix: str = "") -> impact.Scenari
 
 
 def load_summary(path: str) -> impact.ScenarioSummary:
-    kv = parse_kv_file(path)
-    reject_unknown_keys(path, kv, [f.name for f in fields(impact.ScenarioSummary)])
-    return summary_from_mapping(kv)
+    return summary_from_mapping(
+        parse_kv_file(path, [f.name for f in fields(impact.ScenarioSummary)]))
 
 
 def write_summary(summary: impact.ScenarioSummary, path: str) -> None:
@@ -162,8 +159,8 @@ class ScenarioConfig:
         if not self.generation_rate_kg_unit_day > 0:
             raise ConfigError("key 'generation_rate_kg_unit_day': must be "
                               f"positive, got {self.generation_rate_kg_unit_day}")
-        if self.objective not in vrp.OBJECTIVES:
-            raise ConfigError(f"objective must be one of {vrp.OBJECTIVES}")
+        if self.objective not in network.METRICS:
+            raise ConfigError(f"objective must be one of {network.METRICS}")
 
 
 #: Each top-level scenario key and the ScenarioConfig field it sets.
@@ -192,8 +189,7 @@ SCENARIO_KEYS = frozenset(_TOP_LEVEL_KEYS).union(
 
 
 def load_scenario_config(path: str) -> ScenarioConfig:
-    kv = parse_kv_file(path)
-    reject_unknown_keys(path, kv, SCENARIO_KEYS)
+    kv = parse_kv_file(path, SCENARIO_KEYS)
     base = os.path.dirname(os.path.abspath(path))
     values = _field_values(kv, ScenarioConfig, _TOP_LEVEL_KEYS)
     for key, name in _TOP_LEVEL_KEYS.items():
@@ -219,14 +215,14 @@ def summary_from_plan(
     plan: vrp.RoutePlan,
     metrics: vrp.RouteMetrics,
     fleet: vrp.FleetSpec,
-    stops: list[cov.StopPoint],
     factors: impact.ImpactFactors | None = None,
 ) -> impact.ScenarioSummary:
     """Roll a solved plan up into the comparable scenario summary."""
     total_km = metrics.total_distance_m / 1000.0
-    n_stops = len(stops)
+    n_stops = len(plan.stops)
     avg_stop_time = (
-        math.fsum(s.service_time_s for s in stops) / n_stops if n_stops else 0.0
+        math.fsum(s.service_time_s for s in plan.stops.values()) / n_stops
+        if n_stops else 0.0
     )
     energy = co = co2 = nox = 0.0
     if factors is not None:
@@ -304,8 +300,8 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
     matrix_nodes = [depot_node] + [n for n in stop_nodes if n != depot_node]
     matrix = _stage("network/matrix", network.cost_matrix, net,
                     matrix_nodes, matrix_nodes, cfg.objective)
-    plan = _stage("vrp/solve", vrp.solve_vrp, matrix, stops,
-                  vrp.Depot(depot_node), cfg.fleet, cfg.objective, cfg.seed)
+    plan = _stage("vrp/solve", vrp.solve_vrp, matrix, stops, depot_node,
+                  cfg.fleet, seed=cfg.seed)
     _stage("vrp/solve", vrp.verify_plan, plan, matrix, cfg.fleet)
     metrics = _stage("vrp/metrics", vrp.route_metrics, plan)
 
@@ -320,7 +316,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
             )
         factors = table[cls]
     summary = _stage("impact/summary", summary_from_plan, cfg.scenario_name,
-                     plan, metrics, cfg.fleet, stops, factors)
+                     plan, metrics, cfg.fleet, factors)
     report = None
     if cfg.existing is not None:
         proposed = cfg.proposed_override or summary

@@ -7,7 +7,8 @@ plus a few seeded random-insertion restarts; the best candidate wins by
 decreasing against the working shift. The full-enumeration optimality
 oracle for small instances lives with the tests.
 
-The objective is total drive cost (seconds or meters) over all trips.
+The objective is total drive cost over all trips, in the cost matrix's
+metric (seconds or meters).
 Per-stop service time is constant for a fixed stop set and depot unload
 time only rewards merging trips, which shorter drive cost already does,
 so neither term can change the argmin.
@@ -50,14 +51,13 @@ from .errors import (
     UnknownNode,
     UnreachableStop,
 )
-from .network import CostMatrix
+from .network import METRICS, CostMatrix
 
 _EPS = 1e-9
 #: Rounding slack of delta evaluation per summed leg, relative to the
 #: cost of the trips a move touches (see ``_improve_seqs``).
 _ROUND = 4 * sys.float_info.epsilon
 
-OBJECTIVES = ("time", "distance")
 #: Plans ``solve_vrp`` compares: savings, then seeded insertion restarts.
 RESTARTS = 4
 #: Moves one local-search descent may apply.
@@ -81,11 +81,6 @@ class FleetSpec:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class Depot:
-    node: int
 
 
 @dataclass
@@ -145,17 +140,13 @@ class _Ctx:
     """Pre-indexed costs and stop attributes for one solver run."""
 
     def __init__(self, matrix: CostMatrix, stops: list[StopPoint],
-                 depot: Depot, fleet: FleetSpec, objective: str):
-        if objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if matrix.metric != objective:
-            raise ValueError(
-                f"matrix metric {matrix.metric!r} does not match objective "
-                f"{objective!r}"
-            )
+                 depot: int, fleet: FleetSpec):
+        if matrix.metric not in METRICS:
+            raise ValueError(f"matrix metric must be one of {METRICS}, "
+                             f"got {matrix.metric!r}")
         self.fleet = fleet
-        self.objective = objective
-        self.depot = depot.node
+        self.objective = matrix.metric
+        self.depot = depot
         self.stops: dict[int, StopPoint] = {}
         for s in stops:
             if s.id in self.stops:
@@ -175,7 +166,7 @@ class _Ctx:
         dst = [col[nid] for nid in self.nodes]
         self.time, self.length = ([[table[r][c] for c in dst] for r in src]
                                   for table in (matrix.time_s, matrix.length_m))
-        self.cost = self.time if objective == "time" else self.length
+        self.cost = self.time if self.objective == "time" else self.length
         # the search memory of every descent on this instance: trip contents
         # -> scan data, and the facts proven by ids (see _improve_seqs)
         self.scanned: dict[tuple[int, ...], tuple] = {}
@@ -595,18 +586,19 @@ def _pack_plan(ctx: _Ctx, seqs: list[list[int]]) -> RoutePlan:
 def solve_vrp(
     matrix: CostMatrix,
     stops: list[StopPoint],
-    depot: Depot,
+    depot: int,
     fleet: FleetSpec,
-    objective: str = "time",
+    *,
     seed: int = 0,
 ) -> RoutePlan:
-    """Best feasible plan from savings construction plus seeded restarts.
+    """Best feasible plan from the ``depot`` node, by savings construction
+    plus seeded restarts.
 
     Never worse than Clarke-Wright alone (that construction, improved,
     is candidate zero) and fully deterministic for a fixed seed: restart
     candidates are ranked by (cost, restart index).
     """
-    ctx = _Ctx(matrix, stops, depot, fleet, objective)
+    ctx = _Ctx(matrix, stops, depot, fleet)
     _validate_instance(ctx)
     best_seqs = _improve_seqs(ctx, _clarke_wright_seqs(ctx), MAX_MOVES)
     best_cost = sum(ctx.drive_cost(s) for s in best_seqs)

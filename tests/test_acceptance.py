@@ -44,7 +44,7 @@ from mswplan.network import (
 )
 from mswplan.pipeline import load_scenario_config, run_pipeline
 from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
-from mswplan.vrp import Depot, FleetSpec, Trip, size_fleet, solve_vrp
+from mswplan.vrp import FleetSpec, Trip, size_fleet, solve_vrp
 
 DEMO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "demo"))
 
@@ -159,7 +159,7 @@ def test_criterion_5_vrp_oracle_quality():
             pts[i] = (rng.uniform(0, 4000), rng.uniform(0, 4000))
         matrix = matrix_from_points(pts)
         stops = [make_stop(i, i, rng.uniform(300, 600)) for i in range(1, n + 1)]
-        plan = solve_vrp(matrix, stops, Depot(0), fleet, "time", seed=k)
+        plan = solve_vrp(matrix, stops, 0, fleet, seed=k)
         # feasibility: exact cover, capacity, shift
         covered = sorted(s for t in plan.all_trips() for s in t.stop_ids)
         assert covered == sorted(s.id for s in stops)
@@ -167,7 +167,7 @@ def test_criterion_5_vrp_oracle_quality():
             assert t.load_kg <= fleet.capacity_kg + 1e-9
         for _, trips in plan.trucks:
             assert sum(t.total_time_s for t in trips) <= fleet.shift_s + 1e-6
-        optimum = brute_force_vrp(matrix, stops, Depot(0), fleet, "time")
+        optimum = brute_force_vrp(matrix, stops, 0, fleet)
         assert plan.cost >= optimum.cost - 1e-6
         assert plan.cost <= 1.15 * optimum.cost
         if math.isclose(plan.cost, optimum.cost, rel_tol=1e-9):

@@ -4,6 +4,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from mswplan import coverage as cov
 from mswplan import vrp
 from mswplan.cli import main
 from mswplan.errors import StageError
@@ -93,8 +94,8 @@ def test_plan_unclassified_stage_failure_exits_5(tmp_path, monkeypatch):
 def test_plan_that_drops_a_stop_fails_its_audit_with_exit_5(tmp_path, monkeypatch):
     solve = vrp.solve_vrp
 
-    def dropping(matrix, stops, *args):
-        plan = solve(matrix, stops[1:], *args)
+    def dropping(matrix, stops, *args, **kwargs):
+        plan = solve(matrix, stops[1:], *args, **kwargs)
         plan.stops = {s.id: s for s in stops}
         return plan
 
@@ -108,6 +109,42 @@ def test_plan_that_drops_a_stop_fails_its_audit_with_exit_5(tmp_path, monkeypatc
     assert result.exit_code == 5, result.output
     assert "stage vrp/solve: stops [0] are not planned" in result.output
     assert not (tmp_path / "plan.csv").exists()
+
+
+def drop_a_demand(stops, demands):
+    """Stop 0 without its first demand, and without that demand's mass."""
+    gone = stops[0].covered_demand_ids.pop(0)
+    stops[0].assigned_demand_kg -= next(d.waste_kg_day for d in demands
+                                        if d.id == gone)
+
+
+def list_a_demand_twice(stops, demands):
+    """Stop 1 also lists the first demand of stop 0, with its mass."""
+    twice = stops[0].covered_demand_ids[0]
+    stops[1].covered_demand_ids.append(twice)
+    stops[1].assigned_demand_kg += next(d.waste_kg_day for d in demands
+                                        if d.id == twice)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (drop_a_demand, "uncovered demands remain: ["),
+    (list_a_demand_twice, "demand mass not conserved: "),
+], ids=["dropped", "listed_twice"])
+def test_stops_that_drop_or_repeat_a_demand_fail_the_coverage_guard_with_exit_5(
+        tmp_path, monkeypatch, corrupt, message):
+    place = cov.place_stops
+
+    def corrupted(net, demands, cfg):
+        stops = place(net, demands, cfg)
+        corrupt(stops, demands)
+        return stops
+
+    monkeypatch.setattr(cov, "place_stops", corrupted)
+    result = CliRunner().invoke(
+        main, ["plan", demo_path("four_stops", "scenario.cfg"), "--out", str(tmp_path)])
+    assert result.exit_code == 5, result.output
+    assert f"stage coverage/place_stops: {message}" in result.output
+    assert not (tmp_path / "stops.csv").exists()
 
 
 def test_plan_unwritable_out_dir_exits_4(tmp_path):

@@ -200,6 +200,17 @@ def test_summary_rejects_inconsistent_totals():
         ScenarioSummary("negative", 10, 4000, 100, 900, 50, 500, 2, -20)
 
 
+@pytest.mark.parametrize("field", ["total_km", "avg_route_km", "avg_stop_time_s",
+                                   "co2_g_day"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_summary_rejects_a_value_that_is_not_finite(field, value):
+    values = dict(name="x", n_trucks=2, truck_capacity_kg=4000, n_stops=10,
+                  avg_stop_time_s=900, avg_route_km=5.0, total_km=10.0,
+                  avg_route_h=1.0, total_time_h=2.0)
+    with pytest.raises(InconsistentSummary, match=f"x: {field} is not finite"):
+        ScenarioSummary(**values | {field: value})
+
+
 def test_published_summaries_pass_consistency_gate():
     # worst drift: 50 trucks x 1.2 h vs 62.2 h/day
     drift = abs(50 * 1.2 - 62.2) / 62.2

@@ -592,6 +592,17 @@ def test_table_loaders_reject_an_oversized_field_naming_the_path(tmp_path, loade
         loader(str(table))
 
 
+@pytest.mark.parametrize("loader, header", TABLES,
+                         ids=[loader.__name__ for loader, _ in TABLES])
+def test_table_loaders_reject_a_row_longer_than_the_header(tmp_path, loader, header):
+    table = tmp_path / "table.csv"
+    row = ",".join(["1"] * len(header))
+    table.write_text(f"{','.join(header)}\n{row},junk\n")
+    with pytest.raises(DataError, match=rf"{re.escape(str(table))}: line 2: "
+                       rf"{len(header) + 1} fields, the header has {len(header)}"):
+        loader(str(table))
+
+
 def test_invalid_edge_rejected():
     with pytest.raises(ValueError):
         RoadNetwork([Node(1, 0, 0)], [Edge(1, 2, 100, 40)])

@@ -15,10 +15,11 @@ from mswplan.pipeline import (
     ScenarioConfig,
     load_scenario_config,
     load_summary,
+    parse_kv_file,
     run_pipeline,
     write_summary,
 )
-from mswplan.vrp import Depot, FleetSpec
+from mswplan.vrp import FleetSpec
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demo")
 
@@ -41,8 +42,8 @@ def test_four_stop_demo_runs_and_matches_oracle(tmp_path):
         {s.node for s in result.stops} - {result.plan.depot_node}
     )
     matrix = cost_matrix(result.network, nodes, nodes, cfg.objective)
-    oracle = brute_force_vrp(matrix, result.stops, Depot(result.plan.depot_node),
-                             cfg.fleet, cfg.objective)
+    oracle = brute_force_vrp(matrix, result.stops, result.plan.depot_node,
+                             cfg.fleet)
     assert result.plan.cost == pytest.approx(oracle.cost)
     # one 8 km tour at 40 km/h
     assert result.plan.total_distance_m == pytest.approx(8000.0)
@@ -133,6 +134,19 @@ def test_unknown_config_keys_rejected(tmp_path):
     path = four_stops_config(tmp_path, "coverage.radius=200\nexisting.nmae=x\n")
     with pytest.raises(ConfigError, match="coverage.radius, existing.nmae"):
         load_scenario_config(path)
+
+
+def test_kv_file_names_its_unknown_keys_after_its_line_errors(tmp_path):
+    path = tmp_path / "spec.cfg"
+    path.write_text("b=1\na=2\nc=3\n")
+    with pytest.raises(ConfigError) as info:
+        parse_kv_file(str(path), ["a"])
+    assert str(info.value) == f"{path}: unknown keys: b, c"
+    path.write_text("b=1\na=2\nc\n")
+    with pytest.raises(ConfigError, match=r"spec\.cfg:3: expected key=value"):
+        parse_kv_file(str(path), ["a"])
+    path.write_text("# a comment\na = 2\n")
+    assert parse_kv_file(str(path), ["a", "b"]) == {"a": "2"}
 
 
 @pytest.mark.parametrize("key", ["fleet.speed_kmh", "fleet.crew_size",
@@ -283,8 +297,7 @@ def test_single_out_and_back_polyline():
          Edge(2, 1, 1500, 40), Edge(1, 0, 1500, 40)],
     )
     matrix = cost_matrix(net, [0, 2], [0, 2], "time")
-    plan = solve_vrp(matrix, [make_stop(7, 2, 100.0)], Depot(0), FleetSpec(),
-                     "time", seed=0)
+    plan = solve_vrp(matrix, [make_stop(7, 2, 100.0)], 0, FleetSpec(), seed=0)
     collection = route_geometry(plan, net, matrix)
     assert len(collection["features"]) == 1
     coords = collection["features"][0]["geometry"]["coordinates"]
@@ -314,7 +327,7 @@ def test_route_geometry_runs_no_search(monkeypatch):
     nodes = [0] + stop_nodes
     matrix = network.cost_matrix(net, nodes, nodes, "time")
     assert searches == nodes
-    plan = solve_vrp(matrix, stops, Depot(0), FleetSpec(), "time", seed=0)
+    plan = solve_vrp(matrix, stops, 0, FleetSpec(), seed=0)
     del searches[:]
     collection = route_geometry(plan, net, matrix)
     assert searches == []
@@ -328,9 +341,9 @@ def test_empty_plan_products():
     from helpers import matrix_from_points
 
     m = matrix_from_points({0: (0.0, 0.0)})
-    plan = solve_vrp(m, [], Depot(0), FleetSpec(), "time", seed=0)
+    plan = solve_vrp(m, [], 0, FleetSpec(), seed=0)
     assert plan == RoutePlan(trucks=[], objective="time", depot_node=0, stops={})
-    assert brute_force_vrp(m, [], Depot(0), FleetSpec(), "time") == plan
+    assert brute_force_vrp(m, [], 0, FleetSpec()) == plan
     assert plan.fleet_size == 0
     assert plan.cost == 0.0
     metrics = route_metrics(plan)

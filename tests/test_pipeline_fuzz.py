@@ -17,7 +17,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mswplan import vrp
+from mswplan import network, vrp
 from mswplan.cli import EXIT_INTERNAL, _exit_code
 from mswplan.coverage import CoverageConfig
 from mswplan.errors import PlannerError, StageError
@@ -39,7 +39,7 @@ FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None
     capacity_kg=st.floats(5.0, 400.0),
     unload_s=st.floats(1.0, 1800.0),
     shift_s=st.floats(60.0, 30000.0),
-    objective=st.sampled_from(vrp.OBJECTIVES),
+    objective=st.sampled_from(network.METRICS),
 )
 def test_tiny_city_plans_or_fails_with_a_typed_error(
         seed, grid_x, grid_y, buildings_per_block, radius_m, max_stop_load_kg,

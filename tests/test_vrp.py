@@ -16,7 +16,6 @@ from mswplan.errors import (
 from mswplan.network import CostMatrix
 from mswplan.vrp import (
     MAX_MOVES,
-    Depot,
     FleetSpec,
     RoutePlan,
     Trip,
@@ -31,11 +30,11 @@ from mswplan.vrp import (
     verify_plan,
 )
 
-DEPOT = Depot(0)
+DEPOT = 0
 
 
 def instance(matrix: CostMatrix, stops, fleet: FleetSpec) -> _Ctx:
-    ctx = _Ctx(matrix, stops, DEPOT, fleet, "time")
+    ctx = _Ctx(matrix, stops, DEPOT, fleet)
     _validate_instance(ctx)
     return ctx
 
@@ -79,12 +78,12 @@ def leg_sum(matrix: CostMatrix, table, legs) -> float:
     return sum(table[row(a)][col(b)] for a, b in legs)
 
 
-def best_single_tour_cost(matrix: CostMatrix, stops, depot: Depot) -> float:
+def best_single_tour_cost(matrix: CostMatrix, stops, depot: int) -> float:
     """Exhaustive best order over one tour holding every stop."""
     best = math.inf
     for perm in permutations([s.id for s in stops]):
         node = {s.id: s.node for s in stops}
-        seq = [depot.node] + [node[s] for s in perm] + [depot.node]
+        seq = [depot] + [node[s] for s in perm] + [depot]
         cost = leg_sum(matrix, matrix.cost, zip(seq[:-1], seq[1:]))
         best = min(best, cost)
     return best
@@ -93,7 +92,7 @@ def best_single_tour_cost(matrix: CostMatrix, stops, depot: Depot) -> float:
 def test_single_stop_out_and_back():
     m = matrix_from_points({0: (0.0, 0.0), 1: (2000.0, 0.0)})
     stops = [make_stop(1, 1, 500.0)]
-    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), seed=0)
     trips = plan.all_trips()
     assert len(trips) == 1
     assert trips[0].stop_ids == [1]
@@ -109,7 +108,7 @@ def test_five_stops_on_a_line_match_exhaustive_tour():
         pts[i] = (500.0 * i, 0.0)
     m = matrix_from_points(pts)
     stops = [make_stop(i, i, 500.0) for i in range(1, 6)]
-    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), seed=0)
     assert len(plan.all_trips()) == 1
     assert plan.cost == pytest.approx(best_single_tour_cost(m, stops, DEPOT))
 
@@ -120,7 +119,7 @@ def test_nine_stops_need_two_trips():
         pts[i] = (300.0 * i, 100.0 * (i % 3))
     m = matrix_from_points(pts)
     stops = [make_stop(i, i, 500.0) for i in range(1, 10)]
-    plan = solve_vrp(m, stops, DEPOT, FleetSpec(capacity_kg=4000), "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, FleetSpec(capacity_kg=4000), seed=0)
     assert plan.n_trips >= math.ceil(9 * 500 / 4000)
     assert plan.n_trips == 2
     for t in plan.all_trips():
@@ -152,15 +151,14 @@ def test_single_stop_construction():
     assert trips[0].drive_time_s == pytest.approx(20.0)
 
 
-def manual_plan(matrix: CostMatrix, stops, seqs, fleet: FleetSpec,
-                objective: str = "time") -> RoutePlan:
+def manual_plan(matrix: CostMatrix, stops, seqs, fleet: FleetSpec) -> RoutePlan:
     """Build a plan with trip fields recomputed here, not by the solver."""
     node = {s.id: s.node for s in stops}
     service = {s.id: s.service_time_s for s in stops}
     demand = {s.id: s.assigned_demand_kg for s in stops}
     trips = []
     for seq in seqs:
-        legs = [DEPOT.node] + [node[s] for s in seq] + [DEPOT.node]
+        legs = [DEPOT] + [node[s] for s in seq] + [DEPOT]
         pairs = list(zip(legs[:-1], legs[1:]))
         trips.append(
             Trip(
@@ -174,8 +172,8 @@ def manual_plan(matrix: CostMatrix, stops, seqs, fleet: FleetSpec,
         )
     return RoutePlan(
         trucks=[(1, trips)],
-        objective=objective,
-        depot_node=DEPOT.node,
+        objective=matrix.metric,
+        depot_node=DEPOT,
         stops={s.id: s for s in stops},
     )
 
@@ -268,8 +266,8 @@ def test_ffd_matches_exhaustive_optimum_on_small_cases():
 def test_oracle_equals_heuristic_on_single_stop():
     m = matrix_from_points({0: (0.0, 0.0), 1: (1500.0, 800.0)})
     stops = [make_stop(1, 1, 400.0)]
-    a = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
-    b = brute_force_vrp(m, stops, DEPOT, FleetSpec(), "time")
+    a = solve_vrp(m, stops, DEPOT, FleetSpec(), seed=0)
+    b = brute_force_vrp(m, stops, DEPOT, FleetSpec())
     assert a.cost == pytest.approx(b.cost)
     assert [t.stop_ids for t in a.all_trips()] == [t.stop_ids for t in b.all_trips()]
 
@@ -279,7 +277,7 @@ def test_oracle_square_matches_hand_tour():
            3: (-100.0, -100.0), 4: (100.0, -100.0)}
     m = matrix_from_points(pts)
     stops = [make_stop(i, i, 100.0, service_s=60) for i in range(1, 5)]
-    opt = brute_force_vrp(m, stops, DEPOT, FleetSpec(), "time")
+    opt = brute_force_vrp(m, stops, DEPOT, FleetSpec())
     # perimeter tour: two diagonal legs plus three square sides
     hand_m = 2 * math.hypot(100, 100) + 3 * 200.0
     assert opt.cost == pytest.approx(hand_m * 3.6 / 40.0)
@@ -292,7 +290,7 @@ def test_oracle_refuses_large_instances():
     m = matrix_from_points(pts)
     stops = [make_stop(i, i, 10.0) for i in range(1, 10)]
     with pytest.raises(ValueError, match="8-stop"):
-        brute_force_vrp(m, stops, DEPOT, FleetSpec(), "time")
+        brute_force_vrp(m, stops, DEPOT, FleetSpec())
 
 
 def random_instance(rng, n_stops: int):
@@ -311,8 +309,8 @@ def test_heuristic_never_beats_oracle_and_stays_close():
     for _ in range(total):
         m, stops = random_instance(rng, rng.randint(4, 6))
         fleet = FleetSpec(capacity_kg=4000)
-        plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=3)
-        opt = brute_force_vrp(m, stops, DEPOT, fleet, "time")
+        plan = solve_vrp(m, stops, DEPOT, fleet, seed=3)
+        opt = brute_force_vrp(m, stops, DEPOT, fleet)
         assert plan.cost >= opt.cost - 1e-6
         assert plan.cost <= 1.15 * opt.cost
         if math.isclose(plan.cost, opt.cost, rel_tol=1e-9):
@@ -324,7 +322,7 @@ def test_solver_output_covers_each_stop_exactly_once():
     rng = random.Random(90)
     for _ in range(10):
         m, stops = random_instance(rng, rng.randint(3, 8))
-        plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=1)
+        plan = solve_vrp(m, stops, DEPOT, FleetSpec(), seed=1)
         seen = sorted(s for t in plan.all_trips() for s in t.stop_ids)
         assert seen == sorted(s.id for s in stops)
         for _, trips in plan.trucks:
@@ -334,8 +332,8 @@ def test_solver_output_covers_each_stop_exactly_once():
 def test_identical_seeds_identical_plans():
     rng = random.Random(5)
     m, stops = random_instance(rng, 7)
-    a = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=42)
-    b = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=42)
+    a = solve_vrp(m, stops, DEPOT, FleetSpec(), seed=42)
+    b = solve_vrp(m, stops, DEPOT, FleetSpec(), seed=42)
     assert [t.stop_ids for t in a.all_trips()] == [t.stop_ids for t in b.all_trips()]
     assert [tid for tid, _ in a.trucks] == [tid for tid, _ in b.trucks]
     assert a.cost == b.cost
@@ -346,14 +344,19 @@ def test_distance_objective_reads_distance_matrix():
     pts = {i: (rng.uniform(0, 3000), rng.uniform(0, 3000)) for i in range(6)}
     m_dist = matrix_from_points(pts, metric="distance")
     stops = [make_stop(i, i, 400.0) for i in range(1, 6)]
-    plan = solve_vrp(m_dist, stops, DEPOT, FleetSpec(), "distance", seed=0)
+    plan = solve_vrp(m_dist, stops, DEPOT, FleetSpec(), seed=0)
     assert plan.objective == "distance"
     assert plan.cost == pytest.approx(plan.total_distance_m)
     seen = sorted(s for t in plan.all_trips() for s in t.stop_ids)
     assert seen == [1, 2, 3, 4, 5]
-    # objective/matrix mismatch is rejected up front
-    with pytest.raises(ValueError):
-        solve_vrp(m_dist, stops, DEPOT, FleetSpec(), "time", seed=0)
+
+
+def test_matrix_of_an_unknown_metric_is_rejected():
+    m = matrix_from_points({0: (0.0, 0.0), 1: (100.0, 0.0)})
+    hops = CostMatrix(m.origins, m.destinations, "hops", m.length_m, m.time_s)
+    with pytest.raises(ValueError, match="matrix metric must be one of "
+                       r"\('time', 'distance'\), got 'hops'"):
+        solve_vrp(hops, [make_stop(1, 1, 100.0)], DEPOT, FleetSpec())
 
 
 @pytest.mark.parametrize("name", ["capacity_kg", "unload_s", "shift_s"])
@@ -367,7 +370,7 @@ def test_demand_above_capacity_is_infeasible():
     m = matrix_from_points({0: (0.0, 0.0), 1: (100.0, 0.0)})
     with pytest.raises(InfeasibleStop):
         solve_vrp(m, [make_stop(1, 1, 5000.0)], DEPOT,
-                  FleetSpec(capacity_kg=4000), "time", seed=0)
+                  FleetSpec(capacity_kg=4000), seed=0)
 
 
 def test_unreachable_stop_detected():
@@ -378,21 +381,21 @@ def test_unreachable_stop_detected():
         time_s=((0.0, inf), (inf, 0.0)),
     )
     with pytest.raises(UnreachableStop):
-        solve_vrp(m, [make_stop(1, 1, 100.0)], DEPOT, FleetSpec(), "time", seed=0)
+        solve_vrp(m, [make_stop(1, 1, 100.0)], DEPOT, FleetSpec(), seed=0)
 
 
 def test_mandatory_trip_exceeding_shift_detected():
     m = matrix_from_points({0: (0.0, 0.0), 1: (2000.0, 0.0)})
     tight = FleetSpec(shift_s=2000.0)  # 360 drive + 1800 service + 900 unload
     with pytest.raises(ShiftTooShort):
-        solve_vrp(m, [make_stop(1, 1, 100.0)], DEPOT, tight, "time", seed=0)
+        solve_vrp(m, [make_stop(1, 1, 100.0)], DEPOT, tight, seed=0)
 
 
 def test_trip_time_decomposition():
     # every leg exactly 2 km at 40 km/h: 180 s each
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
-    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, FleetSpec(), seed=0)
     metrics = route_metrics(plan)
     assert plan.n_trips == 1
     trip = plan.all_trips()[0]
@@ -431,7 +434,7 @@ def test_metrics_totals_are_sums_of_per_truck_values():
     fleet = FleetSpec(shift_s=7200.0)
     stops = [make_stop(s.id, s.node, s.assigned_demand_kg, service_s=600.0)
              for s in stops]
-    plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, fleet, seed=0)
     assert plan.fleet_size
     metrics = route_metrics(plan)
     trips = plan.all_trips()
@@ -447,7 +450,7 @@ def test_metrics_reject_a_trip_whose_drive_time_disagrees_with_the_matrix():
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
     fleet = FleetSpec()
-    plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, fleet, seed=0)
     verify_plan(plan, m, fleet)
     trip = plan.all_trips()[0]
     trip.drive_time_s += 1.0
@@ -460,7 +463,7 @@ def test_metrics_reject_a_trip_through_a_node_the_matrix_lacks():
     m = explicit_matrix({(0, 1): 180.0, (1, 2): 180.0, (0, 2): 180.0})
     stops = [make_stop(1, 1, 500.0), make_stop(2, 2, 500.0)]
     fleet = FleetSpec()
-    plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, fleet, seed=0)
     plan.stops[2] = make_stop(2, 7, 500.0)
     with pytest.raises(UnknownNode, match="truck 1 trip 1: node 7 missing from "
                        "the cost matrix"):
@@ -527,10 +530,10 @@ def test_verify_plan_names_each_fault(mutate, fault):
                             3: (-1000.0, 0.0), 4: (-1000.0, 500.0)})
     stops = [make_stop(i, i, 1500.0) for i in range(1, 5)]
     fleet = FleetSpec(shift_s=6000.0)
-    plan = solve_vrp(m, stops, DEPOT, fleet, "time", seed=0)
+    plan = solve_vrp(m, stops, DEPOT, fleet, seed=0)
     assert [len(trips) for _, trips in plan.trucks] == [1, 1]
     verify_plan(plan, m, fleet)
-    mutate(plan, _Ctx(m, stops, DEPOT, fleet, "time"))
+    mutate(plan, _Ctx(m, stops, DEPOT, fleet))
     with pytest.raises(PlannerError, match=fault):
         verify_plan(plan, m, fleet)
 
@@ -539,4 +542,4 @@ def test_repeated_stop_id_rejected():
     m = matrix_from_points({0: (0.0, 0.0), 1: (1000.0, 0.0), 2: (0.0, 1000.0)})
     stops = [make_stop(1, 1, 100.0), make_stop(1, 2, 200.0)]
     with pytest.raises(ValueError, match="stop id 1 appears more than once"):
-        solve_vrp(m, stops, DEPOT, FleetSpec(), "time", seed=0)
+        solve_vrp(m, stops, DEPOT, FleetSpec(), seed=0)

@@ -26,7 +26,6 @@ from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
 from mswplan.vrp import (
     MAX_MOVES,
     RESTARTS,
-    Depot,
     FleetSpec,
     _cheapest_insertion_seqs,
     _clarke_wright_seqs,
@@ -102,7 +101,7 @@ def random_instance(seed: int, n_stops: int, n_nodes: int, objective: str,
     matrix = CostMatrix(origins=tuple(origins), destinations=tuple(destinations),
                         metric=objective, length_m=by_index(length_m),
                         time_s=by_index(time_s))
-    ctx = _Ctx(matrix, stops, Depot(0), fleet, objective)
+    ctx = _Ctx(matrix, stops, 0, fleet)
     _validate_instance(ctx)
     return ctx, [s.id for s in stops], matrix
 
@@ -112,7 +111,7 @@ def random_instance(seed: int, n_stops: int, n_nodes: int, objective: str,
     seed=st.integers(0, 2**32 - 1),
     n_stops=st.integers(1, 12),
     n_nodes=st.integers(1, 8),
-    objective=st.sampled_from(vrp.OBJECTIVES),
+    objective=st.sampled_from(network.METRICS),
 )
 def test_instance_tables_equal_the_matrix_by_node_id(seed, n_stops, n_nodes,
                                                      objective):
@@ -151,7 +150,7 @@ def starting_seqs(ctx, ids, rng, start: str) -> list[list[int]]:
     seed=st.integers(0, 2**32 - 1),
     n_stops=st.integers(1, 12),
     n_nodes=st.integers(1, 8),
-    objective=st.sampled_from(vrp.OBJECTIVES),
+    objective=st.sampled_from(network.METRICS),
     style=st.sampled_from(("tenths", "eps", "uniform")),
     start=st.sampled_from(("savings", "insertion", "chunks")),
     max_moves=st.sampled_from((1, 2, 5, 10_000)),
@@ -168,8 +167,8 @@ def test_delta_descent_matches_full_recompute(seed, n_stops, n_nodes, objective,
 def fresh_reference(ctx: _Ctx, matrix: CostMatrix) -> _Ctx:
     """A full-recompute context on a new instance of ``ctx``'s inputs, so
     it shares no search memory with ``ctx``."""
-    return full_recompute(_Ctx(matrix, list(ctx.stops.values()), Depot(ctx.depot),
-                               ctx.fleet, ctx.objective), matrix)
+    return full_recompute(_Ctx(matrix, list(ctx.stops.values()), ctx.depot,
+                               ctx.fleet), matrix)
 
 
 @DETERMINISTIC
@@ -177,7 +176,7 @@ def fresh_reference(ctx: _Ctx, matrix: CostMatrix) -> _Ctx:
     seed=st.integers(0, 2**32 - 1),
     n_stops=st.integers(1, 12),
     n_nodes=st.integers(1, 8),
-    objective=st.sampled_from(vrp.OBJECTIVES),
+    objective=st.sampled_from(network.METRICS),
     style=st.sampled_from(("tenths", "eps", "uniform")),
     max_moves=st.sampled_from((1, 2, 10_000)),
 )
@@ -215,7 +214,7 @@ def reference_solve(ref: _Ctx, seed: int) -> list[list[int]]:
     seed=st.integers(0, 2**32 - 1),
     n_stops=st.integers(1, 12),
     n_nodes=st.integers(1, 8),
-    objective=st.sampled_from(vrp.OBJECTIVES),
+    objective=st.sampled_from(network.METRICS),
     style=st.sampled_from(("tenths", "eps", "uniform")),
     solve_seed=st.integers(0, 1000),
 )
@@ -223,8 +222,8 @@ def test_solve_matches_a_reference_solve(seed, n_stops, n_nodes, objective, styl
                                          solve_seed):
     ctx, _, matrix = random_instance(seed, n_stops, n_nodes, objective, style)
     ref = fresh_reference(ctx, matrix)
-    plan = vrp.solve_vrp(matrix, list(ctx.stops.values()), Depot(ctx.depot),
-                         ctx.fleet, objective, solve_seed)
+    plan = vrp.solve_vrp(matrix, list(ctx.stops.values()), ctx.depot,
+                         ctx.fleet, seed=solve_seed)
     assert plan == _pack_plan(ref, reference_solve(ref, solve_seed))
 
 
@@ -248,7 +247,7 @@ def shift_with_limit(target: float) -> float:
 ROUNDING_APART = [(3, 2, 5, 2, 8, 7, 4), (9, 6, 3, 7, 8, 8, 3)]
 
 
-@pytest.mark.parametrize("objective", vrp.OBJECTIVES)
+@pytest.mark.parametrize("objective", network.METRICS)
 @pytest.mark.parametrize("tenths", ROUNDING_APART)
 @pytest.mark.parametrize("fits", [True, False])
 def test_insertion_at_the_shift_limit_gets_the_full_sum_verdict(objective, tenths,
@@ -260,12 +259,12 @@ def test_insertion_at_the_shift_limit_gets_the_full_sum_verdict(objective, tenth
     matrix = CostMatrix(origins=(0, 1, 2), destinations=(0, 1, 2),
                         metric=objective, length_m=length_m, time_s=time_s)
     stops = [make_stop(1, 1, 1.0, service_s=s1), make_stop(2, 2, 1.0, service_s=s2)]
-    probe = _Ctx(matrix, stops, Depot(0), FleetSpec(unload_s=unload), objective)
+    probe = _Ctx(matrix, stops, 0, FleetSpec(unload_s=unload))
     merged = probe.duration([1, 2])
     # the shift ends exactly at the merged trip's end, or one float before it
     target = merged if fits else math.nextafter(merged, -math.inf)
     fleet = FleetSpec(unload_s=unload, shift_s=shift_with_limit(target))
-    ctx = _Ctx(matrix, stops, Depot(0), fleet, objective)
+    ctx = _Ctx(matrix, stops, 0, fleet)
     _validate_instance(ctx)
     expected = [[1, 2]] if fits else [[1], [2]]
     assert insertion_reference(full_recompute(ctx, matrix), [1, 2]) == expected
@@ -277,7 +276,7 @@ def test_insertion_at_the_shift_limit_gets_the_full_sum_verdict(objective, tenth
     seed=st.integers(0, 2**32 - 1),
     n_stops=st.integers(1, 12),
     n_nodes=st.integers(1, 8),
-    objective=st.sampled_from(vrp.OBJECTIVES),
+    objective=st.sampled_from(network.METRICS),
     style=st.sampled_from(("tenths", "eps", "uniform")),
 )
 def test_index_construction_matches_the_node_id_reference(seed, n_stops, n_nodes,
@@ -292,7 +291,7 @@ def test_index_construction_matches_the_node_id_reference(seed, n_stops, n_nodes
         assert _cheapest_insertion_seqs(ctx, order) == insertion_reference(ref, order)
 
 
-@pytest.mark.parametrize("objective", vrp.OBJECTIVES)
+@pytest.mark.parametrize("objective", network.METRICS)
 def test_delta_descent_matches_full_recompute_on_a_grid_city(objective):
     # integer block costs: many moves tie exactly, so zero deltas abound
     nodes, edges, buildings = gen_synthetic_city(
@@ -302,8 +301,7 @@ def test_delta_descent_matches_full_recompute_on_a_grid_city(objective):
     stops = place_stops(net, aggregate_demand(buildings, 2.49), CoverageConfig())
     matrix_nodes = sorted({depot} | {s.node for s in stops})
     matrix = network.cost_matrix(net, matrix_nodes, matrix_nodes, objective)
-    ctx = _Ctx(matrix, stops, Depot(depot), FleetSpec(capacity_kg=1500.0),
-               objective)
+    ctx = _Ctx(matrix, stops, depot, FleetSpec(capacity_kg=1500.0))
     _validate_instance(ctx)
     ids = sorted(ctx.stops)
     ref = full_recompute(ctx, matrix)
@@ -378,7 +376,7 @@ def test_nan_or_negative_cost_is_rejected(bad):
     matrix = CostMatrix(origins=(0, 1), destinations=(0, 1), metric="time",
                         length_m=time_s, time_s=time_s)
     with pytest.raises(ValueError, match="from node 1 to node 0"):
-        vrp.solve_vrp(matrix, [make_stop(1, 1, 100.0)], Depot(0), FleetSpec())
+        vrp.solve_vrp(matrix, [make_stop(1, 1, 100.0)], 0, FleetSpec())
 
 
 @pytest.mark.parametrize("bad", [math.nan, -5.0])
@@ -387,4 +385,4 @@ def test_nan_or_negative_demand_is_rejected(bad):
     matrix = CostMatrix(origins=(0, 1), destinations=(0, 1), metric="time",
                         length_m=time_s, time_s=time_s)
     with pytest.raises(ValueError, match="stop 1 demand"):
-        vrp.solve_vrp(matrix, [make_stop(1, 1, bad)], Depot(0), FleetSpec())
+        vrp.solve_vrp(matrix, [make_stop(1, 1, bad)], 0, FleetSpec())

@@ -14,7 +14,7 @@ from itertools import permutations
 
 from mswplan.coverage import StopPoint
 from mswplan.network import CostMatrix
-from mswplan.vrp import (Depot, FleetSpec, RoutePlan, _Ctx, _pack_plan,
+from mswplan.vrp import (FleetSpec, RoutePlan, _Ctx, _pack_plan,
                          _validate_instance)
 
 
@@ -33,9 +33,8 @@ def _set_partitions(items: list[int]):
 def brute_force_vrp(
     matrix: CostMatrix,
     stops: list[StopPoint],
-    depot: Depot,
+    depot: int,
     fleet: FleetSpec,
-    objective: str = "time",
 ) -> RoutePlan:
     """Exact optimum by enumerating stop partitions and orderings.
 
@@ -43,7 +42,7 @@ def brute_force_vrp(
     """
     if len(stops) > 8:
         raise ValueError(f"{len(stops)} stops exceed the 8-stop oracle limit")
-    ctx = _Ctx(matrix, stops, depot, fleet, objective)
+    ctx = _Ctx(matrix, stops, depot, fleet)
     _validate_instance(ctx)
     ids = sorted(ctx.stops)
     best_seqs: list[list[int]] | None = None
