@@ -11,6 +11,7 @@ when formatting a report.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -127,16 +128,26 @@ def percent_improvement(existing_value: float, proposed_value: float) -> float:
     return (existing_value - proposed_value) / existing_value * 100.0
 
 
+#: Report rows: label, ScenarioSummary attribute, display divisor, and
+#: the improvement key of a row that compares the two scenarios.
+_TABLE_ROWS = [
+    ("Number of Trucks", "n_trucks", 1, None),
+    ("Truck Capacity (ton)", "truck_capacity_kg", 1000.0, None),
+    ("Number of Stop points", "n_stops", 1, None),
+    ("Average Time spent at each Collection Point (min.)", "avg_stop_time_s",
+     60.0, None),
+    ("Average Route Distance (km)", "avg_route_km", 1, "avg_route_distance_km"),
+    ("Total Traveled Distance (km)", "total_km", 1, "total_distance_km"),
+    ("Average Route Time (hr.)", "avg_route_h", 1, "avg_route_time_h"),
+    ("Total Energy Consumption (MJ/day)", "energy_mj_day", 1, None),
+    ("Total Time Consumption (h/day)", "total_time_h", 1, "total_time_h"),
+    ("CO Emissions (g/day)", "co_g_day", 1, "co_g_day"),
+    ("CO2 Emissions (g/day)", "co2_g_day", 1, "co2_g_day"),
+    ("NOx Emissions (g/day)", "nox_g_day", 1, "nox_g_day"),
+]
+
 #: Metric key -> attribute compared between scenarios.
-IMPROVEMENT_METRICS = {
-    "avg_route_distance_km": "avg_route_km",
-    "avg_route_time_h": "avg_route_h",
-    "total_time_h": "total_time_h",
-    "co_g_day": "co_g_day",
-    "co2_g_day": "co2_g_day",
-    "nox_g_day": "nox_g_day",
-    "total_distance_km": "total_km",
-}
+IMPROVEMENT_METRICS = {key: attr for _, attr, _, key in _TABLE_ROWS if key}
 
 
 @dataclass(frozen=True)
@@ -164,44 +175,32 @@ def _num(value: float) -> str:
     return text if text not in ("", "-0") else "0"
 
 
-_TABLE_ROWS = [
-    ("Number of Trucks", lambda s: _num(s.n_trucks), None),
-    ("Truck Capacity (ton)", lambda s: _num(s.truck_capacity_kg / 1000.0), None),
-    ("Number of Stop points", lambda s: _num(s.n_stops), None),
-    ("Average Time spent at each Collection Point (min.)",
-     lambda s: _num(s.avg_stop_time_s / 60.0), None),
-    ("Average Route Distance (km)", lambda s: _num(s.avg_route_km),
-     "avg_route_distance_km"),
-    ("Total Traveled Distance (km)", lambda s: _num(s.total_km),
-     "total_distance_km"),
-    ("Average Route Time (hr.)", lambda s: _num(s.avg_route_h),
-     "avg_route_time_h"),
-    ("Total Energy Consumption (MJ/day)", lambda s: _num(s.energy_mj_day), None),
-    ("Total Time Consumption (h/day)", lambda s: _num(s.total_time_h),
-     "total_time_h"),
-    ("CO Emissions (g/day)", lambda s: _num(s.co_g_day), "co_g_day"),
-    ("CO2 Emissions (g/day)", lambda s: _num(s.co2_g_day), "co2_g_day"),
-    ("NOx Emissions (g/day)", lambda s: _num(s.nox_g_day), "nox_g_day"),
-]
+def _shown(summary: ScenarioSummary, attr: str, divisor: float) -> str:
+    value = getattr(summary, attr)
+    # a count is shown as it is: dividing an int by 1 would round it to a float
+    return _num(value if divisor == 1 else value / divisor)
 
 
 def format_comparison_table(report: ComparisonReport) -> str:
-    """Comma-separated scenario comparison, one metric per row."""
-    lines = [f"Metric,{report.existing.name},{report.proposed.name},% Improvement"]
-    for label, getter, key in _TABLE_ROWS:
+    """Comma-separated scenario comparison, one metric per row; a name
+    holding a comma or a double quote is quoted as CSV quotes it."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    e, p = report.existing, report.proposed
+    w.writerow(["Metric", e.name, p.name, "% Improvement"])
+    for label, attr, divisor, key in _TABLE_ROWS:
         pct = f"{report.improvements[key]:.1f}%" if key else "-"
-        lines.append(
-            f"{label},{getter(report.existing)},{getter(report.proposed)},{pct}"
-        )
-    return "\n".join(lines) + "\n"
+        w.writerow([label, _shown(e, attr, divisor), _shown(p, attr, divisor), pct])
+    return out.getvalue()
 
 
 def format_comparison_text(report: ComparisonReport) -> str:
     e, p = report.existing, report.proposed
-    width = max(len(label) for label, _, _ in _TABLE_ROWS)
+    width = max(len(label) for label, *_ in _TABLE_ROWS)
     lines = [f"Scenario comparison: {e.name} vs {p.name}", ""]
-    for label, getter, key in _TABLE_ROWS:
-        line = f"{label:<{width}}  {getter(e):>12} -> {getter(p):>12}"
+    for label, attr, divisor, key in _TABLE_ROWS:
+        line = (f"{label:<{width}}  {_shown(e, attr, divisor):>12} -> "
+                f"{_shown(p, attr, divisor):>12}")
         if key:
             pct = report.improvements[key]
             tag = "better" if pct >= 0 else "worse"

@@ -161,6 +161,11 @@ class ScenarioConfig:
                               f"positive, got {self.generation_rate_kg_unit_day}")
         if self.objective not in network.METRICS:
             raise ConfigError(f"objective must be one of {network.METRICS}")
+        if self.truck_class is not None and self.factors_path is None:
+            raise ConfigError("key 'truck_class': needs a 'factors' file")
+        if self.proposed_override is not None and self.existing is None:
+            raise ConfigError("keys 'proposed.*': need an 'existing.*' block "
+                              "to compare with")
 
 
 #: Each top-level scenario key and the ScenarioConfig field it sets.

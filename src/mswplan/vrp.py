@@ -27,9 +27,9 @@ full-trip comparison and feasibility checks, so the search accepts
 exactly the moves, in the same scan order, that pricing every candidate
 in full would (see ``_improve_seqs``). One pricer, ``_insertion_deltas``,
 prices both the Or-opt insertions and the insertion positions of the
-restarts, whose shift checks are filtered the same way. The descents
-of a solve share one memory of per-trip data, and of trips and trip
-pairs shown to have no improving move, so none decides a fact twice.
+restarts. The descents of a solve share one memory of per-trip data,
+and of trips and trip pairs shown to have no improving move, so none
+decides a fact twice.
 
 ``verify_plan`` audits a finished plan by node id, apart from the
 solver's tables: stops, loads, drive times, lengths and shifts.
@@ -315,48 +315,27 @@ def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int]) -> list[list[int]]:
     """Put each stop of ``order`` at its cheapest feasible position, priced
     as a one-stop Or-opt segment, or alone in a new trip.
 
-    A position that beats the best so far gets its duration estimated:
-    the trip's, plus the stop's service time, plus the drive time change
-    from 3 lookups into ``ctx.time`` (not the cost table under the
-    distance objective). An estimate beyond a rounding slack from
-    ``shift_s + _EPS``, either side, decides; only one within it runs
-    ``shift_ok``, so each position gets ``shift_ok``'s verdict.
+    Positions are tried by (delta, trip, position), and the first whose
+    trip passes ``shift_ok`` takes the stop, as the local search confirms
+    its candidates.
     """
-    cost, time_s = ctx.cost, ctx.time
-    limit = ctx.fleet.shift_s + _EPS
+    cost = ctx.cost
     seqs: list[list[int]] = []
-    trips: list[tuple] = []  # per trip: its tour's idx and legs, its duration
     for sid in order:
-        best: tuple[float, int, int] | None = None
         at_s = ctx.at[sid]
-        from_s, service = time_s[at_s], ctx.stops[sid].service_time_s
+        positions = []
         for ti, seq in enumerate(seqs):
             # the load is an fsum, correctly rounded: the same at every position
-            if not ctx.load_ok(seq + [sid]):
-                continue
-            idx, legs, duration = trips[ti]
-            base = duration + service
-            deltas = _insertion_deltas(cost, idx, legs, at_s, cost[at_s], 0.0)
-            for pos, delta in enumerate(deltas):
-                if best is not None and delta >= best[0]:
-                    continue
-                line, b = time_s[idx[pos]], idx[pos + 1]
-                t_in, t_out, t_cut = line[at_s], from_s[b], line[b]
-                gap = base + (t_in + t_out - t_cut) - limit
-                # as in _delta_limit: (legs + 8) x the terms' magnitudes
-                slack = _ROUND * (len(seq) + 10) * (base + t_in + t_out + t_cut)
-                if gap > slack or (gap >= -slack and not ctx.shift_ok(
-                        seq[:pos] + [sid] + seq[pos:])):
-                    continue
-                best = (delta, ti, pos)
-        if best is None:
-            ti, new = len(seqs), [sid]
-            seqs.append(new)
-            trips.append(())
+            if ctx.load_ok(seq + [sid]):
+                deltas = _insertion_deltas(cost, *ctx.tour(seq), at_s, cost[at_s], 0.0)
+                positions += ((delta, ti, pos) for pos, delta in enumerate(deltas))
+        for _, ti, pos in sorted(positions):
+            new = seqs[ti][:pos] + [sid] + seqs[ti][pos:]
+            if ctx.shift_ok(new):
+                seqs[ti] = new
+                break
         else:
-            _, ti, pos = best
-            new = seqs[ti] = seqs[ti][:pos] + [sid] + seqs[ti][pos:]
-        trips[ti] = (*ctx.tour(new), ctx.duration(new))
+            seqs.append([sid])
     return seqs
 
 

@@ -65,6 +65,28 @@ def test_plan_unknown_config_key_exits_2(tmp_path):
     assert "fleet.crew_size" in result.output
 
 
+@pytest.mark.parametrize("config, edit, message", [
+    ("scenario.cfg", lambda lines: lines + ["truck_class=nonexistent"],
+     "key 'truck_class': needs a 'factors' file"),
+    ("scenario_with_baseline.cfg",
+     lambda lines: [ln for ln in lines if not ln.startswith("existing.")],
+     "keys 'proposed.*': need an 'existing.*' block"),
+], ids=["truck_class", "proposed"])
+def test_plan_config_key_that_would_do_nothing_exits_2(tmp_path, config, edit,
+                                                       message):
+    for name in ("nodes.csv", "edges.csv", "buildings.csv"):
+        shutil.copy(demo_path("city3x3", name), tmp_path / name)
+    with open(demo_path("city3x3", config)) as fh:
+        lines = edit(fh.read().splitlines())
+    cfg = tmp_path / config
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["plan", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_plan_far_depot_exits_4(tmp_path):
     cfg = tmp_path / "far.cfg"
     cfg.write_text(

@@ -1,6 +1,9 @@
+import csv
+import io
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -245,6 +248,23 @@ def test_table_format_mirrors_row_names_and_rounds_once():
     text = format_comparison_text(report)
     assert "90.6% worse" in text
     assert "26.5% better" in text
+
+
+@pytest.mark.parametrize("existing, proposed", [
+    ("door,to,door", 'the "old" way'),
+    ('a,"b"', "plain"),
+])
+def test_table_quotes_a_name_holding_a_comma_or_a_quote(existing, proposed):
+    report = compare_scenarios(replace(DUMPSTER, name=existing),
+                               replace(DOOR_TO_DOOR, name=proposed))
+    rows = list(csv.reader(io.StringIO(format_comparison_table(report))))
+    assert rows[0] == ["Metric", existing, proposed, "% Improvement"]
+    assert len(rows) == 13 and all(len(row) == 4 for row in rows)
+    # and names without either keep their bytes
+    plain = format_comparison_table(compare_scenarios(DUMPSTER, DOOR_TO_DOOR))
+    assert plain.startswith(
+        "Metric,dumpster-collection,door-to-door,% Improvement\n"
+        "Number of Trucks,16,50,-\n")
 
 
 def test_factor_table_round_trip(tmp_path):

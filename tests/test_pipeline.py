@@ -206,6 +206,10 @@ def test_candidate_nodes_key_rejects_a_repeated_node(tmp_path):
     ("generation_rate_kg_unit_day", math.nan,
      "'generation_rate_kg_unit_day': must be positive"),
     ("objective", "fastest", "objective must be one of"),
+    # keys that only qualify another input, which is missing
+    ("truck_class", "4t", "key 'truck_class': needs a 'factors' file"),
+    ("proposed_override", ScenarioSummary("p", 1, 4000, 1, 60, 1, 1, 1, 1),
+     r"keys 'proposed\.\*': need an 'existing\.\*' block"),
 ])
 def test_scenario_config_checks_its_values(field, value, message):
     with pytest.raises(ConfigError, match=message):

@@ -239,11 +239,13 @@ def shift_with_limit(target: float) -> float:
 
 
 # Times in tenths of a second (t_01, t_10, t_12, t_20, service 1,
-# service 2, unload) whose sums round differently in different orders:
-# the duration of trip [1, 2] summed in full, and the same duration
-# estimated from trip [1] plus the change of inserting stop 2, differ in
-# the last bits. The first estimate lies above the full sum, the second
-# more than one float below it.
+# service 2, unload) whose sums round differently in different orders.
+# Trip [1, 2] must fit a shift that ends exactly at its duration summed
+# in full (``_Ctx.duration``) and miss one that ends a float before it.
+# Its duration taken as trip [1]'s plus the change of inserting stop 2
+# differs in the last bits: above the full sum for the first row and
+# more than one float below it for the second, so a construction that
+# decided by that sum would get one verdict of each row wrong.
 ROUNDING_APART = [(3, 2, 5, 2, 8, 7, 4), (9, 6, 3, 7, 8, 8, 3)]
 
 
@@ -289,6 +291,72 @@ def test_index_construction_matches_the_node_id_reference(seed, n_stops, n_nodes
         order = ids[:]
         rng.shuffle(order)
         assert _cheapest_insertion_seqs(ctx, order) == insertion_reference(ref, order)
+
+
+def shift_rejections(ref: _Ctx, order: list[int]) -> int:
+    """Stops of ``order`` that the reference construction puts into an
+    existing trip although its cheapest position within capacity fails
+    the shift check, so a dearer position takes it."""
+    count = 0
+    for k, sid in enumerate(order):
+        before = insertion_reference(ref, order[:k])
+        if len(insertion_reference(ref, order[:k + 1])) > len(before):
+            continue  # the stop opened a trip
+        node = ref.node_of[sid]
+        positions = []
+        for ti, seq in enumerate(before):
+            if not ref.load_ok(seq + [sid]):
+                continue
+            nodes = [ref.depot] + [ref.node_of[s] for s in seq] + [ref.depot]
+            positions += ((ref.c(a, node) + ref.c(node, b) - ref.c(a, b), ti, pos)
+                          for pos, (a, b) in enumerate(zip(nodes, nodes[1:])))
+        _, ti, pos = min(positions)
+        count += not ref.shift_ok(before[ti][:pos] + [sid] + before[ti][pos:])
+    return count
+
+
+def test_index_construction_skips_a_cheaper_position_the_shift_rejects():
+    # the differential above, on seeded draws, counting the stops whose
+    # cheapest position within capacity fails shift_ok: each must go to
+    # the next cheapest that passes, as in the reference
+    rejected = 0
+    for seed in range(1000):
+        rng = random.Random(seed)
+        ctx, ids, matrix = random_instance(
+            seed, rng.randint(2, 12), rng.randint(1, 8),
+            rng.choice(network.METRICS), rng.choice(("tenths", "eps", "uniform")))
+        ref = full_recompute(ctx, matrix)
+        rng.shuffle(ids)
+        assert _cheapest_insertion_seqs(ctx, ids) == insertion_reference(ref, ids)
+        rejected += shift_rejections(ref, ids)
+    assert rejected >= 100
+
+
+@pytest.mark.parametrize("objective", network.METRICS)
+def test_construction_checks_the_shift_once_per_stop_a_loose_shift_admits(
+        objective, monkeypatch):
+    nodes, edges, buildings = gen_synthetic_city(
+        SyntheticCitySpec(seed=3, grid_x=5, grid_y=5))
+    net = network.RoadNetwork(nodes, edges)
+    depot = network.snap(net, (0.0, 0.0), 1000.0)
+    stops = place_stops(net, aggregate_demand(buildings, 2.49), CoverageConfig())
+    matrix_nodes = sorted({depot} | {s.node for s in stops})
+    matrix = network.cost_matrix(net, matrix_nodes, matrix_nodes, objective)
+    ctx = _Ctx(matrix, stops, depot, FleetSpec(capacity_kg=1500.0))
+    _validate_instance(ctx)
+    calls = []
+    shift_ok = ctx.shift_ok
+    monkeypatch.setattr(ctx, "shift_ok", lambda seq: calls.append(seq) or shift_ok(seq))
+    order = sorted(ctx.stops)
+    random.Random(5).shuffle(order)
+    seqs = _cheapest_insertion_seqs(ctx, order)
+    # capacity alone splits the trips, and each would fit the shift twice
+    assert len(seqs) > 1
+    assert all(2 * ctx.duration(seq) <= ctx.fleet.shift_s for seq in seqs)
+    # so the cheapest position within capacity always passes: one check per
+    # stop that joins a trip, none for a stop that opens one
+    assert len(calls) == len(order) - len(seqs)
+    assert all(shift_ok(seq) for seq in calls)
 
 
 @pytest.mark.parametrize("objective", network.METRICS)
