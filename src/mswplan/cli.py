@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import click
 
@@ -57,12 +57,19 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(_exit_code(exc))
+class _PlannerGroup(click.Group):
+    """Every command's PlannerError is ``error: ...`` on stderr and the
+    exit code of its kind."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except PlannerError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(_exit_code(exc))
 
 
-@click.group()
+@click.group(cls=_PlannerGroup)
 def main() -> None:
     """Plan municipal waste collection: stops, routes, fleet, impacts."""
 
@@ -80,16 +87,13 @@ def main() -> None:
 def plan(config: str, objective: str | None, seed: int | None,
          out_dir: str, fmt: str) -> None:
     """Run the full pipeline for a scenario CONFIG file."""
-    try:
-        cfg = load_scenario_config(config)
-        if objective is not None:
-            cfg.objective = objective
-        if seed is not None:
-            cfg.seed = seed
-        result = run_pipeline(cfg, out_dir)
-    except PlannerError as exc:
-        _fail(exc)
-        return
+    cfg = load_scenario_config(config)
+    # the config is frozen: replace builds a new one, which runs its checks again
+    if objective is not None:
+        cfg = replace(cfg, objective=objective)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    result = run_pipeline(cfg, out_dir)
     s = result.summary
     click.echo(
         f"planned {s.n_stops} stops, {result.plan.n_trips} trips, "
@@ -109,12 +113,8 @@ def plan(config: str, objective: str | None, seed: int | None,
               help="Directory for nodes.csv / edges.csv / buildings.csv.")
 def synth_city(specfile: str, out_dir: str) -> None:
     """Generate a synthetic grid city from a SPECFILE (key=value)."""
-    try:
-        kv = parse_kv_file(specfile, [f.name for f in fields(synth.SyntheticCitySpec)])
-        paths = synth.write_city(read_fields(kv, synth.SyntheticCitySpec), out_dir)
-    except PlannerError as exc:
-        _fail(exc)
-        return
+    kv = parse_kv_file(specfile, [f.name for f in fields(synth.SyntheticCitySpec)])
+    paths = synth.write_city(read_fields(kv, synth.SyntheticCitySpec), out_dir)
     for name, path in paths.items():
         click.echo(f"  {name}: {path}")
 
@@ -126,12 +126,7 @@ def synth_city(specfile: str, out_dir: str) -> None:
               default="table", show_default=True)
 def compare(existing: str, proposed: str, fmt: str) -> None:
     """Compare two scenario summary files (key=value format)."""
-    try:
-        report = impact.compare_scenarios(load_summary(existing),
-                                          load_summary(proposed))
-    except PlannerError as exc:
-        _fail(exc)
-        return
+    report = impact.compare_scenarios(load_summary(existing), load_summary(proposed))
     render = (impact.format_comparison_table if fmt == "table"
               else impact.format_comparison_text)
     click.echo(render(report), nl=False)
@@ -155,25 +150,21 @@ def verify(stops_file: str, buildings: str, network_dir: str,
 
     NETWORK_DIR must contain nodes.csv and edges.csv (turns.csv optional).
     """
+    nodes_path = os.path.join(network_dir, "nodes.csv")
+    edges_path = os.path.join(network_dir, "edges.csv")
+    turns_path = os.path.join(network_dir, "turns.csv")
+    net = network.load_network(
+        nodes_path, edges_path,
+        turns_path if os.path.exists(turns_path) else None,
+    )
+    rows = cov.load_buildings(buildings)
     try:
-        nodes_path = os.path.join(network_dir, "nodes.csv")
-        edges_path = os.path.join(network_dir, "edges.csv")
-        turns_path = os.path.join(network_dir, "turns.csv")
-        net = network.load_network(
-            nodes_path, edges_path,
-            turns_path if os.path.exists(turns_path) else None,
-        )
-        rows = cov.load_buildings(buildings)
-        try:
-            cfg = cov.CoverageConfig(radius_m=radius, distance_mode=mode)
-            demands = cov.aggregate_demand(rows, rate)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        stops = cov.load_stops(stops_file)
-        report = cov.verify_coverage(stops, demands, net, cfg)
-    except PlannerError as exc:
-        _fail(exc)
-        return
+        cfg = cov.CoverageConfig(radius_m=radius, distance_mode=mode)
+        demands = cov.aggregate_demand(rows, rate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    stops = cov.load_stops(stops_file)
+    report = cov.verify_coverage(stops, demands, net, cfg)
     click.echo(f"stops: {len(stops)}, demand points: {len(demands)}")
     click.echo(f"max stop load: {report.max_load_kg:.2f} kg")
     for bin_start, count in report.load_histogram.items():

@@ -9,7 +9,6 @@ demand heavier than the cap gets its own flagged stop.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
 import math
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import (DataError, NegativeUnits, NoNodeWithinRange, PlannerError,
                      UncoverableDemand)
-from .network import RoadNetwork, _read_table, _search
+from .network import RoadNetwork, _read_table, _search, _write_table
 
 log = logging.getLogger(__name__)
 
@@ -370,27 +369,13 @@ def load_buildings(path: str) -> list[tuple[int, float, float, int]]:
 
 
 def write_buildings(rows: list[tuple[int, float, float, int]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(BUILDING_HEADER)
-        for bid, x, y, units in rows:
-            w.writerow([bid, repr(x), repr(y), units])
+    _write_table(path, BUILDING_HEADER, rows)
 
 
 def write_stops(stops: list[StopPoint], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(STOP_HEADER)
-        for s in stops:
-            w.writerow(
-                [
-                    s.id,
-                    s.node,
-                    repr(s.assigned_demand_kg),
-                    repr(s.service_time_s),
-                    ";".join(str(i) for i in s.covered_demand_ids),
-                ]
-            )
+    _write_table(path, STOP_HEADER, (
+        (s.id, s.node, s.assigned_demand_kg, s.service_time_s,
+         ";".join(map(str, s.covered_demand_ids))) for s in stops))
 
 
 def load_stops(path: str) -> list[StopPoint]:

@@ -42,5 +42,5 @@ def route_geometry(plan: RoutePlan, net: RoadNetwork, matrix: CostMatrix) -> dic
 
 def write_geojson(collection: dict, path: str) -> None:
     # json.dumps runs the C encoder; json.dump streams through the Python one
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(collection, sort_keys=True, separators=(",", ":")) + "\n")

@@ -35,6 +35,9 @@ at once. Most points are answered from one cached list per grid cell
 that holds the nodes of the cell and its eight neighbours, and the grid
 keeps its answer for each point, so a plan snaps each demand point once
 although stop placement and the coverage audit both ask for it.
+Every CSV table of the planner, input or output, is read by
+:func:`_read_table` and written by :func:`_write_table`, both UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -625,6 +628,16 @@ def _read_table(path: str, header: list[str], what: str, convert):
         raise DataError(f"{path}: line {rows.line_num}: {exc}") from exc
 
 
+def _write_table(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` as the UTF-8 CSV table at ``path``,
+    the format :func:`_read_table` reads. A float is written as its
+    ``repr``, which reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def load_nodes(path: str) -> list[Node]:
     return list(_read_table(path, NODE_HEADER, "node",
                             lambda r: Node(int(r[0]), float(r[1]), float(r[2]))))
@@ -659,16 +672,9 @@ def load_network(
 
 
 def write_nodes(nodes: list[Node], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(NODE_HEADER)
-        for n in nodes:
-            w.writerow([n.id, repr(n.x_m), repr(n.y_m)])
+    _write_table(path, NODE_HEADER, ((n.id, n.x_m, n.y_m) for n in nodes))
 
 
 def write_edges(edges: list[Edge], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(EDGE_HEADER)
-        for e in edges:
-            w.writerow([e.from_id, e.to_id, repr(e.length_m), repr(e.speed_kmh)])
+    _write_table(path, EDGE_HEADER, ((e.from_id, e.to_id, e.length_m, e.speed_kmh)
+                                     for e in edges))

@@ -128,11 +128,11 @@ def load_summary(path: str) -> impact.ScenarioSummary:
 def write_summary(summary: impact.ScenarioSummary, path: str) -> None:
     """Write the file :func:`load_summary` reads. ``str`` of a float is its
     ``repr``, which reads back exactly."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{f.name}={getattr(summary, f.name)}\n" for f in fields(summary))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     nodes_path: str
     edges_path: str
@@ -345,9 +345,9 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
             if report is not None:
                 files["comparison_table"] = os.path.join(out_dir, "comparison.csv")
                 files["comparison_text"] = os.path.join(out_dir, "comparison.txt")
-                with open(files["comparison_table"], "w") as fh:
+                with open(files["comparison_table"], "w", encoding="utf-8") as fh:
                     fh.write(impact.format_comparison_table(report))
-                with open(files["comparison_text"], "w") as fh:
+                with open(files["comparison_text"], "w", encoding="utf-8") as fh:
                     fh.write(impact.format_comparison_text(report))
         except OSError as exc:
             raise DataError(f"cannot write the outputs to {out_dir}: {exc}") from exc

@@ -37,7 +37,6 @@ solver's tables: stops, loads, drive times, lengths and shifts.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 import sys
@@ -51,7 +50,7 @@ from .errors import (
     UnknownNode,
     UnreachableStop,
 )
-from .network import METRICS, CostMatrix
+from .network import METRICS, CostMatrix, _write_table
 
 _EPS = 1e-9
 #: Rounding slack of delta evaluation per summed leg, relative to the
@@ -709,20 +708,7 @@ PLAN_HEADER = ["truck_id", "trip_index", "stop_sequence", "load_kg",
 
 
 def write_plan(plan: RoutePlan, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PLAN_HEADER)
-        for tid, trips in plan.trucks:
-            for k, t in enumerate(trips, start=1):
-                w.writerow(
-                    [
-                        tid,
-                        k,
-                        ";".join(str(s) for s in t.stop_ids),
-                        repr(t.load_kg),
-                        repr(t.distance_m),
-                        repr(t.drive_time_s),
-                        repr(t.service_time_s),
-                        repr(t.unload_s),
-                    ]
-                )
+    _write_table(path, PLAN_HEADER, (
+        (tid, k, ";".join(map(str, t.stop_ids)), t.load_kg, t.distance_m,
+         t.drive_time_s, t.service_time_s, t.unload_s)
+        for tid, trips in plan.trucks for k, t in enumerate(trips, start=1)))

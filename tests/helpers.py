@@ -9,10 +9,23 @@ set cover.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 from mswplan.coverage import StopPoint
 from mswplan.network import CostMatrix, Edge, Node, RoadNetwork
+
+
+def run_under_ascii_locale(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` with ``src/`` importable, under the C locale with
+    UTF-8 mode off, where Python's default file encoding is ASCII."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
 
 
 def random_graph(rng, max_nodes: int = 10, max_edges: int = 25) -> RoadNetwork:

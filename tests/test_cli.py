@@ -1,14 +1,16 @@
+import csv
 import os
 import shutil
 
 import pytest
 from click.testing import CliRunner
 
+from helpers import run_under_ascii_locale
 from mswplan import coverage as cov
 from mswplan import vrp
 from mswplan.cli import main
 from mswplan.errors import StageError
-from mswplan.pipeline import load_scenario_config, run_pipeline
+from mswplan.pipeline import load_scenario_config, load_summary, run_pipeline
 
 DEMO = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "demo"))
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -256,6 +258,28 @@ def test_synth_then_plan_round_trip(tmp_path):
     )
     ran = runner.invoke(main, ["plan", str(scenario), "--out", str(tmp_path / "out")])
     assert ran.exit_code == 0, ran.output
+
+
+@pytest.mark.parametrize("config", ["scenario.cfg", "scenario_with_baseline.cfg"])
+def test_plan_writes_utf8_outputs_under_an_ascii_locale(tmp_path, config):
+    # the config reader takes UTF-8 whatever the locale, so the writers must
+    # too: under the C locale with UTF-8 mode off, the default is ASCII
+    for name in ("nodes.csv", "edges.csv", "buildings.csv"):
+        shutil.copy(demo_path("city3x3", name), tmp_path)
+    with open(demo_path("city3x3", config), encoding="utf-8") as fh:
+        text = fh.read().replace("existing.name=dumpster-collection",
+                                 "existing.name=حاويات")
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text + "scenario_name=العاشر\n", encoding="utf-8")
+    out = tmp_path / "out"
+    ran = run_under_ascii_locale("-m", "mswplan.cli", "plan", str(cfg), "--out", str(out))
+    assert ran.returncode == 0, ran.stderr
+    assert load_summary(str(out / "summary.cfg")).name == "العاشر"
+    if config == "scenario_with_baseline.cfg":
+        with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh))[1:3] == ["حاويات", "door-to-door"]
+        text = (out / "comparison.txt").read_text(encoding="utf-8")
+        assert text.startswith("Scenario comparison: حاويات vs door-to-door\n")
 
 
 def test_compare_unknown_summary_key_exits_2(tmp_path):

@@ -2,7 +2,7 @@ import json
 import math
 import os
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import pytest
 
@@ -92,7 +92,7 @@ def test_polyline_lengths_match_plan_distances(tmp_path):
 
 def test_depot_far_from_network_fails_in_snap_stage(tmp_path):
     cfg = load_scenario_config(demo_path("city3x3", "scenario.cfg"))
-    cfg.depot_x_m, cfg.depot_y_m = 99_000.0, 99_000.0
+    cfg = replace(cfg, depot_x_m=99_000.0, depot_y_m=99_000.0)
     with pytest.raises(StageError) as err:
         run_pipeline(cfg, str(tmp_path))
     assert err.value.stage == "network/snap"
@@ -167,7 +167,7 @@ def test_minimal_config_takes_the_scenario_config_defaults(tmp_path, monkeypatch
 
     # the loader passes no value for a key it was not given, so a default
     # changed on the class is the loader's default too
-    @dataclass
+    @dataclass(frozen=True)
     class Shifted(ScenarioConfig):
         objective: str = "distance"
         seed: int = 42
@@ -261,17 +261,25 @@ def test_factors_feed_summary_emissions(tmp_path):
         factors_path,
     )
     cfg = load_scenario_config(demo_path("city3x3", "scenario.cfg"))
-    cfg.factors_path = factors_path
-    cfg.truck_class = "4t"
+    cfg = replace(cfg, factors_path=factors_path, truck_class="4t")
     result = run_pipeline(cfg, str(tmp_path / "out"))
     total_km = result.summary.total_km
     assert result.summary.energy_mj_day == pytest.approx(100.0 * total_km)
     assert result.summary.co2_g_day == pytest.approx(20.0 * total_km)
 
 
+def test_config_is_frozen_and_replace_runs_its_checks():
+    # a field set after construction would skip __post_init__
+    cfg = load_scenario_config(demo_path("city3x3", "scenario.cfg"))
+    with pytest.raises(FrozenInstanceError):
+        cfg.truck_class = "x"
+    with pytest.raises(ConfigError, match="key 'truck_class': needs a 'factors' file"):
+        replace(cfg, truck_class="x")
+
+
 def test_shift_too_short_config_fails_in_solve_stage(tmp_path):
     cfg = load_scenario_config(demo_path("four_stops", "scenario.cfg"))
-    cfg.fleet = FleetSpec(shift_s=2000.0)
+    cfg = replace(cfg, fleet=FleetSpec(shift_s=2000.0))
     with pytest.raises(StageError) as err:
         run_pipeline(cfg, str(tmp_path))
     assert err.value.stage == "vrp/solve"
