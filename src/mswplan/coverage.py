@@ -309,17 +309,23 @@ def verify_coverage(
 
     Raises DataError for a stop that lists an id no demand point has, or
     whose ``assigned_demand_kg`` is not the mass of the demands it lists
-    (within the pipeline's conservation tolerance), and ValueError for a
-    demand id given twice or a mass that is negative or not finite. A
-    listed demand counts as covered when its input position is in the
-    radius of its stop's node.
+    (relative tolerance 1e-9, absolute 1e-6); PlannerError for a
+    demand listed twice, under two stops or twice under one; and
+    ValueError for a demand id given twice or a mass that is negative or
+    not finite. A listed demand counts as covered when its input position
+    is in the radius of its stop's node.
     """
     pos_of = _demand_positions(demands)
+    stop_of: list[int | None] = [None] * len(demands)  # per position, its stop
     for s in stops:
         for i in s.covered_demand_ids:
             if i not in pos_of:
                 raise DataError(f"stop {s.id} lists demand {i}, which is not "
                                 "a demand point")
+            if stop_of[pos_of[i]] is not None:
+                raise PlannerError(f"demand {i} is listed under stop "
+                                   f"{stop_of[pos_of[i]]} and again under stop {s.id}")
+            stop_of[pos_of[i]] = s.id
         mass = math.fsum(demands[pos_of[i]].waste_kg_day
                          for i in s.covered_demand_ids)
         if not math.isclose(s.assigned_demand_kg, mass, rel_tol=1e-9,

@@ -62,6 +62,8 @@ class ScenarioSummary:
     nox_g_day: float = 0.0
 
     def __post_init__(self):
+        if "\r" in self.name or "\n" in self.name:  # summary.cfg is one key a line
+            raise InconsistentSummary(f"name {self.name!r} holds a line break")
         numeric = [f.name for f in fields(self) if f.name != "name"]
         for name in numeric:
             value = getattr(self, name)

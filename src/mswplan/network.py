@@ -23,10 +23,10 @@ per-node out-edge rows and per-edge successor rows that carry the turn
 penalties, so the kernel's state lives in lists indexed by position or
 edge. An edge's successor rows are its head's row until its first
 non-zero penalty, which gives it a list copy of that row; the one pass
-over the turn table writes each penalty into the copy at the slot its
-turn holds in the row, and a turn without a penalty keeps the row's own
-tuple. :func:`load_turn_penalties` fills that table straight from the
-CSV reader, so loading a turned network makes no other copy of it.
+over the turn rows checks each row and writes its penalty into the copy
+at the slot its turn holds in the row, and a turn without a penalty
+keeps the row's own tuple. :func:`load_network` streams the turns file
+from the CSV reader into that pass, so no table of turns is ever built.
 Points snap through a bucket grid each network builds once, whose
 :meth:`_NodeGrid.snap` takes a whole list of points in one loop with no
 Python call per point but the distances and the answer lookup;
@@ -77,21 +77,23 @@ class Edge:
         return self.length_m * 3.6 / self.speed_kmh
 
 
+class _TurnRowError(ValueError):
+    """A bad turn row; :func:`load_network` names the turns file in it."""
+
+
 class RoadNetwork:
     """Street graph: nodes with planar meter coordinates, directed edges.
 
     Coordinates are assumed pre-projected; geographic lon/lat must be
-    converted before construction. ``turn_penalty_s`` maps pairs of edge
-    indices (incoming, outgoing) to extra seconds and only affects the
-    time metric.
+    converted before construction. ``turns`` yields the rows of a turns
+    file, ``(from_edge_index, to_edge_index, penalty_s)``: extra seconds
+    for a turn from one edge onto the next, which only affect the time
+    metric. They are checked in order, and the first row that names an
+    unknown edge, joins non-adjacent edges, has a negative or non-finite
+    penalty or repeats a pair is a ValueError.
     """
 
-    def __init__(
-        self,
-        nodes: list[Node],
-        edges: list[Edge],
-        turn_penalty_s: dict[tuple[int, int], float] | None = None,
-    ):
+    def __init__(self, nodes: list[Node], edges: list[Edge], turns=()):
         self._nodes: dict[int, Node] = {}
         for n in nodes:
             if n.id in self._nodes:
@@ -124,19 +126,22 @@ class RoadNetwork:
         # per edge, its head's row with each turn's penalty in the last slot,
         # and the largest penalty of a turn off it. An edge shares its head's
         # row until its first non-zero penalty gives it a list copy; in that
-        # copy a turn without a penalty still shares the row's tuple.
+        # copy a turn without a penalty still shares the row's tuple. ``seen``
+        # holds per edge a bit for each slot of its row a turn row has named.
         succ: list = [self._rows[self._pos[e.to_id]] for e in self._edges]
-        hi = [0.0] * len(self._edges)
-        for (a, b), pen in (turn_penalty_s or {}).items():
+        hi, seen = [0.0] * len(self._edges), [0] * len(self._edges)
+        for a, b, pen in turns:
             if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
-                raise ValueError(f"turn penalty references unknown edge ({a},{b})")
+                raise _TurnRowError(f"turn penalty references unknown edge ({a},{b})")
             if self._edges[a].to_id != self._edges[b].from_id:
-                raise ValueError(f"turn penalty ({a},{b}) joins non-adjacent edges")
+                raise _TurnRowError(f"turn penalty ({a},{b}) joins non-adjacent edges")
             if not 0 <= pen < math.inf:
-                raise ValueError(
-                    f"turn penalty ({a},{b}) must be finite and non-negative, "
-                    f"got {pen}"
-                )
+                raise _TurnRowError(f"turn penalty ({a},{b}) must be finite and "
+                                    f"non-negative, got {pen}")
+            bit = 1 << slot[b]
+            if seen[a] & bit:
+                raise _TurnRowError(f"turn penalty {a},{b} appears more than once")
+            seen[a] |= bit
             if pen:  # the shared row already holds 0.0
                 row = succ[a]
                 if type(row) is tuple:
@@ -649,24 +654,19 @@ def load_edges(path: str) -> list[Edge]:
         lambda r: Edge(int(r[0]), int(r[1]), float(r[2]), float(r[3]))))
 
 
-def load_turn_penalties(path: str) -> dict[tuple[int, int], float]:
-    """``{(from_edge_index, to_edge_index): penalty_s}``, filled row by row
-    as the file is read; a pair given twice is a DataError."""
-    out: dict[tuple[int, int], float] = {}
-    for a, b, pen in _read_table(path, TURN_HEADER, "turn-penalty",
-                                 lambda r: (int(r[0]), int(r[1]), float(r[2]))):
-        if (a, b) in out:
-            raise DataError(f"{path}: turn penalty {a},{b} appears more than once")
-        out[a, b] = pen
-    return out
-
-
 def load_network(
     nodes_path: str, edges_path: str, turns_path: str | None = None
 ) -> RoadNetwork:
-    turns = load_turn_penalties(turns_path) if turns_path else None
+    """The network of the nodes and edges files, the turns file's rows
+    streamed into it as read; a bad turn row is a DataError naming it."""
+    nodes, edges = load_nodes(nodes_path), load_edges(edges_path)
+    turns = () if not turns_path else _read_table(
+        turns_path, TURN_HEADER, "turn-penalty",
+        lambda r: (int(r[0]), int(r[1]), float(r[2])))
     try:
-        return RoadNetwork(load_nodes(nodes_path), load_edges(edges_path), turns)
+        return RoadNetwork(nodes, edges, turns)
+    except _TurnRowError as exc:
+        raise DataError(f"{turns_path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 

@@ -8,9 +8,10 @@ requires the radius-bounded, grid-snapped code to return exactly the
 same stops, reports and errors.
 
 The audit later gained input checks: a stop listing an unknown demand
-id, or an ``assigned_kg`` other than its demands' mass, is a DataError.
-``_check_stop_table`` restates them here, so audits of such stop sets
-still compare as errors.
+id, or an ``assigned_kg`` other than its demands' mass, is a DataError,
+and a demand listed twice, under two stops or twice under one, is a
+PlannerError. ``_check_stop_table`` restates them here, so audits of
+such stop sets still compare as errors.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from mswplan.coverage import (
     DemandPoint,
     StopPoint,
 )
-from mswplan.errors import (DataError, NoNodeWithinRange, UncoverableDemand,
-                            UnknownNode)
+from mswplan.errors import (DataError, NoNodeWithinRange, PlannerError,
+                            UncoverableDemand, UnknownNode)
 from mswplan.network import _SNAP_TIE_M, RoadNetwork, _search
 
 log = logging.getLogger("mswplan.coverage")
@@ -190,13 +191,19 @@ def verify_coverage(
 
 
 def _check_stop_table(stops: list[StopPoint], demands: list[DemandPoint]) -> None:
-    """Each stop lists known demands whose masses sum to its assigned_kg."""
+    """Each stop lists known demands, none listed before, whose masses
+    sum to its assigned_kg."""
     mass = {d.id: d.waste_kg_day for d in demands}
+    first: dict[int, int] = {}  # demand id -> the stop that listed it first
     for s in stops:
-        unknown = [i for i in s.covered_demand_ids if i not in mass]
-        if unknown:
-            raise DataError(f"stop {s.id} lists demand {unknown[0]}, which is "
-                            "not a demand point")
+        for i in s.covered_demand_ids:
+            if i not in mass:
+                raise DataError(f"stop {s.id} lists demand {i}, which is "
+                                "not a demand point")
+            if i in first:
+                raise PlannerError(f"demand {i} is listed under stop {first[i]} "
+                                   f"and again under stop {s.id}")
+            first[i] = s.id
         listed = math.fsum(mass[i] for i in s.covered_demand_ids)
         if abs(listed - s.assigned_demand_kg) > max(
                 1e-9 * max(abs(listed), abs(s.assigned_demand_kg)), 1e-6):

@@ -99,6 +99,12 @@ def uturn_and_bend_penalties(nodes: list[Node], edges: list[Edge],
     return pens
 
 
+def turn_rows(pens: dict[tuple[int, int], float]) -> list[tuple[int, int, float]]:
+    """The ``(from_edge_index, to_edge_index, penalty_s)`` rows of a turns
+    file holding ``pens``, in the dict's order."""
+    return [(a, b, pen) for (a, b), pen in pens.items()]
+
+
 def matrix_from_points(points: dict[int, tuple[float, float]],
                        speed_kmh: float = 40.0,
                        metric: str = "time") -> CostMatrix:

@@ -152,7 +152,7 @@ def list_a_demand_twice(stops, demands):
 
 @pytest.mark.parametrize("corrupt, message", [
     (drop_a_demand, "uncovered demands remain: ["),
-    (list_a_demand_twice, "demand mass not conserved: "),
+    (list_a_demand_twice, "demand 0 is listed under stop 0 and again under stop 1"),
 ], ids=["dropped", "listed_twice"])
 def test_stops_that_drop_or_repeat_a_demand_fail_the_coverage_guard_with_exit_5(
         tmp_path, monkeypatch, corrupt, message):

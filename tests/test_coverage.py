@@ -17,7 +17,8 @@ from mswplan.coverage import (
     write_buildings,
     write_stops,
 )
-from mswplan.errors import DataError, NegativeUnits, UncoverableDemand
+from mswplan.errors import (DataError, NegativeUnits, PlannerError,
+                            UncoverableDemand)
 from mswplan.network import Edge, Node, RoadNetwork
 from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
 
@@ -209,6 +210,23 @@ def test_verify_coverage_rejects_a_repeated_demand_id():
     stops = place_stops(net, [demands[0], demands[2]], cfg)
     with pytest.raises(ValueError, match="demand id 1 appears more than once"):
         verify_coverage(stops, demands, net, cfg)
+
+
+@pytest.mark.parametrize("again", [0, 1], ids=["same_stop", "second_stop"])
+def test_verify_coverage_rejects_a_demand_listed_twice(again):
+    net, cfg = line_network(), CoverageConfig(radius_m=300.0)
+    demands = aggregate_demand([(0, 400.0, 0.0, 8), (1, 1400.0, 0.0, 8)], 2.49)
+    stops = place_stops(net, demands, cfg)
+    assert [s.covered_demand_ids for s in stops] == [[0], [1]]
+    # stop ``again`` lists demand 0 once more, with its mass, so every
+    # stop's load still matches and every demand is covered
+    stops[again].covered_demand_ids.append(0)
+    stops[again].assigned_demand_kg += demands[0].waste_kg_day
+    with pytest.raises(PlannerError) as info:
+        verify_coverage(stops, demands, net, cfg)
+    assert type(info.value) is PlannerError  # an internal error, not the input's
+    assert str(info.value) == (f"demand 0 is listed under stop {stops[0].id} "
+                               f"and again under stop {stops[again].id}")
 
 
 def bad_mass_demands(kg: float) -> list[DemandPoint]:

@@ -116,12 +116,17 @@ def shuffled_stops(rng, stops, demands, net) -> list[StopPoint]:
 
 
 def consistent_stops(stops, demands) -> list[StopPoint]:
-    """The stops without unknown demand ids, each load the mass of the
-    demands it lists, so an audit gets past its input checks."""
+    """The stops without unknown demand ids or a listing of a demand after
+    its first, each load the mass of the demands it lists, so an audit gets
+    past its input checks."""
     mass = {d.id: d.waste_kg_day for d in demands}
-    out = []
+    out, listed = [], set()
     for s in stops:
-        covered = [i for i in s.covered_demand_ids if i in mass]
+        covered = []
+        for i in s.covered_demand_ids:
+            if i in mass and i not in listed:
+                covered.append(i)
+                listed.add(i)
         out.append(StopPoint(s.id, s.node, math.fsum(mass[i] for i in covered),
                              s.service_time_s, covered, s.overflow))
     return out

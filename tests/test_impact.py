@@ -214,6 +214,14 @@ def test_summary_rejects_a_value_that_is_not_finite(field, value):
         ScenarioSummary(**values | {field: value})
 
 
+@pytest.mark.parametrize("name", ["old\nsystem", "old\rsystem", "old system\r\n"])
+def test_summary_rejects_a_name_holding_a_line_break(name):
+    # summary.cfg is one key=value a line, and the csv module quotes a bare
+    # carriage return in comparison.csv only from Python 3.13
+    with pytest.raises(InconsistentSummary, match=r"^name '.*' holds a line break$"):
+        replace(DUMPSTER, name=name)
+
+
 def test_published_summaries_pass_consistency_gate():
     # worst drift: 50 trucks x 1.2 h vs 62.2 h/day
     drift = abs(50 * 1.2 - 62.2) / 62.2

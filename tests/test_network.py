@@ -1,13 +1,16 @@
 import math
+import os
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverage_reference import snap as reference_snap
-from helpers import min_cost_by_enumeration, random_graph
+from helpers import (min_cost_by_enumeration, random_graph, turn_rows,
+                     uturn_and_bend_penalties)
 from mswplan.coverage import BUILDING_HEADER, STOP_HEADER, load_buildings, load_stops
 from mswplan.errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
 from mswplan.impact import FACTOR_HEADER, load_factors
@@ -26,13 +29,13 @@ from mswplan.network import (
     load_edges,
     load_network,
     load_nodes,
-    load_turn_penalties,
     shortest_path,
     snap,
     write_edges,
     write_nodes,
     _search,
 )
+from mswplan.synth import SyntheticCitySpec, gen_synthetic_city
 
 
 def triangle() -> RoadNetwork:
@@ -172,7 +175,7 @@ def test_turn_penalty_adds_to_time_cost_only():
     nodes = [Node(1, 0, 0), Node(2, 1000, 0), Node(3, 2000, 0)]
     edges = [Edge(1, 2, 1000, 40), Edge(2, 3, 1000, 40)]
     plain = RoadNetwork(nodes, edges)
-    tolled = RoadNetwork(nodes, edges, {(0, 1): 30.0})
+    tolled = RoadNetwork(nodes, edges, [(0, 1, 30.0)])
     _, t0 = shortest_path(plain, 1, 3, "time")
     _, t1 = shortest_path(tolled, 1, 3, "time")
     assert t1 == pytest.approx(t0 + 30.0)
@@ -189,7 +192,7 @@ def test_penalized_turn_reroutes_through_other_approach():
         Edge(1, 2, 1000, 40),  # edge 1: slow approach, 90 s
         Edge(2, 3, 1000, 40),  # edge 2
     ]
-    net = RoadNetwork(nodes, edges, {(0, 2): 1000.0})
+    net = RoadNetwork(nodes, edges, [(0, 2, 1000.0)])
     path, cost = shortest_path(net, 1, 3, "time")
     assert path == [1, 2, 3]
     # hand enumeration: via edge 0 = 60 + 1000 + 90; via edge 1 = 90 + 90
@@ -203,7 +206,8 @@ def with_random_turn_penalties(rng, net: RoadNetwork) -> RoadNetwork:
         for fi in range(len(net.edges)):
             if net.edges[ei].to_id == net.edges[fi].from_id and rng.random() < 0.3:
                 pens[(ei, fi)] = rng.uniform(0, 120)
-    return RoadNetwork([net.node(i) for i in net.node_ids], list(net.edges), pens)
+    return RoadNetwork([net.node(i) for i in net.node_ids], list(net.edges),
+                       turn_rows(pens))
 
 
 def test_adding_turn_penalties_never_reduces_time_costs():
@@ -575,8 +579,17 @@ def test_table_loaders_reject_a_missing_file_and_a_wrong_header(tmp_path, loader
         loader(str(wrong))
 
 
+CITY3X3 = os.path.join(os.path.dirname(__file__), "..", "demo", "city3x3")
+
+
+def load_turns(path: str) -> RoadNetwork:
+    """The city3x3 demo network with the turns file at ``path``."""
+    return load_network(os.path.join(CITY3X3, "nodes.csv"),
+                        os.path.join(CITY3X3, "edges.csv"), path)
+
+
 TABLES = [(load_nodes, NODE_HEADER), (load_edges, EDGE_HEADER),
-          (load_turn_penalties, TURN_HEADER), (load_buildings, BUILDING_HEADER),
+          (load_turns, TURN_HEADER), (load_buildings, BUILDING_HEADER),
           (load_stops, STOP_HEADER), (load_factors, FACTOR_HEADER)]
 
 
@@ -668,3 +681,57 @@ def test_turn_table_reports_whichever_bad_row_comes_first(tmp_path):
                      "0,1,60\n1,x,60\n0,1,5\n")
     with pytest.raises(DataError, match=r"bad turn-penalty row \['1', 'x', '60'\]"):
         load_network(nodes, edges, str(turns))
+
+
+# each fault comes before a malformed row, and the fault is what is reported
+@pytest.mark.parametrize("row, message", [
+    ("0,5,10", r"turn penalty references unknown edge \(0,5\)"),
+    ("0,0,10", r"turn penalty \(0,0\) joins non-adjacent edges"),
+    ("0,1,-5", r"turn penalty \(0,1\) must be finite and non-negative, got -5\.0"),
+    ("0,1,nan", r"turn penalty \(0,1\) must be finite and non-negative, got nan"),
+    ("1,0,5", r"turn penalty 1,0 appears more than once"),
+    ("1,0,0", r"turn penalty 1,0 appears more than once"),
+], ids=["unknown_edge", "non_adjacent", "negative", "nan", "repeated",
+        "repeated_zero"])
+def test_first_bad_turn_row_is_reported_naming_the_turns_file(tmp_path, row,
+                                                              message):
+    nodes, edges = write_two_node_network(tmp_path, "1,2,100,40\n2,1,100,40\n")
+    turns = tmp_path / "turns.csv"
+    turns.write_text(f"from_edge_index,to_edge_index,penalty_s\n"
+                     f"1,0,60\n{row}\n1,x,60\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(turns))}: {message}$"):
+        load_network(nodes, edges, str(turns))
+
+
+@pytest.mark.parametrize("first, again", [(5.0, 5.0), (5.0, 0.0), (0.0, 5.0),
+                                          (0.0, 0.0)])
+def test_network_rejects_a_repeated_turn_row_naming_the_pair(first, again):
+    # edges 1 and 2 both run 2 -> 1: turns onto them are two turns, not one
+    nodes = [Node(1, 0, 0), Node(2, 100, 0)]
+    edges = [Edge(1, 2, 100, 40), Edge(2, 1, 100, 40), Edge(2, 1, 100, 40)]
+    assert RoadNetwork(nodes, edges, [(0, 1, first), (0, 2, again)])
+    with pytest.raises(ValueError, match=r"^turn penalty 0,2 appears more than once$"):
+        RoadNetwork(nodes, edges, [(0, 2, first), (1, 0, 60.0), (0, 2, again)])
+
+
+def test_loading_a_turned_network_peaks_close_to_what_it_keeps(tmp_path):
+    # a 16x16 grid with 3,136 turns: loading it a second time peaked 52%
+    # above what it kept while the loader built a dict of the turns, 11% after
+    nodes, edges, _ = gen_synthetic_city(SyntheticCitySpec(seed=3, grid_x=16,
+                                                           grid_y=16))
+    paths = [str(tmp_path / name) for name in ("n.csv", "e.csv", "t.csv")]
+    write_nodes(nodes, paths[0])
+    write_edges(edges, paths[1])
+    pens = uturn_and_bend_penalties(nodes, edges)
+    with open(paths[2], "w") as fh:
+        fh.write("from_edge_index,to_edge_index,penalty_s\n")
+        fh.writelines(f"{a},{b},{pen}\n" for a, b, pen in turn_rows(pens))
+    load_network(*paths)  # the second load measures the loader alone
+    tracemalloc.start()
+    try:
+        net = load_network(*paths)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.has_turn_penalties
+    assert peak < 1.3 * kept, (peak, kept)

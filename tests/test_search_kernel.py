@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_graph, uturn_and_bend_penalties
+from helpers import random_graph, turn_rows, uturn_and_bend_penalties
 from network_reference import (gated_edge_search, reference_search,
                                reference_successors)
 from mswplan import network
@@ -83,7 +83,7 @@ def tie_rich_graph(rng: random.Random, lengths: str,
                 if e.to_id == f.from_id and rng.random() < 0.4:
                     pens[(ei, fi)] = (0.0 if turns == "zero"
                                       else float(rng.choice((0, 5, 10, 30))))
-    return RoadNetwork(nodes, edges, pens), pens
+    return RoadNetwork(nodes, edges, turn_rows(pens)), pens
 
 
 def assert_same_search(net: RoadNetwork, pens: dict, source: int, metric: str,
@@ -140,7 +140,7 @@ def gate_graph(rng: random.Random, lengths: str) -> tuple[RoadNetwork, dict]:
                 pens[(ei, fi)] = (5.0 * rng.randint(0, 24) if lengths == "integer"
                                   else rng.uniform(0.0, 4.0) * top)
     return RoadNetwork([plain.node(i) for i in plain.node_ids], edges,
-                       pens), pens
+                       turn_rows(pens)), pens
 
 
 @DIFFERENTIAL
@@ -186,7 +186,7 @@ def turn_check_graph(rng: random.Random,
                          if lengths == "integer" else rng.uniform(0.0, 3.0))
                 pens[(ei, fi)] = scale * f.travel_time_s
     return RoadNetwork([plain.node(i) for i in plain.node_ids], edges,
-                       pens), pens
+                       turn_rows(pens)), pens
 
 
 @DIFFERENTIAL
@@ -220,10 +220,10 @@ def test_successor_rows_equal_the_dict_of_dicts_build(seed, turns):
     rng = random.Random(seed)
     net, pens = (turn_check_graph(rng, "uniform") if turns == "bends"
                  else tie_rich_graph(rng, "integer", turns))
-    table = list(pens.items())
+    table = turn_rows(pens)
     rng.shuffle(table)
     net = RoadNetwork([net.node(i) for i in net.node_ids], list(net.edges),
-                      dict(table))
+                      table)
     succ, hi, has_turn_penalties = reference_successors(net, pens)
     assert [tuple(row) for row in net._succ] == succ
     assert net._hi == hi
@@ -242,7 +242,7 @@ def turned_grid_city(grid: int, **spec) -> tuple[RoadNetwork, dict]:
     nodes, edges, _ = gen_synthetic_city(
         SyntheticCitySpec(seed=3, grid_x=grid, grid_y=grid, **spec))
     pens = uturn_and_bend_penalties(nodes, edges)
-    return RoadNetwork(nodes, edges, pens), pens
+    return RoadNetwork(nodes, edges, turn_rows(pens)), pens
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -484,7 +484,7 @@ def test_node_exactly_at_the_bound_settles_and_one_step_beyond_does_not(metric,
     nodes = [Node(i, 100.0 * i, 0.0) for i in range(4)]
     edges = [Edge(a, b, 100.0, 36.0) for i in range(3)
              for a, b in ((i, i + 1), (i + 1, i))]
-    net = RoadNetwork(nodes, edges, {(0, 1): 60.0} if turns else None)
+    net = RoadNetwork(nodes, edges, [(0, 1, 60.0)] if turns else ())
     assert net.has_turn_penalties == turns
     at = 200.0 if metric == "distance" else 20.0
     assert _search(net, 0, metric, at).cost == {0: 0.0, 1: at / 2, 2: at}
@@ -558,7 +558,7 @@ def test_time_matrix_matches_networkx_on_the_turn_expanded_graph():
                 for fi, f in enumerate(plain.edges)
                 if e.to_id == f.from_id and rng.random() < 0.5}
         net = RoadNetwork([plain.node(i) for i in plain.node_ids],
-                          list(plain.edges), pens)
+                          list(plain.edges), turn_rows(pens))
         penalized += net.has_turn_penalties
         assert_matrix_matches_networkx(net, "time", pens)
     net, pens = turned_grid_city(4)
