@@ -77,8 +77,12 @@ class Edge:
         return self.length_m * 3.6 / self.speed_kmh
 
 
-class _TurnRowError(ValueError):
-    """A bad turn row; :func:`load_network` names the turns file in it."""
+class _RowError(ValueError):
+    """A bad row of ``table``, "nodes", "edges" or "turns"."""
+
+    def __init__(self, table: str, message: str):
+        super().__init__(message)
+        self.table = table
 
 
 class RoadNetwork:
@@ -88,18 +92,19 @@ class RoadNetwork:
     converted before construction. ``turns`` yields the rows of a turns
     file, ``(from_edge_index, to_edge_index, penalty_s)``: extra seconds
     for a turn from one edge onto the next, which only affect the time
-    metric. They are checked in order, and the first row that names an
-    unknown edge, joins non-adjacent edges, has a negative or non-finite
-    penalty or repeats a pair is a ValueError.
+    metric. Nodes, edges and then turns are checked in order, and the
+    first bad one is a ValueError: for a turn, one that names an unknown
+    edge, joins non-adjacent edges, has a negative or non-finite penalty
+    or repeats a pair.
     """
 
     def __init__(self, nodes: list[Node], edges: list[Edge], turns=()):
         self._nodes: dict[int, Node] = {}
         for n in nodes:
             if n.id in self._nodes:
-                raise ValueError(f"duplicate node id {n.id}")
+                raise _RowError("nodes", f"duplicate node id {n.id}")
             if not (math.isfinite(n.x_m) and math.isfinite(n.y_m)):
-                raise ValueError(f"node {n.id} has non-finite coordinates")
+                raise _RowError("nodes", f"node {n.id} has non-finite coordinates")
             self._nodes[n.id] = n
         self._edges: tuple[Edge, ...] = tuple(edges)
         # node ids by position; sorted, so position order is id order
@@ -110,12 +115,11 @@ class RoadNetwork:
         slot = [0] * len(self._edges)  # per edge, its place in its tail's row
         for i, e in enumerate(self._edges):
             if e.from_id not in self._nodes or e.to_id not in self._nodes:
-                raise ValueError(f"edge {i} references unknown node")
+                raise _RowError("edges", f"edge {i} references unknown node")
             if not (0 < e.length_m < math.inf and 0 < e.speed_kmh < math.inf):
-                raise ValueError(
-                    f"edge {i} needs a finite positive length and speed, got "
-                    f"{e.length_m} m at {e.speed_kmh} km/h"
-                )
+                raise _RowError(
+                    "edges", f"edge {i} needs a finite positive length and "
+                    f"speed, got {e.length_m} m at {e.speed_kmh} km/h")
             row = rows[self._pos[e.from_id]]
             slot[i] = len(row)
             row.append((i, self._pos[e.to_id], e.length_m, e.travel_time_s, 0.0))
@@ -132,15 +136,17 @@ class RoadNetwork:
         hi, seen = [0.0] * len(self._edges), [0] * len(self._edges)
         for a, b, pen in turns:
             if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
-                raise _TurnRowError(f"turn penalty references unknown edge ({a},{b})")
+                raise _RowError("turns", "turn penalty references unknown "
+                                f"edge ({a},{b})")
             if self._edges[a].to_id != self._edges[b].from_id:
-                raise _TurnRowError(f"turn penalty ({a},{b}) joins non-adjacent edges")
+                raise _RowError("turns", f"turn penalty ({a},{b}) joins "
+                                "non-adjacent edges")
             if not 0 <= pen < math.inf:
-                raise _TurnRowError(f"turn penalty ({a},{b}) must be finite and "
-                                    f"non-negative, got {pen}")
+                raise _RowError("turns", f"turn penalty ({a},{b}) must be finite "
+                                f"and non-negative, got {pen}")
             bit = 1 << slot[b]
             if seen[a] & bit:
-                raise _TurnRowError(f"turn penalty {a},{b} appears more than once")
+                raise _RowError("turns", f"turn penalty {a},{b} appears more than once")
             seen[a] |= bit
             if pen:  # the shared row already holds 0.0
                 row = succ[a]
@@ -310,11 +316,12 @@ def _search(net: RoadNetwork, source: int, metric: str,
     relaxes before it starts). ``best`` holds the metric's own value per
     state and ``other`` the other metric's along the same path. The node
     loop picks the metric once per popped node, outside its row loop, and
-    unpacks each row into ``(fi, v, len_f, time_f, pen)``: by time it
-    relaxes ``cost_u + time_f`` and carries ``other_u + len_f + pen``, by
-    distance ``cost_u + len_f`` and ``other_u + time_f + pen``. So the time
-    a distance search reports keeps the turns of its path, and in a time
-    search over nodes every penalty is 0.0.
+    unpacks each row into ``(fi, v, len_f, time_f, pen)``. By distance it
+    relaxes ``cost_u + len_f`` and carries ``other_u + time_f + pen``, so
+    the time it reports keeps the turns of its path. By time it runs only
+    without turn penalties, where those rows are the popped node's own
+    ``net._rows[u]`` with every penalty 0.0, so it relaxes ``cost_u +
+    time_f`` and carries ``other_u + len_f``.
 
     Only the edge-state loop fills an edge-indexed ``parent``. In the node
     loop a node pops live once: a push needs a strictly lower cost, so one
@@ -405,10 +412,10 @@ def _search(net: RoadNetwork, source: int, metric: str,
             order.append(u)
             other_u = other[u]
             if by_time:
-                for fi, v, len_f, time_f, pen in rows[u] if ei == -1 else succ[ei]:
+                for fi, v, len_f, time_f, _ in rows[u]:
                     nc = cost_u + time_f
                     if nc < best[v]:
-                        best[v], other[v] = nc, other_u + len_f + pen
+                        best[v], other[v] = nc, other_u + len_f
                         push(heap, (nc, v, fi))
             else:
                 for fi, v, len_f, time_f, pen in rows[u] if ei == -1 else succ[ei]:
@@ -486,6 +493,8 @@ class _NodeGrid:
         ys = [y for _, y in coords] or [0.0]
         self.x0, self.y0 = min(xs), min(ys)
         w, h = max(xs) - self.x0, max(ys) - self.y0
+        if not (w < math.inf and h < math.inf):  # no cell index would be finite
+            raise _RowError("nodes", "node coordinates span more than the float range")
         n = len(coords) or 1
         self.side = max(math.sqrt(w * h / n), w / n, h / n) or 1.0
         # hypot and the cell indices round by a few ulps of the coordinates;
@@ -658,17 +667,16 @@ def load_network(
     nodes_path: str, edges_path: str, turns_path: str | None = None
 ) -> RoadNetwork:
     """The network of the nodes and edges files, the turns file's rows
-    streamed into it as read; a bad turn row is a DataError naming it."""
+    streamed into it as read; a bad row is a DataError naming its file."""
     nodes, edges = load_nodes(nodes_path), load_edges(edges_path)
     turns = () if not turns_path else _read_table(
         turns_path, TURN_HEADER, "turn-penalty",
         lambda r: (int(r[0]), int(r[1]), float(r[2])))
     try:
         return RoadNetwork(nodes, edges, turns)
-    except _TurnRowError as exc:
-        raise DataError(f"{turns_path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    except _RowError as exc:
+        path = {"nodes": nodes_path, "edges": edges_path, "turns": turns_path}
+        raise DataError(f"{path[exc.table]}: {exc}") from exc
 
 
 def write_nodes(nodes: list[Node], path: str) -> None:

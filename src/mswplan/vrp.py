@@ -217,10 +217,6 @@ class _Ctx:
         return self.load(seq) <= self.fleet.capacity_kg + _EPS
 
     def build_trip(self, seq: list[int]) -> Trip:
-        if not seq:
-            raise ValueError("trip needs at least one stop")
-        if len(set(seq)) != len(seq):
-            raise ValueError(f"duplicate stops in trip {seq}")
         return Trip(
             stop_ids=list(seq),
             load_kg=self.load(seq),
@@ -425,9 +421,12 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
     ``_validate_instance`` admits, the slack bounds the rounding gap
     between a delta and that difference of full-trip sums (a candidate
     that costs over twice the incumbent fails both tests), so no move the
-    full test would accept is filtered out. Likewise a target trip that
-    the segment's load overfills beyond rounding, which ``load_ok``
-    rejects at every insert position, is skipped whole.
+    full test would accept is filtered out. Or-opt prices each open
+    target trip of a segment in one loop: the source trip with the
+    segment cut out (``_without``) unless it is the whole trip, and every
+    other trip on its scan data unless the segment's load overfills it
+    beyond rounding (``load_ok`` fails at every insert position). Only
+    the full test differs: one trip's cost, or the sum of two.
 
     Tours, costs, loads, shift checks, delta limits and the load-based
     target skip depend only on the instance and the contents of the trips
@@ -482,60 +481,52 @@ def _improve_seqs(ctx: _Ctx, seqs: list[list[int]], max_moves: int) -> list[list
                 for p in range(n_a - seg_len + 1):
                     seg = seq_a[p:p + seg_len]
                     rest_a = None  # seq_a without seg, built once a target needs it
+                    cost_a_new = None
                     seg_load = sum(demand_a[p:p + seg_len])
-                    # trips the segment would overfill beyond rounding fail
-                    # load_ok at every insert position
-                    targets = [b for b in open_b
-                               if b == a or tours[b][4] + seg_load <= max_load]
                     first = idx[p + 1]
                     from_last = cost[idx[p + seg_len]]
                     removal = _removal_delta(cost, idx, legs, p, seg_len)
-                    cost_a_new = None
-                    for b in targets:
-                        if b == a:
+                    for b in open_b:
+                        own = b == a
+                        if own:
                             if n_a == seg_len:
                                 continue
-                            deltas = _insertion_deltas(
-                                cost, *_without(cost, idx, legs, p, seg_len),
-                                first, from_last, removal)
-                            if min(deltas) >= lim_a:
+                            idx_b, legs_b = _without(cost, idx, legs, p, seg_len)
+                            lim = lim_a
+                        elif tours[b][4] + seg_load > max_load:
+                            continue  # overfilled: load_ok fails at every q
+                        else:
+                            _, idx_b, legs_b, cost_b_old, _ = tours[b]
+                            lim = _delta_limit(n_a + 1 + len(legs_b),
+                                               cost_a_old + cost_b_old)
+                        deltas = _insertion_deltas(cost, idx_b, legs_b, first,
+                                                   from_last, removal)
+                        if min(deltas) >= lim:
+                            continue
+                        for q, delta in enumerate(deltas):
+                            if delta >= lim or own and q == p:
                                 continue
-                            for q, delta in enumerate(deltas):
-                                if delta >= lim_a or q == p:
-                                    continue
-                                rest_a = rest_a or seq_a[:p] + seq_a[p + seg_len:]
-                                cand = rest_a[:q] + seg + rest_a[q:]
+                            if rest_a is None:
+                                rest_a = seq_a[:p] + seq_a[p + seg_len:]
+                            into = rest_a if own else seqs[b]
+                            cand = into[:q] + seg + into[q:]
+                            if own:
                                 if (ctx.drive_cost(cand) < cost_a_old - _EPS
                                         and ctx.shift_ok(cand)):
                                     seqs[a] = cand
                                     return True
-                        else:
-                            seq_b = seqs[b]
-                            _, idx_b, legs_b, cost_b_old, _ = tours[b]
-                            lim = _delta_limit(n_a + len(seq_b) + 2,
-                                               cost_a_old + cost_b_old)
-                            deltas = _insertion_deltas(
-                                cost, idx_b, legs_b, first, from_last, removal)
-                            if min(deltas) >= lim:
                                 continue
-                            for q, delta in enumerate(deltas):
-                                if delta >= lim:
-                                    continue
-                                cand_b = seq_b[:q] + seg + seq_b[q:]
-                                if cost_a_new is None:
-                                    rest_a = rest_a or seq_a[:p] + seq_a[p + seg_len:]
-                                    cost_a_new = ctx.drive_cost(rest_a) if rest_a else 0.0
-                                delta = (cost_a_new + ctx.drive_cost(cand_b)
-                                         - cost_a_old - cost_b_old)
-                                if delta >= -_EPS:
-                                    continue
-                                if not _seq_feasible(ctx, cand_b):
-                                    continue
-                                if rest_a and not ctx.shift_ok(rest_a):
-                                    continue
-                                seqs[a] = rest_a
-                                seqs[b] = cand_b
-                                return True
+                            if cost_a_new is None:
+                                cost_a_new = ctx.drive_cost(rest_a) if rest_a else 0.0
+                            if (cost_a_new + ctx.drive_cost(cand) - cost_a_old
+                                    - cost_b_old >= -_EPS):
+                                continue
+                            if not _seq_feasible(ctx, cand):
+                                continue
+                            if rest_a and not ctx.shift_ok(rest_a):
+                                continue
+                            seqs[a], seqs[b] = rest_a, cand
+                            return True
             ctx.no_or_opt.update((key_a, tours[b][0]) for b in open_b)
         return False
 

@@ -379,6 +379,59 @@ def test_plan_non_finite_impact_factor_exits_4(tmp_path, value):
     assert not (out / "summary.cfg").exists()
 
 
+def four_stops_with(tmp_path, *lines: str) -> str:
+    """The four_stops scenario copied to ``tmp_path`` with ``lines`` appended."""
+    for name in ("scenario.cfg", "nodes.csv", "edges.csv", "buildings.csv"):
+        shutil.copy(demo_path("four_stops", name), tmp_path / name)
+    with open(tmp_path / "scenario.cfg", "a") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    return str(tmp_path / "scenario.cfg")
+
+
+def test_plan_unknown_distance_mode_exits_2(tmp_path):
+    cfg = four_stops_with(tmp_path, "coverage.distance_mode=manhattan")
+    result = CliRunner().invoke(main, ["plan", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "distance_mode must be 'network' or 'euclidean', got 'manhattan'" \
+        in result.output
+    assert not (tmp_path / "out" / "stops.csv").exists()
+
+
+def test_plan_truck_class_missing_from_the_factors_file_exits_2(tmp_path):
+    cfg = four_stops_with(tmp_path, "factors=factors.csv", "truck_class=9t")
+    (tmp_path / "factors.csv").write_text("class,quantity,per_km,per_stop\n"
+                                          "4t,energy_mj,62.02,0.5\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["plan", cfg, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "truck_class '9t' not in factors file" in result.output
+    assert not (out / "summary.cfg").exists()
+
+
+def test_plan_unknown_factor_quantity_exits_4_naming_the_file(tmp_path):
+    cfg = four_stops_with(tmp_path, "factors=factors.csv")
+    factors = tmp_path / "factors.csv"
+    factors.write_text("class,quantity,per_km,per_stop\n"
+                       "4t,energy_mj,62.02,0.5\n4t,pm10_g,1.0,0.5\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["plan", cfg, "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{factors}: unknown quantity 'pm10_g'" in result.output
+    assert not (out / "summary.cfg").exists()
+
+
+@pytest.mark.parametrize("line", ["buildings_per_block=-1",
+                                  "units_per_building=-8"])
+def test_synth_negative_density_exits_2(tmp_path, line):
+    spec = tmp_path / "city.cfg"
+    spec.write_text(f"seed=5\n{line}\n")
+    result = CliRunner().invoke(
+        main, ["synth", str(spec), "--out", str(tmp_path / "city")])
+    assert result.exit_code == 2, result.output
+    assert "densities must be non-negative" in result.output
+    assert not (tmp_path / "city").exists()
+
+
 def test_synth_unknown_key_exits_2(tmp_path):
     spec = tmp_path / "city.cfg"
     spec.write_text("seed=5\ngrid_x=3\ngird_y=9\n")

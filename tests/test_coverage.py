@@ -126,6 +126,12 @@ def test_uncoverable_demand_raises():
         place_stops(net, far, CoverageConfig(radius_m=300.0))
 
 
+def test_network_without_nodes_leaves_every_demand_uncoverable():
+    demand = [DemandPoint(0, 0.0, 0.0, 1, 10.0)]
+    with pytest.raises(UncoverableDemand, match="^candidate node set is empty$"):
+        place_stops(RoadNetwork([], []), demand, CoverageConfig())
+
+
 @pytest.mark.parametrize("audit", [False, True])
 def test_the_first_demand_that_fails_to_snap_raises(audit):
     net = line_network(spacing_m=200.0, n=3)  # nodes 0..2 at 0..400 m

@@ -644,6 +644,29 @@ def test_infinite_edge_speed_rejected_naming_the_edge(tmp_path):
         load_network(nodes, edges)
 
 
+TWO_NODES = "1,0.0,0.0\n2,100.0,0.0\n"
+
+
+@pytest.mark.parametrize("node_rows, edge_rows, table, message", [
+    ("1,0.0,0.0\n1,100.0,0.0\n", "", "nodes", "duplicate node id 1"),
+    ("1,0.0,0.0\n2,nan,0.0\n", "", "nodes", "node 2 has non-finite coordinates"),
+    ("1,-1e308,0.0\n2,1e308,0.0\n", "", "nodes",
+     "node coordinates span more than the float range"),
+    (TWO_NODES, "1,2,100,40\n2,3,100,40\n", "edges",
+     "edge 1 references unknown node"),
+    (TWO_NODES, "1,2,0,40\n", "edges",
+     "edge 0 needs a finite positive length and speed, got 0.0 m at 40.0 km/h"),
+], ids=["repeated_node", "nan_coordinate", "span_past_the_floats",
+        "unknown_node", "zero_length"])
+def test_bad_node_or_edge_row_is_a_data_error_naming_its_file(
+        tmp_path, node_rows, edge_rows, table, message):
+    paths = {"nodes": tmp_path / "nodes.csv", "edges": tmp_path / "edges.csv"}
+    paths["nodes"].write_text("id,x_m,y_m\n" + node_rows)
+    paths["edges"].write_text("from_id,to_id,length_m,speed_kmh\n" + edge_rows)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{paths[table]}: {message}')}$"):
+        load_network(str(paths["nodes"]), str(paths["edges"]))
+
+
 # edge 0 runs 1 -> 2 and edge 1 runs 2 -> 1, so (0,1) and (1,0) are turns
 @pytest.mark.parametrize("row, message", [
     ("0,5,10", r"turn penalty references unknown edge \(0,5\)"),

@@ -15,7 +15,7 @@ from dataclasses import fields
 from unittest import mock
 
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mswplan import coverage, impact, network, synth
@@ -145,10 +145,31 @@ CELLS = st.one_of(NUMBERS, WORDS, st.text(max_size=8),
 ROWS = st.lists(st.lists(CELLS, max_size=6), max_size=6)
 
 
+CITY_NODES, CITY_EDGES = (os.path.join(DEMO, "city3x3", name)
+                          for name in ("nodes.csv", "edges.csv"))
+
+
 def load_turns(path: str) -> network.RoadNetwork:
     """The city3x3 demo network with the turns file at ``path``."""
-    return network.load_network(os.path.join(DEMO, "city3x3", "nodes.csv"),
-                                os.path.join(DEMO, "city3x3", "edges.csv"), path)
+    return network.load_network(CITY_NODES, CITY_EDGES, path)
+
+
+# turn rows of three small integer-like cells: edge indices inside the
+# city's range and just outside it, the pairs that are turns, and
+# penalties that are fine, negative, NaN or infinite
+EDGES = network.load_edges(CITY_EDGES)
+TURN_PAIRS = [(a, b) for a, ea in enumerate(EDGES) for b, eb in enumerate(EDGES)
+              if ea.to_id == eb.from_id]
+EDGE_INDEX = st.one_of(st.integers(0, len(EDGES) - 1),
+                       st.sampled_from([-1, len(EDGES), len(EDGES) + 1]))
+PENALTY = st.one_of(st.integers(-5, 120), st.sampled_from(["nan", "inf", "-inf"]),
+                    st.floats())
+TURN_ROW = st.tuples(
+    st.one_of(st.sampled_from(TURN_PAIRS), st.tuples(EDGE_INDEX, EDGE_INDEX)),
+    PENALTY).map(lambda row: [*row[0], row[1]])
+# and now and then the first row again at the end
+TURN_ROWS = st.lists(TURN_ROW, max_size=6).flatmap(
+    lambda rows: st.sampled_from([rows, rows + rows[:1]]))
 
 
 # each loader with the type of what it loads
@@ -170,15 +191,37 @@ def table_bytes(header: list[str], rows: list[list[str]]) -> bytes:
     return buf.getvalue().encode("utf-8", "surrogatepass")
 
 
-@settings(FUZZ, max_examples=200)
-@given(loader=st.sampled_from(range(len(LOADERS))), data=st.data())
-def test_table_loads_or_is_a_data_error(tmp_path, loader, data):
-    load, header, kind = LOADERS[loader]
-    raw = data.draw(st.one_of(
-        ROWS.map(lambda rows: table_bytes(header, rows)),
+def table_cases(loader: int):
+    """(loader, bytes of a table for it): rows of any cells, the header then
+    any bytes, or any bytes; for the turns table also turn rows."""
+    load, header, _ = LOADERS[loader]
+    rows = st.one_of(ROWS, TURN_ROWS) if load is load_turns else ROWS
+    return st.tuples(st.just(loader), st.one_of(
+        rows.map(lambda rows: table_bytes(header, rows)),
         st.binary(max_size=120).map(lambda b: (",".join(header) + "\n").encode() + b),
         st.binary(max_size=120),
     ))
+
+
+TURNS = next(k for k, (load, _, _) in enumerate(LOADERS) if load is load_turns)
+A_TURN = list(TURN_PAIRS[0])
+
+
+def turns_case(*rows):
+    return TURNS, table_bytes(network.TURN_HEADER, list(rows))
+
+
+@settings(FUZZ, max_examples=200)
+@given(case=st.sampled_from(range(len(LOADERS))).flatmap(table_cases))
+# a turns table for each bad turn row: unknown edge, non-adjacent edges,
+# bad penalty and repeated pair
+@example(case=turns_case(A_TURN + [60], [0, len(EDGES), 60]))
+@example(case=turns_case([0, 0, 60]))
+@example(case=turns_case(A_TURN + [-5]))
+@example(case=turns_case(A_TURN + [60], A_TURN + [0]))
+def test_table_loads_or_is_a_data_error(tmp_path, case):
+    loader, raw = case
+    load, header, kind = LOADERS[loader]
     path = tmp_path / "table.csv"
     path.write_bytes(raw)
     try:

@@ -387,8 +387,15 @@ def test_unreachable_stop_detected():
 def test_mandatory_trip_exceeding_shift_detected():
     m = matrix_from_points({0: (0.0, 0.0), 1: (2000.0, 0.0)})
     tight = FleetSpec(shift_s=2000.0)  # 360 drive + 1800 service + 900 unload
-    with pytest.raises(ShiftTooShort):
+    with pytest.raises(ShiftTooShort, match="serving stop 1 alone takes"):
         solve_vrp(m, [make_stop(1, 1, 100.0)], DEPOT, tight, seed=0)
+
+
+def test_matrix_that_lacks_a_stop_node_is_rejected_naming_it():
+    m = matrix_from_points({0: (0.0, 0.0), 1: (100.0, 0.0)})
+    stops = [make_stop(1, 1, 100.0), make_stop(2, 5, 100.0)]
+    with pytest.raises(UnknownNode, match="^node 5 missing from the cost matrix$"):
+        solve_vrp(m, stops, DEPOT, FleetSpec(), seed=0)
 
 
 def test_trip_time_decomposition():
