@@ -13,6 +13,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (DataError, NegativeUnits, NoNodeWithinRange, PlannerError,
                      UncoverableDemand)
@@ -23,8 +24,7 @@ log = logging.getLogger(__name__)
 _RADIUS_TOL_M = 1e-9
 
 
-@dataclass(frozen=True)
-class DemandPoint:
+class DemandPoint(NamedTuple):
     id: int
     x_m: float
     y_m: float
@@ -84,15 +84,7 @@ def aggregate_demand(
     for bid, x, y, units in buildings:
         if units < 0:
             raise NegativeUnits(f"building {bid} has {units} dwelling units")
-        out.append(
-            DemandPoint(
-                id=bid,
-                x_m=x,
-                y_m=y,
-                dwelling_units=units,
-                waste_kg_day=units * rate_kg_per_unit_day,
-            )
-        )
+        out.append(DemandPoint(bid, x, y, units, units * rate_kg_per_unit_day))
     return out
 
 

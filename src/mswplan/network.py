@@ -38,6 +38,12 @@ although stop placement and the coverage audit both ask for it.
 Every CSV table of the planner, input or output, is read by
 :func:`_read_table` and written by :func:`_write_table`, both UTF-8
 whatever the locale.
+:class:`Node` and :class:`Edge` are immutable named tuples, because a
+load or a synthetic city builds thousands and a named tuple is the
+cheapest record to build; each equals the plain tuple of its fields,
+unpacks and sorts as one, and is written as its own table row. The
+network unpacks each edge once, and rejects one whose travel time is
+not finite and positive although its length and speed are.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (DataError, NoNodeWithinRange, PlannerError, UnknownNode,
                      Unreachable)
@@ -58,15 +65,13 @@ METRICS = ("time", "distance")
 _SNAP_TIE_M = 1e-9
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: int
     x_m: float
     y_m: float
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     from_id: int
     to_id: int
     length_m: float
@@ -93,55 +98,68 @@ class RoadNetwork:
     file, ``(from_edge_index, to_edge_index, penalty_s)``: extra seconds
     for a turn from one edge onto the next, which only affect the time
     metric. Nodes, edges and then turns are checked in order, and the
-    first bad one is a ValueError: for a turn, one that names an unknown
-    edge, joins non-adjacent edges, has a negative or non-finite penalty
-    or repeats a pair.
+    first bad one is a ValueError: for an edge, one that names an unknown
+    node, has a length or speed that is not finite and positive, or a
+    travel time that overflows or rounds to zero; for a turn, one that
+    names an unknown edge, joins non-adjacent edges, has a negative or
+    non-finite penalty or repeats a pair.
     """
 
     def __init__(self, nodes: list[Node], edges: list[Edge], turns=()):
+        isfinite, inf = math.isfinite, math.inf
         self._nodes: dict[int, Node] = {}
         for n in nodes:
-            if n.id in self._nodes:
-                raise _RowError("nodes", f"duplicate node id {n.id}")
-            if not (math.isfinite(n.x_m) and math.isfinite(n.y_m)):
-                raise _RowError("nodes", f"node {n.id} has non-finite coordinates")
-            self._nodes[n.id] = n
+            nid, x, y = n
+            if nid in self._nodes:
+                raise _RowError("nodes", f"duplicate node id {nid}")
+            if not (isfinite(x) and isfinite(y)):
+                raise _RowError("nodes", f"node {nid} has non-finite coordinates")
+            self._nodes[nid] = n
         self._edges: tuple[Edge, ...] = tuple(edges)
+        n_edges = len(self._edges)
         # node ids by position; sorted, so position order is id order
         self._ids = tuple(sorted(self._nodes))
-        self._pos = {nid: p for p, nid in enumerate(self._ids)}
+        pos = self._pos = {nid: p for p, nid in enumerate(self._ids)}
         rows: list[list[tuple[int, int, float, float, float]]] = [
             [] for _ in self._ids]
-        slot = [0] * len(self._edges)  # per edge, its place in its tail's row
-        for i, e in enumerate(self._edges):
-            if e.from_id not in self._nodes or e.to_id not in self._nodes:
+        slot = [0] * n_edges  # per edge, its place in its tail's row
+        # per edge, the positions of its tail and head
+        tails, heads = [0] * n_edges, [0] * n_edges
+        for i, (a, b, length_m, speed_kmh) in enumerate(self._edges):
+            if a not in pos or b not in pos:
                 raise _RowError("edges", f"edge {i} references unknown node")
-            if not (0 < e.length_m < math.inf and 0 < e.speed_kmh < math.inf):
+            if not (0 < length_m < inf and 0 < speed_kmh < inf):
                 raise _RowError(
                     "edges", f"edge {i} needs a finite positive length and "
-                    f"speed, got {e.length_m} m at {e.speed_kmh} km/h")
-            row = rows[self._pos[e.from_id]]
+                    f"speed, got {length_m} m at {speed_kmh} km/h")
+            time_s = length_m * 3.6 / speed_kmh  # Edge.travel_time_s
+            if not 0 < time_s < inf:
+                raise _RowError("edges", f"edge {i} needs a finite positive "
+                                f"travel time, got {time_s} s")
+            tails[i] = tail = pos[a]
+            heads[i] = head = pos[b]
+            row = rows[tail]
             slot[i] = len(row)
-            row.append((i, self._pos[e.to_id], e.length_m, e.travel_time_s, 0.0))
+            row.append((i, head, length_m, time_s, 0.0))
         # per node position, (edge, head position, length, time, 0.0) of
         # its out-edges in index order
         self._rows = [tuple(row) for row in rows]
-        self._grid = _NodeGrid([(n.x_m, n.y_m) for n in map(self._nodes.get, self._ids)])
+        self._grid = _NodeGrid([(x, y) for _, x, y in map(self._nodes.get, self._ids)])
         # per edge, its head's row with each turn's penalty in the last slot,
         # and the largest penalty of a turn off it. An edge shares its head's
         # row until its first non-zero penalty gives it a list copy; in that
         # copy a turn without a penalty still shares the row's tuple. ``seen``
         # holds per edge a bit for each slot of its row a turn row has named.
-        succ: list = [self._rows[self._pos[e.to_id]] for e in self._edges]
-        hi, seen = [0.0] * len(self._edges), [0] * len(self._edges)
+        succ: list = [self._rows[h] for h in heads]
+        hi, seen = [0.0] * n_edges, [0] * n_edges
         for a, b, pen in turns:
-            if not (0 <= a < len(self._edges) and 0 <= b < len(self._edges)):
+            if not (0 <= a < n_edges and 0 <= b < n_edges):
                 raise _RowError("turns", "turn penalty references unknown "
                                 f"edge ({a},{b})")
-            if self._edges[a].to_id != self._edges[b].from_id:
+            if heads[a] != tails[b]:
                 raise _RowError("turns", f"turn penalty ({a},{b}) joins "
                                 "non-adjacent edges")
-            if not 0 <= pen < math.inf:
+            if not 0 <= pen < inf:
                 raise _RowError("turns", f"turn penalty ({a},{b}) must be finite "
                                 f"and non-negative, got {pen}")
             bit = 1 << slot[b]
@@ -680,9 +698,8 @@ def load_network(
 
 
 def write_nodes(nodes: list[Node], path: str) -> None:
-    _write_table(path, NODE_HEADER, ((n.id, n.x_m, n.y_m) for n in nodes))
+    _write_table(path, NODE_HEADER, nodes)
 
 
 def write_edges(edges: list[Edge], path: str) -> None:
-    _write_table(path, EDGE_HEADER, ((e.from_id, e.to_id, e.length_m, e.speed_kmh)
-                                     for e in edges))
+    _write_table(path, EDGE_HEADER, edges)

@@ -48,29 +48,22 @@ def gen_synthetic_city(
     """Grid street network plus buildings scattered inside the blocks.
 
     Every street segment becomes two directed edges, so the network is
-    strongly connected. Output is fully determined by the spec.
+    strongly connected. Output is fully determined by the spec. Node ids
+    run row by row, ``iy * (grid_x + 1) + ix``. Nodes and edges are the
+    network's immutable named tuples, built by position: a city holds
+    thousands, and a named tuple is the cheapest record to build.
     """
     nx, ny = spec.grid_x + 1, spec.grid_y + 1
-
-    def node_id(ix: int, iy: int) -> int:
-        return iy * nx + ix
-
-    nodes = [
-        Node(id=node_id(ix, iy), x_m=ix * spec.block_m, y_m=iy * spec.block_m)
-        for iy in range(ny)
-        for ix in range(nx)
-    ]
+    block, speed = spec.block_m, spec.speed_kmh
+    nodes = [Node(iy * nx + ix, ix * block, iy * block)
+             for iy in range(ny) for ix in range(nx)]
     edges: list[Edge] = []
-    for iy in range(ny):
-        for ix in range(nx - 1):
-            a, b = node_id(ix, iy), node_id(ix + 1, iy)
-            edges.append(Edge(a, b, spec.block_m, spec.speed_kmh))
-            edges.append(Edge(b, a, spec.block_m, spec.speed_kmh))
-    for ix in range(nx):
-        for iy in range(ny - 1):
-            a, b = node_id(ix, iy), node_id(ix, iy + 1)
-            edges.append(Edge(a, b, spec.block_m, spec.speed_kmh))
-            edges.append(Edge(b, a, spec.block_m, spec.speed_kmh))
+    for iy in range(ny):  # east-west streets
+        for a in range(iy * nx, iy * nx + nx - 1):
+            edges += Edge(a, a + 1, block, speed), Edge(a + 1, a, block, speed)
+    for ix in range(nx):  # north-south streets
+        for a in range(ix, ix + (ny - 1) * nx, nx):
+            edges += Edge(a, a + nx, block, speed), Edge(a + nx, a, block, speed)
 
     rng = random.Random(spec.seed)
     buildings: list[tuple[int, float, float, int]] = []
@@ -78,8 +71,8 @@ def gen_synthetic_city(
     for by in range(spec.grid_y):
         for bx in range(spec.grid_x):
             for _ in range(spec.buildings_per_block):
-                x = (bx + rng.random()) * spec.block_m
-                y = (by + rng.random()) * spec.block_m
+                x = (bx + rng.random()) * block
+                y = (by + rng.random()) * block
                 buildings.append((bid, x, y, spec.units_per_building))
                 bid += 1
     return nodes, edges, buildings

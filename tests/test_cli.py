@@ -388,6 +388,19 @@ def four_stops_with(tmp_path, *lines: str) -> str:
     return str(tmp_path / "scenario.cfg")
 
 
+def test_plan_edge_whose_travel_time_overflows_exits_4_naming_the_file(tmp_path):
+    cfg = four_stops_with(tmp_path)
+    edges = tmp_path / "edges.csv"
+    header, _, *rows = edges.read_text().splitlines(keepends=True)
+    edges.write_text(header + "0,1,1e308,1\n" + "".join(rows))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["plan", cfg, "--out", str(out)])
+    assert result.exit_code == 4, result.output
+    assert f"{edges}: edge 0 needs a finite positive travel time, got inf s" \
+        in result.output
+    assert not (out / "stops.csv").exists()
+
+
 def test_plan_unknown_distance_mode_exits_2(tmp_path):
     cfg = four_stops_with(tmp_path, "coverage.distance_mode=manhattan")
     result = CliRunner().invoke(main, ["plan", cfg, "--out", str(tmp_path / "out")])

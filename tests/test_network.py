@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from coverage_reference import snap as reference_snap
 from helpers import (min_cost_by_enumeration, random_graph, turn_rows,
                      uturn_and_bend_penalties)
-from mswplan.coverage import BUILDING_HEADER, STOP_HEADER, load_buildings, load_stops
+from mswplan.coverage import (BUILDING_HEADER, STOP_HEADER, DemandPoint, load_buildings,
+                              load_stops)
 from mswplan.errors import DataError, NoNodeWithinRange, UnknownNode, Unreachable
 from mswplan.impact import FACTOR_HEADER, load_factors
 from mswplan.network import (
@@ -48,6 +49,33 @@ def test_edge_travel_time_matches_length_over_speed():
     e = Edge(1, 2, 1000, 40)
     assert e.travel_time_s == pytest.approx(1000 * 3.6 / 40, rel=1e-9)
     assert e.travel_time_s == pytest.approx(90.0, rel=1e-9)
+
+
+RECORDS = [
+    (Node(1, 2.0, 3.0), "Node(id=1, x_m=2.0, y_m=3.0)"),
+    (Edge(0, 1, 200.0, 40.0), "Edge(from_id=0, to_id=1, length_m=200.0, speed_kmh=40.0)"),
+    (DemandPoint(7, 1.5, 2.5, 8, 9.6),
+     "DemandPoint(id=7, x_m=1.5, y_m=2.5, dwelling_units=8, waste_kg_day=9.6)"),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORDS,
+                         ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_immutable_hashable_named_tuples(record, text):
+    assert repr(record) == text
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    with pytest.raises(AttributeError):
+        record.note = "no attribute beyond the fields"
+    same = type(record)(*record)
+    assert same == record and hash(same) == hash(record)
+    assert {same: "found"}[record] == "found"
+    # a record is the tuple of its fields: equal to it, unpacked and sorted as it
+    assert record == tuple(getattr(record, name) for name in record._fields)
+    first, *_ = record
+    assert first == record[0] == getattr(record, record._fields[0])
+    assert sorted([record._replace(**{record._fields[0]: 9}), record])[0] is record
 
 
 def test_single_edge_path():
@@ -625,6 +653,22 @@ def test_invalid_edge_rejected():
         RoadNetwork([Node(1, 0, 0), Node(1, 1, 1)], [])
 
 
+@pytest.mark.parametrize("length_m, speed_kmh, time_s", [
+    (1e308, 1.0, "inf"),  # 1e308 * 3.6 overflows
+    (5e-324, 1e300, "0.0"),  # the smallest length at a huge speed underflows
+], ids=["overflows", "underflows"])
+def test_edge_without_a_finite_positive_travel_time_rejected(length_m, speed_kmh,
+                                                             time_s):
+    # each length and speed alone is finite and positive; before this check a
+    # time matrix called node 2 unreachable while a distance matrix reached it
+    edge = Edge(1, 2, length_m, speed_kmh)
+    assert edge.travel_time_s == float(time_s)
+    with pytest.raises(ValueError, match="^edge 1 needs a finite positive travel "
+                       rf"time, got {time_s} s$"):
+        RoadNetwork([Node(1, 0.0, 0.0), Node(2, 100.0, 0.0)],
+                    [Edge(2, 1, 100.0, 40.0), edge])
+
+
 def write_two_node_network(tmp_path, edge_rows: str):
     nodes_path, edges_path = tmp_path / "nodes.csv", tmp_path / "edges.csv"
     nodes_path.write_text("id,x_m,y_m\n1,0.0,0.0\n2,100.0,0.0\n")
@@ -656,8 +700,13 @@ TWO_NODES = "1,0.0,0.0\n2,100.0,0.0\n"
      "edge 1 references unknown node"),
     (TWO_NODES, "1,2,0,40\n", "edges",
      "edge 0 needs a finite positive length and speed, got 0.0 m at 40.0 km/h"),
+    (TWO_NODES, "2,1,100,40\n1,2,1e308,1\n", "edges",
+     "edge 1 needs a finite positive travel time, got inf s"),
+    (TWO_NODES, "1,2,5e-324,1e300\n", "edges",
+     "edge 0 needs a finite positive travel time, got 0.0 s"),
 ], ids=["repeated_node", "nan_coordinate", "span_past_the_floats",
-        "unknown_node", "zero_length"])
+        "unknown_node", "zero_length", "travel_time_overflows",
+        "travel_time_underflows"])
 def test_bad_node_or_edge_row_is_a_data_error_naming_its_file(
         tmp_path, node_rows, edge_rows, table, message):
     paths = {"nodes": tmp_path / "nodes.csv", "edges": tmp_path / "edges.csv"}

@@ -3,7 +3,9 @@
 Each writer goes through ``network._write_table`` and each loader
 through ``network._read_table``. For nodes, edges, buildings, stops and
 impact factors, a table written, loaded and written again must give the
-values it was written from and the same bytes both times: floats at the
+values it was written from and the same bytes both times (nodes and
+edges load back as ``Node`` and ``Edge`` records, written as the fields
+their header names): floats at the
 ends of their range and with long ``repr``s, ``-0.0`` where the loader
 allows it, and factor class names holding non-ASCII text, commas,
 quotes and line breaks. A class name holding a carriage return is a
@@ -58,18 +60,32 @@ def assert_round_trip(tmp_path, write, load, value):
     assert loaded == value
     assert rewritten == written
     written.decode("utf-8")
+    return loaded, written
+
+
+def assert_records_round_trip(tmp_path, write, load, header, records):
+    """Records load back as records of their type, equal field by field, from
+    the table their fields give when written by name in header order."""
+    loaded, written = assert_round_trip(tmp_path, write, load, records)
+    assert [type(r) for r in loaded] == [type(r) for r in records]
+    by_name = tmp_path / "by_name.csv"
+    network._write_table(str(by_name), header,
+                         ([getattr(r, name) for name in header] for r in records))
+    assert written == by_name.read_bytes()
 
 
 @ROUND_TRIP
 @given(st.lists(st.builds(network.Node, IDS, FLOATS, FLOATS), max_size=8))
 def test_nodes_round_trip(tmp_path, nodes):
-    assert_round_trip(tmp_path, network.write_nodes, network.load_nodes, nodes)
+    assert_records_round_trip(tmp_path, network.write_nodes, network.load_nodes,
+                              network.NODE_HEADER, nodes)
 
 
 @ROUND_TRIP
 @given(st.lists(st.builds(network.Edge, IDS, IDS, FLOATS, FLOATS), max_size=8))
 def test_edges_round_trip(tmp_path, edges):
-    assert_round_trip(tmp_path, network.write_edges, network.load_edges, edges)
+    assert_records_round_trip(tmp_path, network.write_edges, network.load_edges,
+                              network.EDGE_HEADER, edges)
 
 
 @ROUND_TRIP
