@@ -1,5 +1,8 @@
 """Command-line entry points.
 
+``verify CONFIG STOPS`` loads its inputs as ``plan CONFIG`` does, so a
+stops table is audited at the settings it was planned at.
+
 Exit codes: 0 success, 2 configuration error, 3 infeasible instance,
 4 data error, 5 internal error (a cause of none of those kinds, such as
 a broken planner invariant or an unexpected exception inside a stage).
@@ -7,7 +10,6 @@ a broken planner invariant or an unexpected exception inside a stage).
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import fields, replace
 
@@ -30,7 +32,7 @@ from .errors import (
     Unreachable,
     UnreachableStop,
 )
-from .pipeline import (ScenarioConfig, load_scenario_config, load_summary,
+from .pipeline import (load_inputs, load_scenario_config, load_summary,
                        parse_kv_file, read_fields, run_pipeline)
 
 EXIT_CONFIG = 2
@@ -133,38 +135,15 @@ def compare(existing: str, proposed: str, fmt: str) -> None:
 
 
 @main.command()
-@click.argument("stops_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("buildings", type=click.Path(exists=True, dir_okay=False))
-@click.argument("network_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--radius", type=float, default=cov.CoverageConfig.radius_m,
-              show_default=True,
-              help="Service radius in meters.")
-@click.option("--mode", type=click.Choice(cov.DISTANCE_MODES),
-              default=cov.CoverageConfig.distance_mode, show_default=True)
-@click.option("--rate", type=float,
-              default=ScenarioConfig.generation_rate_kg_unit_day, show_default=True,
-              help="Waste generation rate, kg per dwelling unit per day.")
-def verify(stops_file: str, buildings: str, network_dir: str,
-           radius: float, mode: str, rate: float) -> None:
-    """Audit a stops table against buildings and a network directory.
-
-    NETWORK_DIR must contain nodes.csv and edges.csv (turns.csv optional).
-    """
-    nodes_path = os.path.join(network_dir, "nodes.csv")
-    edges_path = os.path.join(network_dir, "edges.csv")
-    turns_path = os.path.join(network_dir, "turns.csv")
-    net = network.load_network(
-        nodes_path, edges_path,
-        turns_path if os.path.exists(turns_path) else None,
-    )
-    rows = cov.load_buildings(buildings)
-    try:
-        cfg = cov.CoverageConfig(radius_m=radius, distance_mode=mode)
-        demands = cov.aggregate_demand(rows, rate)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+@click.argument("config", type=click.Path(exists=True, dir_okay=False))
+@click.argument("stops_file", metavar="STOPS",
+                type=click.Path(exists=True, dir_okay=False))
+def verify(config: str, stops_file: str) -> None:
+    """Audit a STOPS table against the scenario CONFIG that planned it."""
+    cfg = load_scenario_config(config)
+    net, _, demands = load_inputs(cfg)
     stops = cov.load_stops(stops_file)
-    report = cov.verify_coverage(stops, demands, net, cfg)
+    report = cov.verify_coverage(stops, demands, net, cfg.coverage)
     click.echo(f"stops: {len(stops)}, demand points: {len(demands)}")
     click.echo(f"max stop load: {report.max_load_kg:.2f} kg")
     for bin_start, count in report.load_histogram.items():

@@ -299,9 +299,11 @@ def verify_coverage(
 ) -> CoverageReport:
     """Audit a stop set: radius compliance, loads, and full coverage.
 
-    Raises DataError for a stop that lists an id no demand point has, or
+    Raises DataError for a stop that lists an id no demand point has,
     whose ``assigned_demand_kg`` is not the mass of the demands it lists
-    (relative tolerance 1e-9, absolute 1e-6); PlannerError for a
+    (relative tolerance 1e-9, absolute 1e-6), or that lists two or more
+    demands and exceeds ``max_stop_load_kg`` by more than that (a lone
+    demand may: an overflow stop); PlannerError for a
     demand listed twice, under two stops or twice under one; and
     ValueError for a demand id given twice or a mass that is negative or
     not finite. A listed demand counts as covered when its input position
@@ -324,7 +326,13 @@ def verify_coverage(
                             abs_tol=1e-6):
             raise DataError(
                 f"stop {s.id} has assigned_kg {s.assigned_demand_kg} but its "
-                f"demands weigh {mass} kg; was it planned at another --rate?")
+                f"demands weigh {mass} kg; was it planned at another "
+                "generation_rate_kg_unit_day?")
+        # past the cap by more than the mass check's isclose tolerance
+        load, n = s.assigned_demand_kg, len(s.covered_demand_ids)
+        if n > 1 and load - cfg.max_stop_load_kg > max(1e-9 * load, 1e-6):
+            raise DataError(f"stop {s.id} lists {n} demands and is assigned {load} "
+                            f"kg, over the {cfg.max_stop_load_kg} kg max_stop_load_kg")
     nodes = sorted({s.node for s in stops})
     radius = _stop_distances(net, demands, cfg, nodes)[0] if nodes else []
     within = dict(zip(nodes, radius))

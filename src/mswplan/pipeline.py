@@ -10,7 +10,9 @@ spec files. Each field's type decides how its text is parsed, and a key
 left out keeps the dataclass default, so every default is written once,
 on its field. The top-level keys map onto :class:`ScenarioConfig`
 fields through one table. Relative paths are resolved against the
-config file's directory. The "existing" scenario is supplied as a
+config file's directory, and each must name a file. ``mswplan verify``
+reads the network and demands through :func:`load_inputs`, as
+:func:`run_pipeline` does. The "existing" scenario is supplied as a
 summary block rather than re-solved: the incumbent system is observed,
 not optimized.
 """
@@ -201,8 +203,9 @@ def load_scenario_config(path: str) -> ScenarioConfig:
         if name.endswith("_path") and name in values:
             # joining keeps an absolute path as it is
             values[name] = full = os.path.join(base, values[name])
-            if not os.path.exists(full):
-                raise ConfigError(f"key {key!r}: file not found: {full}")
+            # an empty value joins to the directory itself
+            if not os.path.isfile(full):
+                raise ConfigError(f"key {key!r}: not a file: {full}")
     existing, proposed = (
         summary_from_mapping(kv, prefix) if any(k.startswith(prefix) for k in kv)
         else None for prefix in ("existing.", "proposed."))
@@ -269,12 +272,9 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
-    """coverage -> matrix -> vrp -> metrics -> impact, then emit files.
-
-    Outputs are byte-identical for identical (config, seed). Each error
-    is re-raised wrapped with the name of the failing stage.
-    """
+def load_inputs(cfg: ScenarioConfig
+                ) -> tuple[network.RoadNetwork, int, list[cov.DemandPoint]]:
+    """The network, the depot's node and the demand points, stage by stage."""
     net = _stage("network/load", network.load_network,
                  cfg.nodes_path, cfg.edges_path, cfg.turns_path)
     depot_node = _stage("network/snap", network.snap, net,
@@ -282,6 +282,16 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
     buildings = _stage("demand/aggregate", cov.load_buildings, cfg.buildings_path)
     demands = _stage("demand/aggregate", cov.aggregate_demand,
                      buildings, cfg.generation_rate_kg_unit_day)
+    return net, depot_node, demands
+
+
+def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
+    """inputs -> coverage -> matrix -> vrp -> metrics -> impact, then emit.
+
+    Outputs are byte-identical for identical (config, seed). Each error
+    is re-raised wrapped with the name of the failing stage.
+    """
+    net, depot_node, demands = load_inputs(cfg)
     stops = _stage("coverage/place_stops", cov.place_stops, net, demands,
                    cfg.coverage)
     audit = _stage("coverage/place_stops", cov.verify_coverage,

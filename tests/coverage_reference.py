@@ -8,8 +8,9 @@ requires the radius-bounded, grid-snapped code to return exactly the
 same stops, reports and errors.
 
 The audit later gained input checks: a stop listing an unknown demand
-id, or an ``assigned_kg`` other than its demands' mass, is a DataError,
-and a demand listed twice, under two stops or twice under one, is a
+id, an ``assigned_kg`` other than its demands' mass, or one over the
+load cap at a stop that lists two or more demands, is a DataError, and
+a demand listed twice, under two stops or twice under one, is a
 PlannerError. ``_check_stop_table`` restates them here, so audits of
 such stop sets still compare as errors.
 """
@@ -168,7 +169,7 @@ def verify_coverage(
     cfg: CoverageConfig,
 ) -> CoverageReport:
     """Audit a stop set: radius compliance, loads, and full coverage."""
-    _check_stop_table(stops, demands)
+    _check_stop_table(stops, demands, cfg.max_stop_load_kg)
     nodes = sorted({s.node for s in stops})
     dist = _stop_distances(net, demands, cfg, nodes) if nodes else {}
     covered: set[int] = set()
@@ -190,9 +191,11 @@ def verify_coverage(
     )
 
 
-def _check_stop_table(stops: list[StopPoint], demands: list[DemandPoint]) -> None:
+def _check_stop_table(stops: list[StopPoint], demands: list[DemandPoint],
+                      cap_kg: float) -> None:
     """Each stop lists known demands, none listed before, whose masses
-    sum to its assigned_kg."""
+    sum to its assigned_kg, which is within ``cap_kg`` unless the stop
+    lists one demand."""
     mass = {d.id: d.waste_kg_day for d in demands}
     first: dict[int, int] = {}  # demand id -> the stop that listed it first
     for s in stops:
@@ -209,4 +212,9 @@ def _check_stop_table(stops: list[StopPoint], demands: list[DemandPoint]) -> Non
                 1e-9 * max(abs(listed), abs(s.assigned_demand_kg)), 1e-6):
             raise DataError(
                 f"stop {s.id} has assigned_kg {s.assigned_demand_kg} but its "
-                f"demands weigh {listed} kg; was it planned at another --rate?")
+                f"demands weigh {listed} kg; was it planned at another "
+                "generation_rate_kg_unit_day?")
+        kg, n = s.assigned_demand_kg, len(s.covered_demand_ids)
+        if n >= 2 and kg > cap_kg and abs(kg - cap_kg) > max(1e-9 * kg, 1e-6):
+            raise DataError(f"stop {s.id} lists {n} demands and is assigned {kg} "
+                            f"kg, over the {cap_kg} kg max_stop_load_kg")

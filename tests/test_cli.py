@@ -54,6 +54,16 @@ def test_plan_missing_input_file_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_plan_empty_turns_key_exits_2_naming_it(tmp_path):
+    # an empty path joins to the config's directory, which is no file
+    cfg = four_stops_with(tmp_path, "network.turns=")
+    result = CliRunner().invoke(main, ["plan", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"key 'network.turns': not a file: {tmp_path}{os.sep}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_plan_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(
@@ -380,11 +390,15 @@ def test_plan_non_finite_impact_factor_exits_4(tmp_path, value):
 
 
 def four_stops_with(tmp_path, *lines: str) -> str:
-    """The four_stops scenario copied to ``tmp_path`` with ``lines`` appended."""
-    for name in ("scenario.cfg", "nodes.csv", "edges.csv", "buildings.csv"):
+    """The four_stops scenario copied to ``tmp_path`` with ``lines`` in
+    place of the lines of their keys, or appended."""
+    for name in ("nodes.csv", "edges.csv", "buildings.csv"):
         shutil.copy(demo_path("four_stops", name), tmp_path / name)
-    with open(tmp_path / "scenario.cfg", "a") as fh:
-        fh.writelines(line + "\n" for line in lines)
+    keys = {line.split("=")[0] for line in lines}
+    with open(demo_path("four_stops", "scenario.cfg")) as fh:
+        kept = [line for line in fh if line.split("=")[0] not in keys]
+    (tmp_path / "scenario.cfg").write_text("".join(kept) + "".join(
+        line + "\n" for line in lines))
     return str(tmp_path / "scenario.cfg")
 
 
@@ -478,10 +492,7 @@ def test_verify_accepts_planned_stops_and_rejects_pruned(tmp_path):
     )
     assert ran.exit_code == 0, ran.output
     ok = runner.invoke(
-        main,
-        ["verify", str(out / "stops.csv"),
-         demo_path("city3x3", "buildings.csv"), demo_path("city3x3")],
-    )
+        main, ["verify", demo_path("city3x3", "scenario.cfg"), str(out / "stops.csv")])
     assert ok.exit_code == 0, ok.output
     assert "coverage OK" in ok.output
 
@@ -489,10 +500,8 @@ def test_verify_accepts_planned_stops_and_rejects_pruned(tmp_path):
     lines = (out / "stops.csv").read_text().splitlines()
     (tmp_path / "pruned.csv").write_text("\n".join(lines[:2]) + "\n")
     bad = runner.invoke(
-        main,
-        ["verify", str(tmp_path / "pruned.csv"),
-         demo_path("city3x3", "buildings.csv"), demo_path("city3x3")],
-    )
+        main, ["verify", demo_path("city3x3", "scenario.cfg"),
+               str(tmp_path / "pruned.csv")])
     assert bad.exit_code == 3
     assert "UNCOVERED" in bad.output
 
@@ -512,20 +521,71 @@ def test_seed_override_changes_nothing_on_fixed_instance(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("option", [["--radius", "-5"], ["--radius", "nan"],
-                                    ["--radius", "inf"], ["--rate", "-1"],
-                                    ["--rate", "nan"]])
-def test_verify_bad_argument_exits_2(option):
+@pytest.mark.parametrize("option", [
+    ("coverage.radius_m", "-5"), ("coverage.radius_m", "nan"),
+    ("coverage.radius_m", "inf"), ("generation_rate_kg_unit_day", "-1"),
+    ("generation_rate_kg_unit_day", "nan"),
+])
+def test_verify_bad_argument_exits_2(tmp_path, option):
+    key, value = option
+    cfg = four_stops_with(tmp_path, f"{key}={value}")
     result = CliRunner().invoke(
-        main,
-        ["verify", os.path.join(GOLDEN, "stops.csv"),
-         demo_path("four_stops", "buildings.csv"), demo_path("four_stops"),
-         *option],
-    )
+        main, ["verify", cfg, os.path.join(GOLDEN, "stops.csv")])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "must be finite and positive" in result.output
+    assert key in result.output
     assert "UNCOVERED" not in result.output
+
+
+def test_verify_audits_at_the_radius_of_its_config(tmp_path):
+    # planned at 600 m, the stops serve demands beyond the demo's 300 m
+    city = tmp_path / "city"
+    shutil.copytree(demo_path("city3x3"), city)
+    cfg = str(city / "scenario.cfg")
+    with open(cfg, "a") as fh:
+        fh.write("coverage.radius_m=600\n")
+    runner = CliRunner()
+    out = tmp_path / "out"
+    ran = runner.invoke(main, ["plan", cfg, "--out", str(out)])
+    assert ran.exit_code == 0, ran.output
+    stops = str(out / "stops.csv")
+    ok = runner.invoke(main, ["verify", cfg, stops])
+    assert ok.exit_code == 0, ok.output
+    assert "coverage OK" in ok.output
+    narrow = runner.invoke(main, ["verify", demo_path("city3x3", "scenario.cfg"), stops])
+    assert narrow.exit_code == 3, narrow.output
+    assert "UNCOVERED" in narrow.output
+
+
+def test_verify_depot_that_does_not_snap_exits_4(tmp_path):
+    # verify loads its inputs through plan's stages, the depot snap among them
+    cfg = four_stops_with(tmp_path, "depot.x_m=99000")
+    result = CliRunner().invoke(
+        main, ["verify", cfg, os.path.join(GOLDEN, "stops.csv")])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "stage network/snap: " in result.output
+    assert "coverage OK" not in result.output
+
+
+def test_verify_shared_stop_over_the_load_cap_exits_4(tmp_path):
+    # demand 25 (19.92 kg) moved from stop 0 to stop 1, each stop's
+    # assigned_kg still its demands' mass: stop 1 weighs 537.84 kg
+    with open(os.path.join(GOLDEN, "stops.csv")) as fh:
+        rows = list(csv.reader(fh))
+    for row, kg in ((1, -19.92), (2, 19.92)):
+        rows[row][2] = repr(float(rows[row][2]) + kg)
+    rows[1][4] = rows[1][4].removesuffix(";25")
+    rows[2][4] = "25;" + rows[2][4]
+    stops = tmp_path / "stops.csv"
+    stops.write_text("".join(",".join(row) + "\n" for row in rows))
+    result = CliRunner().invoke(
+        main, ["verify", demo_path("four_stops", "scenario.cfg"), str(stops)])
+    assert result.exit_code == 4, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert ("stop 1 lists 27 demands and is assigned 537.84 kg, over the "
+            "520.0 kg max_stop_load_kg") in result.output
+    assert "coverage OK" not in result.output
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -540,10 +600,7 @@ def test_verify_repeated_stop_or_demand_exits_4(tmp_path, extra, message):
     with open(os.path.join(GOLDEN, "stops.csv")) as fh:
         stops.write_text(fh.read() + extra + "\n")
     result = CliRunner().invoke(
-        main,
-        ["verify", str(stops), demo_path("four_stops", "buildings.csv"),
-         demo_path("four_stops")],
-    )
+        main, ["verify", demo_path("four_stops", "scenario.cfg"), str(stops)])
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"{stops}: {message}" in result.output
@@ -562,10 +619,7 @@ def test_verify_bad_stop_number_exits_4(tmp_path, column, value):
     stops = tmp_path / "stops.csv"
     stops.write_text("\n".join(lines) + "\n")
     result = CliRunner().invoke(
-        main,
-        ["verify", str(stops), demo_path("four_stops", "buildings.csv"),
-         demo_path("four_stops")],
-    )
+        main, ["verify", demo_path("four_stops", "scenario.cfg"), str(stops)])
     name = ("assigned_kg", "service_time_s")[column - 2]
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)
@@ -577,7 +631,7 @@ def test_verify_bad_stop_number_exits_4(tmp_path, column, value):
 @pytest.mark.parametrize("row, column, value, messages", [
     (4, 4, "{};999", ["stop 3 lists demand 999, which is not a demand point"]),
     (1, 2, "100.0", ["stop 0 has assigned_kg 100.0 but its demands weigh "
-                     "517.92", "--rate"]),
+                     "517.92", "generation_rate_kg_unit_day"]),
 ], ids=["unknown_demand", "assigned_kg"])
 def test_verify_stop_inconsistent_with_the_demands_exits_4(tmp_path, row,
                                                            column, value,
@@ -590,10 +644,7 @@ def test_verify_stop_inconsistent_with_the_demands_exits_4(tmp_path, row,
     stops = tmp_path / "stops.csv"
     stops.write_text("\n".join(lines) + "\n")
     result = CliRunner().invoke(
-        main,
-        ["verify", str(stops), demo_path("four_stops", "buildings.csv"),
-         demo_path("four_stops")],
-    )
+        main, ["verify", demo_path("four_stops", "scenario.cfg"), str(stops)])
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)
     for message in messages:
@@ -611,12 +662,12 @@ def test_non_utf8_summary_or_table_is_a_typed_error(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert f"cannot read {summary}: 'utf-8' codec" in result.output
 
+    cfg = four_stops_with(tmp_path)
     buildings = tmp_path / "buildings.csv"
-    with open(demo_path("four_stops", "buildings.csv"), "rb") as fh:
-        buildings.write_bytes(fh.read() + b"999,0.0,0.0,8\xff\n")
+    with open(buildings, "ab") as fh:
+        fh.write(b"999,0.0,0.0,8\xff\n")
     result = CliRunner().invoke(
-        main, ["verify", os.path.join(GOLDEN, "stops.csv"), str(buildings),
-               demo_path("four_stops")])
+        main, ["verify", cfg, os.path.join(GOLDEN, "stops.csv")])
     assert result.exit_code == 4, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"cannot read {buildings}: 'utf-8' codec" in result.output
@@ -629,8 +680,8 @@ def test_oversized_csv_field_exits_4_naming_the_file(tmp_path):
     with open(nodes, "a") as fh:  # one field past the csv module's limit
         fh.write("99,0.0,0.0," + "9" * 140_000 + "\n")
     for args in (["plan", str(city / "scenario.cfg"), "--out", str(tmp_path / "out")],
-                 ["verify", os.path.join(GOLDEN, "stops.csv"),
-                  demo_path("city3x3", "buildings.csv"), str(city)]):
+                 ["verify", str(city / "scenario.cfg"),
+                  os.path.join(GOLDEN, "stops.csv")]):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 4, result.output
         assert isinstance(result.exception, SystemExit)
@@ -676,27 +727,6 @@ def test_compare_inconsistent_summary_exits_2(tmp_path):
         main, ["compare", demo_path("summaries", "existing.cfg"), str(bad)])
     assert result.exit_code == 2, result.output
     assert "door-to-door: total_km is negative" in result.output
-
-
-def test_verify_rate_default_is_the_scenario_default(monkeypatch):
-    import importlib
-
-    import mswplan.cli as cli
-    from mswplan.pipeline import ScenarioConfig
-
-    def rate_default():
-        return next(p.default for p in cli.verify.params if p.name == "rate")
-
-    assert rate_default() == ScenarioConfig.generation_rate_kg_unit_day
-    # the option reads the field default when the module is built, so a
-    # changed default reaches it without a second literal
-    monkeypatch.setattr(ScenarioConfig, "generation_rate_kg_unit_day", 3.25)
-    try:
-        importlib.reload(cli)
-        assert rate_default() == 3.25
-    finally:
-        monkeypatch.undo()
-        importlib.reload(cli)
 
 
 def test_count_beyond_the_float_range_exits_2(tmp_path):

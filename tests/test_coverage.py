@@ -194,6 +194,36 @@ def test_verify_flags_emptied_and_moved_stops():
     assert report.uncovered_ids == [0, 1, 2]
 
 
+@pytest.mark.parametrize("second_kg, over", [
+    (260.0, False), (260.0 + 1e-7, False), (260.0 + 1e-5, True), (300.0, True),
+], ids=["at_cap", "within_tolerance", "past_tolerance", "over"])
+def test_verify_coverage_rejects_a_shared_stop_over_the_load_cap(second_kg, over):
+    net, cfg = line_network(), CoverageConfig(max_stop_load_kg=520.0)
+    demands = [DemandPoint(0, 400.0, 0.0, 0, 260.0),
+               DemandPoint(1, 400.0, 0.0, 0, second_kg)]
+    # the two demands merged into one stop, its mass right
+    merged = [StopPoint(0, 2, 260.0 + second_kg, 1800.0, [0, 1])]
+    if not over:
+        assert verify_coverage(merged, demands, net, cfg).ok
+        return
+    with pytest.raises(DataError, match=r"stop 0 lists 2 demands and is assigned "
+                                        r"5\d\d\.\d+ kg, over the 520\.0 kg "
+                                        r"max_stop_load_kg"):
+        verify_coverage(merged, demands, net, cfg)
+
+
+def test_verify_coverage_allows_a_lone_demand_over_the_load_cap():
+    net, cfg = line_network(), CoverageConfig(max_stop_load_kg=520.0)
+    demands = [DemandPoint(0, 400.0, 0.0, 0, 600.0)]
+    stops = place_stops(net, demands, cfg)
+    assert [s.overflow for s in stops] == [True]
+    assert verify_coverage(stops, demands, net, cfg).ok
+    # read back from a file a stop carries no overflow flag: its one
+    # demand is what allows it
+    stops[0].overflow = False
+    assert verify_coverage(stops, demands, net, cfg).ok
+
+
 def repeated_id_instance():
     """A 3x3 city with two buildings that share demand id 1."""
     nodes, edges, _ = gen_synthetic_city(SyntheticCitySpec(seed=0))

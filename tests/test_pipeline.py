@@ -110,6 +110,22 @@ def test_missing_config_keys_and_files_rejected(tmp_path):
         load_scenario_config(str(q))
 
 
+@pytest.mark.parametrize("value", ["", ".", "sub"], ids=["empty", "dot", "directory"])
+@pytest.mark.parametrize("key", ["network.nodes", "network.edges", "network.turns",
+                                 "buildings", "factors"])
+def test_path_key_that_names_no_file_rejected(tmp_path, key, value):
+    (tmp_path / "sub").mkdir()
+    paths = {"network.nodes": demo_path("four_stops", "nodes.csv"),
+             "network.edges": demo_path("four_stops", "edges.csv"),
+             "buildings": demo_path("four_stops", "buildings.csv"),
+             key: value}
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in paths.items())
+                   + "depot.x_m=0\ndepot.y_m=-2000\n")
+    with pytest.raises(ConfigError, match=f"^key '{key}': not a file: "):
+        load_scenario_config(str(cfg))
+
+
 def four_stops_config(tmp_path, extra: str = "") -> str:
     """The four_stops demo inputs under a config ending in ``extra``."""
     p = tmp_path / "scenario.cfg"
