@@ -23,8 +23,7 @@ from .impact import (
     ScenarioSummary,
     calibrate_factors,
     compare_scenarios,
-    emissions,
-    energy_consumption,
+    daily_impacts,
     percent_improvement,
 )
 from .network import (
@@ -56,8 +55,8 @@ __all__ = [
     "CoverageConfig", "CoverageReport", "DemandPoint", "StopPoint",
     "aggregate_demand", "place_stops", "verify_coverage",
     "ComparisonReport", "ImpactFactors", "ScenarioSummary",
-    "calibrate_factors", "compare_scenarios", "emissions",
-    "energy_consumption", "percent_improvement",
+    "calibrate_factors", "compare_scenarios", "daily_impacts",
+    "percent_improvement",
     "UNREACHABLE", "CostMatrix", "Edge", "Node", "RoadNetwork",
     "cost_matrix", "shortest_path", "snap",
     "ScenarioConfig", "load_scenario_config", "run_pipeline",

@@ -4,7 +4,7 @@ Households are aggregated into demand points (buildings with a daily
 waste mass), and stops are opened on network nodes by a greedy
 largest-uncovered-mass rule until every demand point sits within the
 service radius of exactly one stop. Per-stop load is capped; a lone
-demand heavier than the cap gets its own flagged stop.
+demand heavier than the cap gets its own stop, an overflow stop.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ class DemandPoint(NamedTuple):
 
 @dataclass
 class StopPoint:
+    """A stop at a network node and the demand ids it serves. Whether it
+    is an overflow stop follows from these fields (see verify_coverage)."""
+
     id: int
     node: int
     assigned_demand_kg: float
     service_time_s: float
     covered_demand_ids: list[int]
-    overflow: bool = False  # single demand above the load cap, flagged
 
 
 #: How the service radius is measured: along the roads or straight.
@@ -247,12 +249,10 @@ def place_stops(
                            if p in uncovered])
         taken: list[int] = []
         load = 0.0
-        overflow = False
         for _, _, p in eligible:
             w = weight[p]
             if not taken and w > cfg.max_stop_load_kg:
                 taken = [p]
-                overflow = True
                 log.warning(
                     "demand %s (%.1f kg) exceeds the %.1f kg stop cap; "
                     "dedicated stop opened at node %s",
@@ -272,7 +272,6 @@ def place_stops(
                 assigned_demand_kg=math.fsum(weight[p] for p in taken),
                 service_time_s=cfg.service_time_s,
                 covered_demand_ids=[ids[p] for p in taken],
-                overflow=overflow,
             )
         )
         uncovered.difference_update(taken)
@@ -307,7 +306,8 @@ def verify_coverage(
     demand listed twice, under two stops or twice under one; and
     ValueError for a demand id given twice or a mass that is negative or
     not finite. A listed demand counts as covered when its input position
-    is in the radius of its stop's node.
+    is in the radius of its stop's node. The overflow stops are those
+    that list one demand and are assigned more than ``max_stop_load_kg``.
     """
     pos_of = _demand_positions(demands)
     stop_of: list[int | None] = [None] * len(demands)  # per position, its stop
@@ -351,7 +351,8 @@ def verify_coverage(
         uncovered_ids=uncovered,
         max_load_kg=max(loads, default=0.0),
         load_histogram=dict(sorted(histogram.items())),
-        overflow_stop_ids=[s.id for s in stops if s.overflow],
+        overflow_stop_ids=[s.id for s in stops if len(s.covered_demand_ids) == 1
+                           and s.assigned_demand_kg > cfg.max_stop_load_kg],
     )
 
 

@@ -25,6 +25,9 @@ from .errors import (
 from .network import _read_table, _write_table
 
 _CONSISTENCY_TOL = 0.05  # totals vs n_trucks * average
+#: Each modelled quantity: ``<q>_per_km`` and ``<q>_per_stop`` of
+#: ImpactFactors give ``<q>_day`` of ScenarioSummary.
+_QUANTITIES = ("energy_mj", "co_g", "co2_g", "nox_g")
 
 
 @dataclass(frozen=True)
@@ -88,39 +91,28 @@ class ScenarioSummary:
                     )
 
 
-def energy_consumption(total_km: float, n_stop_visits: float,
-                       factors: ImpactFactors) -> float:
+def daily_impacts(total_km: float, n_stop_visits: float,
+                  factors: ImpactFactors) -> dict[str, float]:
+    """Energy (MJ) and CO, CO2 and NOx (g) per day, each ``per_km *
+    total_km + per_stop * n_stop_visits``, keyed by the ScenarioSummary
+    field it fills (``energy_mj_day``, ...)."""
     if total_km < 0 or n_stop_visits < 0:
         raise NegativeInput("distance and stop visits must be >= 0")
-    return factors.energy_mj_per_km * total_km + factors.energy_mj_per_stop * n_stop_visits
-
-
-def emissions(total_km: float, n_stop_visits: float,
-              factors: ImpactFactors) -> tuple[float, float, float]:
-    """(CO, CO2, NOx) grams per day."""
-    if total_km < 0 or n_stop_visits < 0:
-        raise NegativeInput("distance and stop visits must be >= 0")
-    return (
-        factors.co_g_per_km * total_km + factors.co_g_per_stop * n_stop_visits,
-        factors.co2_g_per_km * total_km + factors.co2_g_per_stop * n_stop_visits,
-        factors.nox_g_per_km * total_km + factors.nox_g_per_stop * n_stop_visits,
-    )
+    return {f"{q}_day": getattr(factors, f"{q}_per_km") * total_km
+            + getattr(factors, f"{q}_per_stop") * n_stop_visits
+            for q in _QUANTITIES}
 
 
 def calibrate_factors(summary: ScenarioSummary) -> ImpactFactors:
     """Back-solve distance-only factors from a scenario's published totals.
 
-    Stop terms stay zero; applying the forward models to the same
-    distance reproduces every total exactly.
+    Stop terms stay zero; :func:`daily_impacts` at the same distance
+    reproduces every total exactly.
     """
     if summary.total_km <= 0:
         raise ZeroDistance(f"{summary.name}: total_km must be positive")
-    return ImpactFactors(
-        energy_mj_per_km=summary.energy_mj_day / summary.total_km,
-        co_g_per_km=summary.co_g_day / summary.total_km,
-        co2_g_per_km=summary.co2_g_day / summary.total_km,
-        nox_g_per_km=summary.nox_g_day / summary.total_km,
-    )
+    return ImpactFactors(**{f"{q}_per_km": getattr(summary, f"{q}_day")
+                            / summary.total_km for q in _QUANTITIES})
 
 
 def percent_improvement(existing_value: float, proposed_value: float) -> float:
@@ -214,7 +206,6 @@ def format_comparison_text(report: ComparisonReport) -> str:
 # --- file interfaces ---
 
 FACTOR_HEADER = ["class", "quantity", "per_km", "per_stop"]
-_QUANTITIES = ("energy_mj", "co_g", "co2_g", "nox_g")
 
 
 def write_factors(factors_by_class: dict[str, ImpactFactors], path: str) -> None:

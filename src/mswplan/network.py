@@ -208,7 +208,8 @@ class CostMatrix:
     the path that is optimal in ``metric``, so the non-objective quantity
     of a route is exact rather than re-derived from an average speed.
     ``cost`` is the table of the chosen metric itself, not a copy.
-    Unreachable pairs carry :data:`UNREACHABLE` in both tables.
+    Unreachable pairs carry :data:`UNREACHABLE` in both tables. A
+    ``metric`` not in :data:`METRICS` is a ValueError.
 
     A matrix from :func:`cost_matrix` keeps each origin's search, cut to
     its arriving edge per node (and, for an arriving-edge search, its
@@ -223,6 +224,10 @@ class CostMatrix:
     time_s: tuple[tuple[float, ...], ...]
     _searches: dict[int, _SearchResult] = field(
         default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
     @property
     def cost(self) -> tuple[tuple[float, ...], ...]:
@@ -472,8 +477,6 @@ def cost_matrix(
     the UNREACHABLE marker rather than raising, so partially connected
     networks still produce a usable matrix.
     """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     for nid in list(origins) + list(destinations):
         net.node(nid)  # raises UnknownNode for an id not in the network
     cols = [net._pos[d] for d in destinations]

@@ -232,10 +232,7 @@ def summary_from_plan(
         math.fsum(s.service_time_s for s in plan.stops.values()) / n_stops
         if n_stops else 0.0
     )
-    energy = co = co2 = nox = 0.0
-    if factors is not None:
-        energy = impact.energy_consumption(total_km, n_stops, factors)
-        co, co2, nox = impact.emissions(total_km, n_stops, factors)
+    impacts = impact.daily_impacts(total_km, n_stops, factors or impact.ImpactFactors())
     return impact.ScenarioSummary(
         name=name,
         n_trucks=plan.fleet_size,
@@ -246,10 +243,7 @@ def summary_from_plan(
         total_km=total_km,
         avg_route_h=metrics.avg_route_time_s / 3600.0,
         total_time_h=metrics.total_work_s / 3600.0,
-        energy_mj_day=energy,
-        co_g_day=co,
-        co2_g_day=co2,
-        nox_g_day=nox,
+        **impacts,
     )
 
 
@@ -302,8 +296,7 @@ def run_pipeline(cfg: ScenarioConfig, out_dir: str = ".") -> PipelineResult:
             PlannerError(f"uncovered demands remain: {audit.uncovered_ids}"),
         )
 
-    stop_nodes = sorted({s.node for s in stops})
-    matrix_nodes = [depot_node] + [n for n in stop_nodes if n != depot_node]
+    matrix_nodes = vrp.instance_nodes(stops, depot_node)
     matrix = _stage("network/matrix", network.cost_matrix, net,
                     matrix_nodes, matrix_nodes, cfg.objective)
     plan = _stage("vrp/solve", vrp.solve_vrp, matrix, stops, depot_node,

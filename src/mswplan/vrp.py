@@ -50,7 +50,7 @@ from .errors import (
     UnknownNode,
     UnreachableStop,
 )
-from .network import METRICS, CostMatrix, _write_table
+from .network import CostMatrix, _write_table
 
 _EPS = 1e-9
 #: Rounding slack of delta evaluation per summed leg, relative to the
@@ -135,14 +135,16 @@ class RoutePlan:
         return self.stops[stop_id].node
 
 
+def instance_nodes(stops: list[StopPoint], depot: int) -> list[int]:
+    """The nodes of a VRP instance: the depot, then each other stop node by id."""
+    return [depot] + sorted({s.node for s in stops} - {depot})
+
+
 class _Ctx:
     """Pre-indexed costs and stop attributes for one solver run."""
 
     def __init__(self, matrix: CostMatrix, stops: list[StopPoint],
                  depot: int, fleet: FleetSpec):
-        if matrix.metric not in METRICS:
-            raise ValueError(f"matrix metric must be one of {METRICS}, "
-                             f"got {matrix.metric!r}")
         self.fleet = fleet
         self.objective = matrix.metric
         self.depot = depot
@@ -151,9 +153,8 @@ class _Ctx:
             if s.id in self.stops:
                 raise ValueError(f"stop id {s.id} appears more than once")
             self.stops[s.id] = s
-        # table positions: 0 is the depot, then each distinct stop node in id
-        # order; one position indexes a stop both as origin and destination
-        self.nodes = [self.depot] + sorted({s.node for s in stops} - {self.depot})
+        # one position indexes a stop both as origin and destination
+        self.nodes = instance_nodes(stops, depot)
         row = {nid: i for i, nid in enumerate(matrix.origins)}
         col = {nid: i for i, nid in enumerate(matrix.destinations)}
         for nid in self.nodes:

@@ -12,7 +12,9 @@ id, an ``assigned_kg`` other than its demands' mass, or one over the
 load cap at a stop that lists two or more demands, is a DataError, and
 a demand listed twice, under two stops or twice under one, is a
 PlannerError. ``_check_stop_table`` restates them here, so audits of
-such stop sets still compare as errors.
+such stop sets still compare as errors. Stops later lost their stored
+overflow flag: ``_overflow_stop_ids`` finds the overflow stops from the
+stop rows and the cap.
 """
 
 from __future__ import annotations
@@ -132,13 +134,11 @@ def place_stops(
         )
         taken: list[int] = []
         load = 0.0
-        overflow = False
         for i in eligible:
             w = by_id[i].waste_kg_day
             if not taken and w > cfg.max_stop_load_kg:
                 taken = [i]
                 load = w
-                overflow = True
                 log.warning(
                     "demand %s (%.1f kg) exceeds the %.1f kg stop cap; "
                     "dedicated stop opened at node %s",
@@ -155,7 +155,6 @@ def place_stops(
                 assigned_demand_kg=math.fsum(by_id[i].waste_kg_day for i in taken),
                 service_time_s=cfg.service_time_s,
                 covered_demand_ids=taken,
-                overflow=overflow,
             )
         )
         uncovered.difference_update(taken)
@@ -187,8 +186,17 @@ def verify_coverage(
         uncovered_ids=uncovered,
         max_load_kg=max(loads, default=0.0),
         load_histogram=dict(sorted(histogram.items())),
-        overflow_stop_ids=[s.id for s in stops if s.overflow],
+        overflow_stop_ids=_overflow_stop_ids(stops, cfg.max_stop_load_kg),
     )
+
+
+def _overflow_stop_ids(stops: list[StopPoint], cap_kg: float) -> list[int]:
+    """The stops of one demand whose load is over the cap, in stop order."""
+    out = []
+    for s in stops:
+        if len(s.covered_demand_ids) == 1 and s.assigned_demand_kg > cap_kg:
+            out.append(s.id)
+    return out
 
 
 def _check_stop_table(stops: list[StopPoint], demands: list[DemandPoint],

@@ -32,8 +32,7 @@ from mswplan.impact import (
     ScenarioSummary,
     calibrate_factors,
     compare_scenarios,
-    emissions,
-    energy_consumption,
+    daily_impacts,
 )
 from mswplan.network import (
     UNREACHABLE,
@@ -107,11 +106,10 @@ def test_criterion_3_calibration_round_trip():
     worst = 0.0
     for summary in (EXISTING, PROPOSED):
         f = calibrate_factors(summary)
-        got = [energy_consumption(summary.total_km, summary.n_stops, f)]
-        got += list(emissions(summary.total_km, summary.n_stops, f))
-        want = [summary.energy_mj_day, summary.co_g_day,
-                summary.co2_g_day, summary.nox_g_day]
-        for g, w in zip(got, want):
+        got = daily_impacts(summary.total_km, summary.n_stops, f)
+        assert list(got) == ["energy_mj_day", "co_g_day", "co2_g_day", "nox_g_day"]
+        for key, g in got.items():
+            w = getattr(summary, key)
             rel = abs(g - w) / w
             worst = max(worst, rel)
             assert rel < 0.005

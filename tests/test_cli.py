@@ -506,6 +506,44 @@ def test_verify_accepts_planned_stops_and_rejects_pruned(tmp_path):
     assert "UNCOVERED" in bad.output
 
 
+def test_verify_reports_the_overflow_stops_of_a_plan(tmp_path):
+    # at a 10 kg cap each 19.92 kg demand gets an overflow stop of its own
+    cfg = four_stops_with(tmp_path, "coverage.max_stop_load_kg=10")
+    runner = CliRunner()
+    ran = runner.invoke(main, ["plan", cfg, "--out", str(tmp_path / "out")])
+    assert ran.exit_code == 0, ran.output
+    assert "planned 104 stops" in ran.output
+    ok = runner.invoke(main, ["verify", cfg, str(tmp_path / "out" / "stops.csv")])
+    assert ok.exit_code == 0, ok.output
+    assert f"overflow stops: {list(range(104))}\n" in ok.output
+    assert "coverage OK" in ok.output
+
+
+def test_plan_objective_option_plans_as_the_config_key_does(tmp_path, monkeypatch):
+    city = tmp_path / "city"
+    shutil.copytree(demo_path("city3x3"), city)
+    text = (city / "scenario.cfg").read_text()
+    assert "objective=time\n" in text
+    (city / "distance.cfg").write_text(
+        text.replace("objective=time\n", "objective=distance\n"))
+    objectives = []
+
+    def recording(cfg, out_dir):
+        objectives.append(cfg.objective)
+        return run_pipeline(cfg, out_dir)
+
+    monkeypatch.setattr("mswplan.cli.run_pipeline", recording)
+    runner = CliRunner()
+    for config, option, out in (("scenario.cfg", ["--objective", "distance"], "option"),
+                                ("distance.cfg", [], "key")):
+        r = runner.invoke(
+            main, ["plan", str(city / config), *option, "--out", str(tmp_path / out)])
+        assert r.exit_code == 0, r.output
+    assert objectives == ["distance", "distance"]
+    assert (tmp_path / "option" / "plan.csv").read_bytes() == \
+        (tmp_path / "key" / "plan.csv").read_bytes()
+
+
 def test_seed_override_changes_nothing_on_fixed_instance(tmp_path):
     # identical configs and seeds give identical files even via the CLI
     runner = CliRunner()

@@ -109,10 +109,11 @@ def test_single_demand_above_cap_gets_flagged_stop(caplog):
 
     net = line_network()
     demands = [DemandPoint(0, 400.0, 0.0, 0, 600.0)]
+    cfg = CoverageConfig(max_stop_load_kg=520.0)
     with caplog.at_level(logging.WARNING):
-        stops = place_stops(net, demands, CoverageConfig(max_stop_load_kg=520.0))
+        stops = place_stops(net, demands, cfg)
     assert len(stops) == 1
-    assert stops[0].overflow
+    assert verify_coverage(stops, demands, net, cfg).overflow_stop_ids == [0]
     assert stops[0].assigned_demand_kg == 600.0
     assert any("exceeds" in r.message for r in caplog.records)
 
@@ -216,12 +217,9 @@ def test_verify_coverage_allows_a_lone_demand_over_the_load_cap():
     net, cfg = line_network(), CoverageConfig(max_stop_load_kg=520.0)
     demands = [DemandPoint(0, 400.0, 0.0, 0, 600.0)]
     stops = place_stops(net, demands, cfg)
-    assert [s.overflow for s in stops] == [True]
-    assert verify_coverage(stops, demands, net, cfg).ok
-    # read back from a file a stop carries no overflow flag: its one
-    # demand is what allows it
-    stops[0].overflow = False
-    assert verify_coverage(stops, demands, net, cfg).ok
+    report = verify_coverage(stops, demands, net, cfg)
+    assert report.overflow_stop_ids == [0]
+    assert report.ok
 
 
 def repeated_id_instance():
@@ -319,7 +317,7 @@ def test_full_coverage_and_conservation_on_random_cities(mode):
         )
         by_id = {d.id: d for d in demands}
         for s in stops:
-            if not s.overflow:
+            if s.id not in report.overflow_stop_ids:
                 assert s.assigned_demand_kg <= cfg.max_stop_load_kg + 1e-9
             assert s.assigned_demand_kg == math.fsum(
                 by_id[i].waste_kg_day for i in s.covered_demand_ids

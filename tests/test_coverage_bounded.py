@@ -111,7 +111,7 @@ def shuffled_stops(rng, stops, demands, net) -> list[StopPoint]:
         covered = (s.covered_demand_ids if rng.random() < 0.6
                    else rng.sample(ids, rng.randint(0, len(ids))))
         out.append(StopPoint(s.id, node, s.assigned_demand_kg, s.service_time_s,
-                             list(covered), s.overflow))
+                             list(covered)))
     return out
 
 
@@ -128,7 +128,7 @@ def consistent_stops(stops, demands) -> list[StopPoint]:
                 covered.append(i)
                 listed.add(i)
         out.append(StopPoint(s.id, s.node, math.fsum(mass[i] for i in covered),
-                             s.service_time_s, covered, s.overflow))
+                             s.service_time_s, covered))
     return out
 
 

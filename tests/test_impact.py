@@ -20,8 +20,7 @@ from mswplan.impact import (
     ScenarioSummary,
     calibrate_factors,
     compare_scenarios,
-    emissions,
-    energy_consumption,
+    daily_impacts,
     format_comparison_table,
     format_comparison_text,
     load_factors,
@@ -64,25 +63,40 @@ DOOR_TO_DOOR = ScenarioSummary(
 )
 
 
+def energy(total_km, n_stop_visits, f):
+    return daily_impacts(total_km, n_stop_visits, f)["energy_mj_day"]
+
+
+def emissions(total_km, n_stop_visits, f):
+    """(CO, CO2, NOx) grams per day."""
+    got = daily_impacts(total_km, n_stop_visits, f)
+    return got["co_g_day"], got["co2_g_day"], got["nox_g_day"]
+
+
 def test_energy_reproduces_published_total():
     f = ImpactFactors(energy_mj_per_km=62.02)
-    assert energy_consumption(1756, 0, f) == pytest.approx(108907, rel=0.005)
+    assert energy(1756, 0, f) == pytest.approx(108907, rel=0.005)
 
 
 def test_energy_zero_and_linearity():
     f = ImpactFactors(energy_mj_per_km=10.0, energy_mj_per_stop=2.0)
-    assert energy_consumption(0, 0, f) == 0.0
-    assert energy_consumption(2 * 7, 2 * 3, f) == pytest.approx(
-        2 * energy_consumption(7, 3, f)
-    )
+    assert energy(0, 0, f) == 0.0
+    assert energy(2 * 7, 2 * 3, f) == pytest.approx(2 * energy(7, 3, f))
+
+
+def test_daily_impacts_fill_the_summary_fields_by_their_formula():
+    f = ImpactFactors(*range(1, 9))
+    assert daily_impacts(7, 3, f) == {
+        "energy_mj_day": 1 * 7 + 2 * 3, "co_g_day": 3 * 7 + 6 * 3,
+        "co2_g_day": 4 * 7 + 7 * 3, "nox_g_day": 5 * 7 + 8 * 3}
 
 
 def test_negative_inputs_rejected():
     f = ImpactFactors()
     with pytest.raises(NegativeInput):
-        energy_consumption(-1, 0, f)
+        daily_impacts(-1, 0, f)
     with pytest.raises(NegativeInput):
-        emissions(0, -1, f)
+        daily_impacts(0, -1, f)
     with pytest.raises(NegativeInput):
         ImpactFactors(co_g_per_km=-0.1)
 
@@ -119,7 +133,7 @@ def test_calibration_values_and_round_trip():
     assert f2.energy_mj_per_km == pytest.approx(100.41, rel=1e-3)
     for summary in (DUMPSTER, DOOR_TO_DOOR):
         fs = calibrate_factors(summary)
-        assert energy_consumption(summary.total_km, summary.n_stops, fs) == \
+        assert energy(summary.total_km, summary.n_stops, fs) == \
             pytest.approx(summary.energy_mj_day, rel=1e-12)
         co, co2, nox = emissions(summary.total_km, summary.n_stops, fs)
         assert co == pytest.approx(summary.co_g_day, rel=1e-12)
@@ -185,8 +199,8 @@ def test_linearity_of_consumption_models():
         )
         km, stops = rng.uniform(0, 2000), rng.randint(0, 400)
         lam = rng.uniform(0, 5)
-        assert energy_consumption(lam * km, lam * stops, f) == pytest.approx(
-            lam * energy_consumption(km, stops, f)
+        assert energy(lam * km, lam * stops, f) == pytest.approx(
+            lam * energy(km, stops, f)
         )
         base = emissions(km, stops, f)
         scaled = emissions(lam * km, lam * stops, f)

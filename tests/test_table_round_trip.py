@@ -11,7 +11,9 @@ allows it, and factor class names holding non-ASCII text, commas,
 quotes and line breaks. A class name holding a carriage return is a
 ValueError from the writer: the csv module before Python 3.13 does not
 quote one, so it would read back as the end of a line. A table is
-UTF-8 under a locale whose default encoding is ASCII too.
+UTF-8 under a locale whose default encoding is ASCII too. Planned
+stops with an overflow stop among them load back equal: a stop has no
+field the table leaves out.
 """
 
 from __future__ import annotations
@@ -110,6 +112,19 @@ def stop_tables(draw):
 @ROUND_TRIP
 @given(stop_tables())
 def test_stops_round_trip(tmp_path, stops):
+    assert_round_trip(tmp_path, coverage.write_stops, coverage.load_stops, stops)
+
+
+def test_planned_stops_with_an_overflow_stop_round_trip(tmp_path):
+    # a 600 kg demand over the 520 kg cap gets a stop of its own
+    net = network.RoadNetwork(
+        [network.Node(0, 0.0, 0.0), network.Node(1, 200.0, 0.0)],
+        [network.Edge(0, 1, 200.0, 40), network.Edge(1, 0, 200.0, 40)])
+    demands = [coverage.DemandPoint(0, 0.0, 0.0, 0, 600.0),
+               coverage.DemandPoint(1, 200.0, 0.0, 0, 10.0)]
+    cfg = coverage.CoverageConfig(max_stop_load_kg=520.0)
+    stops = coverage.place_stops(net, demands, cfg)
+    assert coverage.verify_coverage(stops, demands, net, cfg).overflow_stop_ids == [0]
     assert_round_trip(tmp_path, coverage.write_stops, coverage.load_stops, stops)
 
 
