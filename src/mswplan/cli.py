@@ -46,6 +46,10 @@ _INFEASIBLE = (UncoverableDemand, InfeasibleStop, UnreachableStop,
                ShiftTooShort, Unreachable)
 _DATA = (DataError, UnknownNode, NoNodeWithinRange, NegativeUnits)
 
+#: ``--format`` name -> renderer of a comparison report
+_FORMATS = {"table": impact.format_comparison_table,
+            "text": impact.format_comparison_text}
+
 
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, StageError):
@@ -83,7 +87,7 @@ def main() -> None:
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--out", "out_dir", default=".", show_default=True,
               help="Directory for output files.")
-@click.option("--format", "fmt", type=click.Choice(["table", "text"]),
+@click.option("--format", "fmt", type=click.Choice(list(_FORMATS)),
               default="text", show_default=True,
               help="Stdout rendering of the comparison report, if any.")
 def plan(config: str, objective: str | None, seed: int | None,
@@ -104,9 +108,7 @@ def plan(config: str, objective: str | None, seed: int | None,
     for name in ("stops", "plan", "routes", "summary"):
         click.echo(f"  {name}: {result.files[name]}")
     if result.report is not None:
-        render = (impact.format_comparison_table if fmt == "table"
-                  else impact.format_comparison_text)
-        click.echo(render(result.report), nl=False)
+        click.echo(_FORMATS[fmt](result.report), nl=False)
 
 
 @main.command("synth")
@@ -124,14 +126,12 @@ def synth_city(specfile: str, out_dir: str) -> None:
 @main.command()
 @click.argument("existing", type=click.Path(exists=True, dir_okay=False))
 @click.argument("proposed", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["table", "text"]),
+@click.option("--format", "fmt", type=click.Choice(list(_FORMATS)),
               default="table", show_default=True)
 def compare(existing: str, proposed: str, fmt: str) -> None:
     """Compare two scenario summary files (key=value format)."""
     report = impact.compare_scenarios(load_summary(existing), load_summary(proposed))
-    render = (impact.format_comparison_table if fmt == "table"
-              else impact.format_comparison_text)
-    click.echo(render(report), nl=False)
+    click.echo(_FORMATS[fmt](report), nl=False)
 
 
 @main.command()

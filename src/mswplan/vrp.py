@@ -50,7 +50,7 @@ from .errors import (
     UnknownNode,
     UnreachableStop,
 )
-from .network import CostMatrix, _write_table
+from .network import METRICS, CostMatrix, _write_table
 
 _EPS = 1e-9
 #: Rounding slack of delta evaluation per summed leg, relative to the
@@ -104,6 +104,10 @@ class RoutePlan:
     objective: str
     depot_node: int
     stops: dict[int, StopPoint]
+
+    def __post_init__(self):
+        if self.objective not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}, got {self.objective!r}")
 
     @property
     def fleet_size(self) -> int:

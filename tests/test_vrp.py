@@ -359,6 +359,14 @@ def test_matrix_of_an_unknown_metric_is_rejected():
         CostMatrix(m.origins, m.destinations, "hops", m.length_m, m.time_s)
 
 
+def test_plan_of_an_unknown_objective_is_rejected():
+    # a plan read by another objective would cost its trips by distance
+    trips = [Trip([1], 10.0, 50.0, 0.0, 0.0, 700.0)]
+    with pytest.raises(ValueError, match="metric must be one of "
+                       r"\('time', 'distance'\), got 'hops'"):
+        RoutePlan([(1, trips)], "hops", 0, {})
+
+
 @pytest.mark.parametrize("name", ["capacity_kg", "unload_s", "shift_s"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
 def test_fleet_spec_rejects_a_value_that_is_not_finite_and_positive(name, value):
