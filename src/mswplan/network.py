@@ -164,7 +164,7 @@ class RoadNetwork:
                                 f"and non-negative, got {pen}")
             bit = 1 << slot[b]
             if seen[a] & bit:
-                raise _RowError("turns", f"turn penalty {a},{b} appears more than once")
+                raise _RowError("turns", f"turn penalty ({a},{b}) appears more than once")
             seen[a] |= bit
             if pen:  # the shared row already holds 0.0
                 row = succ[a]

@@ -1,11 +1,16 @@
 """Capacitated multi-trip vehicle routing over the stop set.
 
 Construction is Clarke-Wright savings, polished by 2-opt (within trips)
-and Or-opt (segments of 1-2 stops relocated within or across trips),
-plus a few seeded random-insertion restarts; the best candidate wins by
-(cost, restart index). Trips are then packed onto trucks first-fit-
-decreasing against the working shift. The full-enumeration optimality
-oracle for small instances lives with the tests.
+and Or-opt (segments of 1-2 stops relocated within or across trips).
+A few seeded ruin-and-recreate rounds then perturb the best plan
+(Schrimpf et al., "Record Breaking Optimization Results Using the Ruin
+and Recreate Principle", J. Comput. Phys. 159, 2000): each removes the
+stops nearest a random centre stop, reinserts them by cheapest
+insertion in a random order, descends again, and keeps the result only
+if it is cheaper. A fixed seed gives a fixed plan. Trips are then
+packed onto trucks first-fit-decreasing against the working shift. The
+full-enumeration optimality oracle for small instances lives with the
+tests.
 
 The objective is total drive cost over all trips, in the cost matrix's
 metric (seconds or meters).
@@ -26,10 +31,11 @@ bounds their rounding; each candidate that passes is decided by the
 full-trip comparison and feasibility checks, so the search accepts
 exactly the moves, in the same scan order, that pricing every candidate
 in full would (see ``_improve_seqs``). One pricer, ``_insertion_deltas``,
-prices both the Or-opt insertions and the insertion positions of the
-restarts. The descents of a solve share one memory of per-trip data,
-and of trips and trip pairs shown to have no improving move, so none
-decides a fact twice.
+prices both the Or-opt insertions and the reinsertions of the ruin
+rounds. The descents of a solve share one memory of per-trip data, and
+of trips and trip pairs shown to have no improving move, so none
+decides a fact twice; as a round changes only the trips near its
+centre, its descent skips the rest.
 
 ``verify_plan`` audits a finished plan by node id, apart from the
 solver's tables: stops, loads, drive times, lengths and shifts.
@@ -40,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .coverage import StopPoint
@@ -57,8 +64,10 @@ _EPS = 1e-9
 #: cost of the trips a move touches (see ``_improve_seqs``).
 _ROUND = 4 * sys.float_info.epsilon
 
-#: Plans ``solve_vrp`` compares: savings, then seeded insertion restarts.
-RESTARTS = 4
+#: Ruin-and-recreate rounds ``solve_vrp`` runs on its best plan, and the
+#: stops each round removes and reinserts.
+RUINS = 6
+RUIN_SIZE = 6
 #: Moves one local-search descent may apply.
 MAX_MOVES = 10_000
 
@@ -311,16 +320,18 @@ def _canonical(seqs: list[list[int]]) -> list[list[int]]:
     return sorted((s for s in seqs if s), key=min)
 
 
-def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int]) -> list[list[int]]:
-    """Put each stop of ``order`` at its cheapest feasible position, priced
-    as a one-stop Or-opt segment, or alone in a new trip.
+def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int],
+                             seqs: Iterable[list[int]] = ()) -> list[list[int]]:
+    """Put each stop of ``order`` into the trips ``seqs`` (empty ones
+    dropped) at its cheapest feasible position, priced as a one-stop
+    Or-opt segment, or alone in a new trip.
 
     Positions are tried by (delta, trip, position), and the first whose
     trip passes ``shift_ok`` takes the stop, as the local search confirms
     its candidates.
     """
     cost = ctx.cost
-    seqs: list[list[int]] = []
+    seqs = [list(s) for s in seqs if s]
     for sid in order:
         at_s = ctx.at[sid]
         positions = []
@@ -566,22 +577,34 @@ def solve_vrp(
     seed: int = 0,
 ) -> RoutePlan:
     """Best feasible plan from the ``depot`` node, by savings construction
-    plus seeded restarts.
+    plus seeded ruin and recreate.
 
-    Never worse than Clarke-Wright alone (that construction, improved,
-    is candidate zero) and fully deterministic for a fixed seed: restart
-    candidates are ranked by (cost, restart index).
+    Clarke-Wright, improved, is candidate zero and the first incumbent.
+    Round ``r`` of ``RUINS`` draws from ``random.Random(seed * 1_000_003 +
+    r)`` a centre stop, removes the ``RUIN_SIZE`` stops nearest it by the
+    centre's cost row (ties by stop id), reinserts them in a shuffled
+    order with ``_cheapest_insertion_seqs`` into the remaining trips, and
+    descends with ``_improve_seqs``. A round is skipped when a trip it cut
+    no longer fits the shift (costs need not obey the triangle
+    inequality), and its result replaces the incumbent only when cheaper
+    by more than ``_EPS``. So the plan is never worse than Clarke-Wright
+    alone and fully deterministic for a fixed seed.
     """
     ctx = _Ctx(matrix, stops, depot, fleet)
     _validate_instance(ctx)
     best_seqs = _improve_seqs(ctx, _clarke_wright_seqs(ctx), MAX_MOVES)
     best_cost = sum(ctx.drive_cost(s) for s in best_seqs)
     ids = sorted(ctx.stops)
-    for r in range(1, RESTARTS):
+    for r in range(1, RUINS + 1) if ids else ():
         rng = random.Random(seed * 1_000_003 + r)
-        order = ids[:]
-        rng.shuffle(order)
-        seqs = _improve_seqs(ctx, _cheapest_insertion_seqs(ctx, order), MAX_MOVES)
+        line = ctx.cost[ctx.at[rng.choice(ids)]]
+        removed = sorted(ids, key=lambda s: (line[ctx.at[s]], s))[:RUIN_SIZE]
+        rng.shuffle(removed)
+        kept = [[s for s in seq if s not in removed] for seq in best_seqs]
+        if not all(ctx.shift_ok(seq) for seq in kept if seq):
+            continue
+        seqs = _improve_seqs(ctx, _cheapest_insertion_seqs(ctx, removed, kept),
+                             MAX_MOVES)
         cost = sum(ctx.drive_cost(s) for s in seqs)
         if cost < best_cost - _EPS:
             best_seqs, best_cost = seqs, cost

@@ -369,7 +369,7 @@ CASES = [
          repeat_last_line("nodes.csv"), PLAN, 4, stderr="{dir}/nodes.csv: duplicate node id"),
     Case("test_plan_repeated_turn_exits_4_naming_the_pair", "city16",
          (turns(), repeat_last_line("turns.csv")), PLAN, 4,
-         stderr="{dir}/turns.csv: turn penalty 1087,1086 appears more than once"),
+         stderr="{dir}/turns.csv: turn penalty (1087,1086) appears more than once"),
     # the first bad row in the file is the one reported: a turn between
     # edges that do not meet, before a row that does not parse
     Case("test_plan_first_bad_turn_row_is_the_one_reported", "city16",

@@ -11,8 +11,8 @@ intersection along each axis and whose turns carry 60 s per U-turn and
 an ``existing.*`` summary, so each plan also writes the comparison.
 
 A change that means to change plans rewrites the manifest with
-``PYTHONPATH=src python tests/test_manifest.py`` and lists the files
-that changed.
+``PYTHONPATH=src python tests/test_manifest.py``, which prints each
+entry it changed, added or removed, and lists those files.
 """
 
 from __future__ import annotations
@@ -113,7 +113,18 @@ if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as work:
         digests = plan_digests(work)
+    try:
+        with open(MANIFEST) as fh:
+            old = json.load(fh)
+    except FileNotFoundError:
+        old = {}
     with open(MANIFEST, "w") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for what, names in (
+            ("changed", [k for k in old.keys() & digests.keys() if old[k] != digests[k]]),
+            ("added", digests.keys() - old.keys()),
+            ("removed", old.keys() - digests.keys())):
+        for name in sorted(names):
+            print(f"{what} {name}")
     print(f"wrote {len(digests)} digests to {MANIFEST}", file=sys.stderr)

@@ -738,7 +738,7 @@ def test_repeated_turn_penalty_pair_rejected_naming_the_pair(tmp_path):
     turns.write_text("from_edge_index,to_edge_index,penalty_s\n"
                      "0,1,60\n1,0,60\n0,1,5\n")
     with pytest.raises(DataError, match=rf"{re.escape(str(turns))}: turn "
-                       r"penalty 0,1 appears more than once"):
+                       r"penalty \(0,1\) appears more than once"):
         load_network(nodes, edges, str(turns))
 
 
@@ -747,7 +747,7 @@ def test_turn_table_reports_whichever_bad_row_comes_first(tmp_path):
     turns = tmp_path / "turns.csv"
     turns.write_text("from_edge_index,to_edge_index,penalty_s\n"
                      "0,1,60\n0,1,5\n1,x,60\n")
-    with pytest.raises(DataError, match=r"turn penalty 0,1 appears more than once"):
+    with pytest.raises(DataError, match=r"turn penalty \(0,1\) appears more than once"):
         load_network(nodes, edges, str(turns))
     turns.write_text("from_edge_index,to_edge_index,penalty_s\n"
                      "0,1,60\n1,x,60\n0,1,5\n")
@@ -761,8 +761,8 @@ def test_turn_table_reports_whichever_bad_row_comes_first(tmp_path):
     ("0,0,10", r"turn penalty \(0,0\) joins non-adjacent edges"),
     ("0,1,-5", r"turn penalty \(0,1\) must be finite and non-negative, got -5\.0"),
     ("0,1,nan", r"turn penalty \(0,1\) must be finite and non-negative, got nan"),
-    ("1,0,5", r"turn penalty 1,0 appears more than once"),
-    ("1,0,0", r"turn penalty 1,0 appears more than once"),
+    ("1,0,5", r"turn penalty \(1,0\) appears more than once"),
+    ("1,0,0", r"turn penalty \(1,0\) appears more than once"),
 ], ids=["unknown_edge", "non_adjacent", "negative", "nan", "repeated",
         "repeated_zero"])
 def test_first_bad_turn_row_is_reported_naming_the_turns_file(tmp_path, row,
@@ -782,7 +782,7 @@ def test_network_rejects_a_repeated_turn_row_naming_the_pair(first, again):
     nodes = [Node(1, 0, 0), Node(2, 100, 0)]
     edges = [Edge(1, 2, 100, 40), Edge(2, 1, 100, 40), Edge(2, 1, 100, 40)]
     assert RoadNetwork(nodes, edges, [(0, 1, first), (0, 2, again)])
-    with pytest.raises(ValueError, match=r"^turn penalty 0,2 appears more than once$"):
+    with pytest.raises(ValueError, match=r"^turn penalty \(0,2\) appears more than once$"):
         RoadNetwork(nodes, edges, [(0, 2, first), (1, 0, 60.0), (0, 2, again)])
 
 

@@ -1,5 +1,6 @@
 """Reference solver steps: the node-id construction and the
-full-recompute descent that ``mswplan.vrp`` replaced, kept verbatim.
+full-recompute descent that ``mswplan.vrp`` replaced, kept verbatim but
+for the insertion's starting trips, which ruin and recreate needs.
 
 Every candidate move is priced by recomputing the changed trips in
 full with ``drive_cost``, and construction reads each cost by node id
@@ -11,6 +12,8 @@ the code under test.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from mswplan.network import CostMatrix
 from mswplan.vrp import _EPS, _canonical, _Ctx, _seq_feasible
@@ -69,8 +72,9 @@ def _clarke_wright_seqs(ctx: _Ctx) -> list[list[int]]:
     return _canonical(list(routes.values()))
 
 
-def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int]) -> list[list[int]]:
-    seqs: list[list[int]] = []
+def _cheapest_insertion_seqs(ctx: _Ctx, order: list[int],
+                             seqs: Iterable[list[int]] = ()) -> list[list[int]]:
+    seqs = [list(s) for s in seqs if s]
     for sid in order:
         best: tuple[float, int, int] | None = None
         node = ctx.node_of[sid]
